@@ -47,7 +47,7 @@ from .pipeline import (
 )
 from .presets import PRESET_NAMES, preset
 from .sparse import SparseVector
-from .svm import LinearSvc, compute_class_weights
+from .svm import ConvergenceWarning, LinearSvc, compute_class_weights
 from .vectorizer import BlockSpec, TfidfBlock, TfidfUnion
 
 __version__ = "0.1.0"
@@ -60,6 +60,7 @@ __all__ = [
     "CHAR",
     "CHAR_WB",
     "CLASSIFIER_ORDER",
+    "ConvergenceWarning",
     "Dataset",
     "DecisionPolicy",
     "DialectPipeline",

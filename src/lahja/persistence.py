@@ -266,6 +266,15 @@ def pipeline_from_dict(payload: dict) -> DialectPipeline:
             raise BundleFormatError(
                 f"{name} model dimension {dims} does not match union dimension {union.n_features_}"
             )
+    if svc is not None:
+        if svc.n_labels_ != len(label_space):
+            raise BundleFormatError(
+                f"svc coef has {svc.n_labels_} rows for {len(label_space)} labels"
+            )
+        if svc.intercept_.shape != (len(label_space),):
+            raise BundleFormatError(
+                f"svc intercept has shape {svc.intercept_.shape} for {len(label_space)} labels"
+            )
 
     pipeline = DialectPipeline(config)
     pipeline.union_ = union
@@ -277,9 +286,13 @@ def pipeline_from_dict(payload: dict) -> DialectPipeline:
     return pipeline
 
 
+def _reject_constant(name: str) -> None:
+    raise BundleFormatError(f"bundle holds the non-finite real {name}")
+
+
 def loads_model(data: bytes) -> DialectPipeline:
     try:
-        payload = json.loads(data.decode("utf-8"))
+        payload = json.loads(data.decode("utf-8"), parse_constant=_reject_constant)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise BundleFormatError(f"bundle is not valid JSON (truncated or corrupt?): {exc}") from exc
     return pipeline_from_dict(payload)

@@ -132,3 +132,50 @@ class TestFormat:
         payload["models"]["svc"]["coef"] = [row[:-1] for row in payload["models"]["svc"]["coef"]]
         with pytest.raises(BundleFormatError, match="dimension"):
             loads_model(json.dumps(payload).encode("utf-8"))
+
+
+class TestSvcPayloadChecks:
+    """Crafted SVC payloads that used to load and then mispredict or crash."""
+
+    @staticmethod
+    def load_with(pipeline, edit) -> None:
+        payload = json.loads(dumps_model(pipeline))
+        edit(payload["models"]["svc"])
+        loads_model(json.dumps(payload).encode("utf-8"))
+
+    def test_coef_missing_a_row_rejected(self, fitted_vote_pipeline):
+        pipeline, _ = fitted_vote_pipeline
+        with pytest.raises(BundleFormatError, match="rows for 3 labels"):
+            self.load_with(pipeline, lambda svc: svc["coef"].pop())
+
+    def test_short_intercept_rejected(self, fitted_vote_pipeline):
+        pipeline, _ = fitted_vote_pipeline
+        with pytest.raises(BundleFormatError, match="intercept"):
+            self.load_with(pipeline, lambda svc: svc["intercept"].pop())
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_coef_rejected(self, fitted_vote_pipeline, value):
+        pipeline, _ = fitted_vote_pipeline
+
+        def poison(svc):
+            svc["coef"][0][0] = value
+
+        with pytest.raises(BundleFormatError, match="non-finite"):
+            self.load_with(pipeline, poison)
+
+    def test_nan_bundle_is_data_error_on_the_command_line(
+        self, fitted_vote_pipeline, tmp_path, capsys
+    ):
+        from lahja.cli import main
+
+        pipeline, ds = fitted_vote_pipeline
+        payload = json.loads(dumps_model(pipeline))
+        payload["models"]["svc"]["intercept"][0] = float("nan")
+        bundle = tmp_path / "nan.json"
+        bundle.write_text(json.dumps(payload), encoding="utf-8")
+        texts = tmp_path / "in.tsv"
+        texts.write_text(f"0\t{ds.documents[0].text}\n", encoding="utf-8")
+        code = main(["predict", "--model", str(bundle), "--in", str(texts),
+                     "--out", str(tmp_path / "out.tsv")])
+        assert code == 2
+        assert "non-finite real NaN" in capsys.readouterr().err

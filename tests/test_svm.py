@@ -1,13 +1,23 @@
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from lahja import LinearSvc, SparseVector, compute_class_weights
+from lahja import (
+    ConvergenceWarning,
+    DialectPipeline,
+    LinearSvc,
+    SparseVector,
+    compute_class_weights,
+    make_synthetic,
+    preset,
+)
+from lahja.svm import _group_samples, _group_step, _solve_binary
 
-from helpers import as_sparse
+from helpers import as_sparse, reference_svc_fit
 
 
 def separable_instance(rng: np.random.RandomState, n_points: int, n_dims: int):
@@ -26,6 +36,49 @@ def separable_instance(rng: np.random.RandomState, n_points: int, n_dims: int):
         X.append(as_sparse(x))
         y.append(int(margin > 0))
     return X, y
+
+
+def grouped_instance(rng: np.random.RandomState, n_dims: int = 5):
+    """Multi-label style 3-class set with repeated feature vectors.
+
+    Each base vector yields one sample per label it carries, as multi-label
+    documents do in ``DialectPipeline.fit``. Bases 0-3 carry two labels, base
+    4 carries all three (a 3-member group) and base 5 appears twice with the
+    same label, so each one-vs-rest problem has mixed- and same-sign groups.
+    """
+    bases = []
+    for _ in range(12):
+        x = rng.randn(n_dims)
+        x[rng.rand(n_dims) < 0.3] = 0.0
+        x[rng.randint(n_dims)] = rng.randn() + 3.0  # never all zero
+        bases.append(as_sparse(x))
+    carried = [{i % 3} for i in range(12)]
+    for i in range(4):
+        carried[i].add((i + 1) % 3)
+    carried[4] = {0, 1, 2}
+    X, y = [], []
+    for i in list(range(12)) + [5]:
+        for label in sorted(carried[i]):
+            X.append(bases[i])
+            y.append(label)
+    return X, y, bases
+
+
+def squared_hinge_minimum(X, y, label, n_features, per_sample_c):
+    """Primal optimum (w, b) of one one-vs-rest problem, bias regularized as a
+    constant-1 feature, by L-BFGS-B on the dense problem."""
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    A = np.array([np.append(x.to_dense(n_features), 1.0) for x in X])
+    s = np.where(np.asarray(y) == label, 1.0, -1.0)
+
+    def objective(theta):
+        slack = np.maximum(0.0, 1.0 - s * (A @ theta))
+        value = 0.5 * theta @ theta + per_sample_c @ (slack * slack)
+        return value, theta - 2.0 * A.T @ (per_sample_c * slack * s)
+
+    result = minimize(objective, np.zeros(n_features + 1), jac=True, method="L-BFGS-B",
+                      options={"gtol": 1e-12, "ftol": 1e-15, "maxiter": 10_000})
+    return result.x[:-1], result.x[-1]
 
 
 class TestClassWeights:
@@ -126,6 +179,98 @@ class TestLinearSvc:
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             LinearSvc().fit([SparseVector([0], [1.0])], [0])
+
+
+class TestGroupedSolver:
+    """Samples sharing one feature vector are solved as one block."""
+
+    @pytest.mark.parametrize("balanced", [False, True])
+    def test_duplicate_free_fit_bit_identical_to_per_sample_solver(self, balanced):
+        rng = np.random.RandomState(11)
+        for trial in range(4):
+            X = [as_sparse(rng.randn(6) * (rng.rand(6) < 0.6)) for _ in range(24)]
+            X = list(dict.fromkeys(X))  # drop any repeats
+            y = [i % 3 for i in range(len(X))]
+            model = LinearSvc(C=2.0, balanced=balanced, seed=trial).fit(X, y, n_features=6)
+            coef, intercept, history = reference_svc_fit(
+                X, y, 3, 6, C=2.0, balanced=balanced, seed=trial
+            )
+            assert model.coef_.tobytes() == coef.tobytes()
+            assert model.intercept_.tobytes() == intercept.tobytes()
+            assert model.dual_objective_history_ == history
+
+    def test_groups_in_first_occurrence_order(self):
+        a, b = as_sparse([1.0, 0.0]), as_sparse([0.0, 2.0])
+        assert _group_samples([a, b, as_sparse([1.0, 0.0]), a, b]) == [[0, 2, 3], [1, 4]]
+
+    @pytest.mark.parametrize("balanced", [False, True])
+    def test_grouped_fit_reaches_squared_hinge_minimum(self, balanced):
+        rng = np.random.RandomState(12)
+        X, y, bases = grouped_instance(rng)
+        assert sorted(len(g) for g in _group_samples(X) if len(g) > 1) == [2, 2, 2, 2, 2, 3]
+        model = LinearSvc(C=1.5, balanced=balanced, tol=1e-9, max_epochs=100_000).fit(X, y)
+        per_sample_c = np.full(len(y), 1.5)
+        if balanced:
+            per_sample_c *= compute_class_weights(y, 3)[y]
+        for label in range(3):
+            w, b = squared_hinge_minimum(X, y, label, model.n_features_, per_sample_c)
+            for x in bases:
+                expected = x.dot_dense(w) + b
+                assert model.decision_function(x)[label] == pytest.approx(expected, abs=1e-4)
+
+    def test_grouped_dual_non_decreasing_and_converged(self):
+        rng = np.random.RandomState(12)
+        X, y, _ = grouped_instance(rng)
+        labels = np.asarray(y)
+        diag = np.full(labels.size, 1.0 / (2.0 * 1.5))
+        x_sq = np.array([float(x.values @ x.values) + 1.0 for x in X])
+        for label in range(3):
+            _, _, history, violation = _solve_binary(
+                [x.indices for x in X], [x.values for x in X], _group_samples(X),
+                np.where(labels == label, 1.0, -1.0), diag, x_sq, 5, 1e-4, 1000, label,
+            )
+            assert (np.diff(history) >= -1e-9).all()
+            assert violation < 1e-4
+
+    def test_group_step_satisfies_block_optimality(self):
+        # After the step every member meets the KKT conditions at the new
+        # margin: zero gradient when alpha > 0, non-negative when alpha == 0.
+        rng = np.random.RandomState(13)
+        for _ in range(200):
+            size = rng.randint(2, 5)
+            signs = rng.choice([-1.0, 1.0], size=size)
+            diag = rng.uniform(0.05, 2.0, size=size)
+            alpha = np.where(rng.rand(size) < 0.5, 0.0, rng.uniform(0.0, 2.0, size=size))
+            p = rng.uniform(1.0, 4.0)
+            margin = rng.uniform(-3.0, 3.0)
+            t_old = float(signs @ alpha)
+            _, step = _group_step(alpha, list(range(size)), signs, diag, margin, p)
+            assert step == pytest.approx(float(signs @ alpha) - t_old, abs=1e-12)
+            gradient = signs * (margin + step * p) - 1.0 + alpha * diag
+            assert (alpha >= 0.0).all()
+            np.testing.assert_allclose(gradient[alpha > 0.0], 0.0, atol=1e-10)
+            assert (gradient[alpha == 0.0] >= -1e-10).all()
+
+    def test_grouped_fit_deterministic_per_seed(self):
+        X, y, _ = grouped_instance(np.random.RandomState(14))
+        a = LinearSvc(seed=3).fit(X, y)
+        b = LinearSvc(seed=3).fit(X, y)
+        assert a.coef_.tobytes() == b.coef_.tobytes()
+        assert a.intercept_.tobytes() == b.intercept_.tobytes()
+
+
+class TestConvergenceWarning:
+    def test_epoch_cap_on_overlap_corpus_warns(self):
+        X, y, _ = grouped_instance(np.random.RandomState(15))
+        with pytest.warns(ConvergenceWarning, match=r"max_epochs=1 .*label\(s\) 0 \(1 epochs"):
+            LinearSvc(max_epochs=1).fit(X, y)
+
+    def test_default_fit_on_overlap_corpus_is_silent(self):
+        ds = make_synthetic(10, 30, 60, 0.15, seed=42)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            pipeline = DialectPipeline(preset("exp2-2")).fit(ds)
+        assert max(len(h) for h in pipeline.svc_.dual_objective_history_) < 1000
 
 
 class TestMargins:
