@@ -46,7 +46,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .presets import PRESET_NAMES, preset
-from .sparse import SparseVector
+from .sparse import CsrMatrix
 from .svm import ConvergenceWarning, LinearSvc, compute_class_weights
 from .vectorizer import BlockSpec, TfidfBlock, TfidfUnion
 
@@ -61,6 +61,7 @@ __all__ = [
     "CHAR_WB",
     "CLASSIFIER_ORDER",
     "ConvergenceWarning",
+    "CsrMatrix",
     "Dataset",
     "DecisionPolicy",
     "DialectPipeline",
@@ -77,7 +78,6 @@ __all__ = [
     "PipelineConfig",
     "PRESET_NAMES",
     "RandomForest",
-    "SparseVector",
     "SvcParams",
     "TfidfBlock",
     "TfidfUnion",

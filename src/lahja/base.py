@@ -8,7 +8,9 @@ a trailing underscore, and ``fit`` returns ``self``.
 from __future__ import annotations
 
 import inspect
-from typing import Any
+from typing import Any, Sequence
+
+import numpy as np
 
 
 class NotFittedError(RuntimeError):
@@ -64,6 +66,21 @@ def check_ngram_range(ngram_range: tuple[int, int]) -> tuple[int, int]:
     if not 1 <= lo <= hi <= 10:
         raise ValueError(f"ngram_range must satisfy 1 <= lo <= hi <= 10, got ({lo}, {hi})")
     return lo, hi
+
+
+def check_labels(n_rows: int, y: Sequence[int], n_labels: int | None) -> tuple[np.ndarray, int]:
+    """One label index per row as an array, and the label count (default: the
+    largest label + 1); labels must lie in [0, n_labels)."""
+    labels = np.asarray(y, dtype=np.int64)
+    if labels.ndim != 1 or labels.size != n_rows:
+        raise ValueError(f"X and y lengths differ: {n_rows} vs {labels.size}")
+    if labels.size and labels.min() < 0:
+        raise ValueError("label indices must be >= 0")
+    if n_labels is None:
+        n_labels = int(labels.max()) + 1 if labels.size else 0
+    elif labels.size and labels.max() >= n_labels:
+        raise ValueError("label index outside [0, n_labels)")
+    return labels, n_labels
 
 
 def check_positive(name: str, value: float) -> float:

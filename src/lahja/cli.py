@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Dataset, LabelSpace, TsvFormatError, merge_label_spaces, parse_tsv
+from .corpus import Dataset, LabelSpace, TsvFormatError, merge_label_spaces, parse_tsv, split_labels, tsv_rows
 from .grid import DEFAULT_MAX_CONFIGS, GridSizeError, GridSpec, run_sweep, write_sweep_tsv
 from .metrics import evaluate
 from .persistence import BundleFormatError, load_model, save_model
@@ -141,10 +141,11 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise DataError(f"cannot read model {args.model!r}: {exc}") from exc
     dataset = _load_dataset(args.input, args.has_header)
-    lines = []
-    for doc in dataset.documents:
-        names = pipeline.predict_names(doc.text)
-        lines.append(f"{doc.id}\t{','.join(names)}\n")
+    names = pipeline.label_space_.names
+    lines = [
+        f"{doc.id}\t{','.join(names[i] for i in sorted(labels))}\n"
+        for doc, labels in zip(dataset.documents, pipeline.predict(dataset.texts()))
+    ]
     Path(args.out).write_text("".join(lines), encoding="utf-8")
     print(f"predicted {len(dataset)} documents -> {args.out}")
     return EXIT_OK
@@ -153,28 +154,19 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 def _parse_predictions(path: str) -> dict[int, tuple[str, ...]]:
     data = _read_bytes(path, "predictions file")
     rows: dict[int, tuple[str, ...]] = {}
-    for line_no, raw_line in enumerate(data.split(b"\n"), start=1):
-        try:
-            line = raw_line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: line {line_no}: invalid UTF-8") from exc
-        if line.endswith("\r"):
-            line = line[:-1]
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise DataError(
-                f"{path}: line {line_no}: expected 2 tab-separated fields (id, labels), found {len(fields)}"
-            )
-        id_field, label_field = fields
-        try:
-            doc_id = int(id_field)
-        except ValueError:
-            raise DataError(f"{path}: line {line_no}: id {id_field!r} is not an integer") from None
-        if doc_id in rows:
-            raise DataError(f"{path}: line {line_no}: duplicate id {doc_id}")
-        rows[doc_id] = tuple(sorted({part.strip() for part in label_field.split(",") if part.strip()}))
+    try:
+        for line_no, (id_field, label_field) in tsv_rows(data, ("id", "labels")):
+            try:
+                doc_id = int(id_field)
+            except ValueError:
+                raise DataError(f"{path}: line {line_no}: id {id_field!r} is not an integer") from None
+            if doc_id in rows:
+                raise DataError(f"{path}: line {line_no}: duplicate id {doc_id}")
+            rows[doc_id] = split_labels(label_field)
+    except TsvFormatError as exc:
+        if isinstance(exc.__cause__, UnicodeDecodeError):
+            raise DataError(f"{path}: line {exc.line_no}: invalid UTF-8") from exc
+        raise DataError(f"{path}: {exc}") from exc
     return rows
 
 

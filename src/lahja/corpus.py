@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class TsvFormatError(ValueError):
@@ -98,6 +98,34 @@ class Dataset:
         return [self.label_space.names[i] for i in sorted(doc.labels)]
 
 
+def tsv_rows(
+    data: bytes, fields: tuple[str, str], has_header: bool = False
+) -> Iterator[tuple[int, list[str]]]:
+    """(1-based line number, its two fields) of each non-blank line, ``\\r\\n`` or ``\\n``
+    terminated, skipping line 1 when ``has_header``; a non-UTF-8 line or one without
+    exactly two tab-separated ``fields`` raises :class:`TsvFormatError`."""
+    for line_no, raw_line in enumerate(bytes(data).split(b"\n"), start=1):
+        try:
+            line = raw_line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TsvFormatError(line_no, f"invalid UTF-8: {exc}") from exc
+        if line.endswith("\r"):
+            line = line[:-1]
+        if (has_header and line_no == 1) or not line.strip():
+            continue
+        row = line.split("\t")
+        if len(row) != 2:
+            raise TsvFormatError(
+                line_no, f"expected 2 tab-separated fields ({', '.join(fields)}), found {len(row)}"
+            )
+        yield line_no, row
+
+
+def split_labels(field: str) -> tuple[str, ...]:
+    """Sorted distinct non-empty names of a comma-separated label field."""
+    return tuple(sorted({part.strip() for part in field.split(",") if part.strip()}))
+
+
 def parse_tsv(data: bytes, has_header: bool = False) -> Dataset:
     """Parse TSV bytes into a Dataset.
 
@@ -109,27 +137,10 @@ def parse_tsv(data: bytes, has_header: bool = False) -> Dataset:
     if not isinstance(data, (bytes, bytearray)):
         raise TypeError("parse_tsv expects bytes; encode text input as UTF-8 first")
     records: list[tuple[str, tuple[str, ...]]] = []
-    for line_no, raw_line in enumerate(bytes(data).split(b"\n"), start=1):
-        try:
-            line = raw_line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise TsvFormatError(line_no, f"invalid UTF-8: {exc}") from exc
-        if line.endswith("\r"):
-            line = line[:-1]
-        if has_header and line_no == 1:
-            continue
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise TsvFormatError(
-                line_no, f"expected 2 tab-separated fields (text, labels), found {len(fields)}"
-            )
-        text, label_field = fields
+    for line_no, (text, label_field) in tsv_rows(data, ("text", "labels"), has_header):
         if not text.strip():
             raise TsvFormatError(line_no, "empty text field")
-        labels = tuple(sorted({part.strip() for part in label_field.split(",") if part.strip()}))
-        records.append((text, labels))
+        records.append((text, split_labels(label_field)))
     space = LabelSpace.from_names(name for _, labels in records for name in labels)
     documents = tuple(
         Document(i, text, frozenset(space.index(name) for name in labels))

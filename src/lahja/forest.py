@@ -1,4 +1,4 @@
-"""Random forest over sparse vectors: Gini decision trees on bootstrap resamples.
+"""Random forest over sparse feature rows: Gini decision trees on bootstrap resamples.
 
 Each tree trains on a bootstrap resample of size N (with replacement). At
 every node ceil(sqrt(F)) candidate features are sampled without replacement;
@@ -15,192 +15,162 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import BaseEstimator, check_is_fitted
-from .sparse import SparseVector
+from .base import BaseEstimator, check_is_fitted, check_labels
+from .sparse import CsrMatrix
 
 _LEAF = -1
 
 
-class _Tree:
-    """Flat node arrays; node 0 is the root.
-
-    ``feature[i] == _LEAF`` marks a leaf whose class distribution is
-    ``dist[i]``; internal nodes route x[feature] <= threshold to ``left``.
-    """
-
-    __slots__ = ("feature", "threshold", "left", "right", "dist")
-
-    def __init__(self) -> None:
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.dist: list[np.ndarray | None] = []
-
-    def add_node(self) -> int:
-        self.feature.append(_LEAF)
-        self.threshold.append(0.0)
-        self.left.append(_LEAF)
-        self.right.append(_LEAF)
-        self.dist.append(None)
-        return len(self.feature) - 1
-
-    def predict(self, x: SparseVector) -> int:
-        node = 0
-        while self.feature[node] != _LEAF:
-            if x.value_at(self.feature[node]) <= self.threshold[node]:
-                node = self.left[node]
-            else:
-                node = self.right[node]
-        return int(np.argmax(self.dist[node]))
-
-    def to_payload(self) -> list[dict]:
-        nodes: list[dict] = []
-        for i in range(len(self.feature)):
-            if self.feature[i] == _LEAF:
-                nodes.append({"d": [float(v) for v in self.dist[i]]})
-            else:
-                nodes.append(
-                    {"f": self.feature[i], "t": self.threshold[i], "l": self.left[i], "r": self.right[i]}
-                )
-        return nodes
-
-    @classmethod
-    def from_payload(cls, nodes: Sequence[dict]) -> "_Tree":
-        tree = cls()
-        for node in nodes:
-            slot = tree.add_node()
-            if "d" in node:
-                tree.dist[slot] = np.asarray(node["d"], dtype=np.float64)
-            else:
-                tree.feature[slot] = int(node["f"])
-                tree.threshold[slot] = float(node["t"])
-                tree.left[slot] = int(node["l"])
-                tree.right[slot] = int(node["r"])
-        return tree
-
-
 class RandomForest(BaseEstimator):
-    """Bootstrap ensemble of Gini decision trees with majority voting."""
+    """Bootstrap ensemble of Gini decision trees with majority voting.
+
+    Fitted node arrays hold all trees end to end; tree t owns the nodes
+    ``tree_starts_[t]:tree_starts_[t + 1]``, its root first. ``feature_`` is
+    ``_LEAF`` at a leaf, whose class distribution is its row of ``dist_``;
+    an internal node routes x[feature] <= threshold to ``left_`` and the
+    rest to ``right_`` (absolute node ids).
+    """
 
     def __init__(self, n_trees: int = 100, seed: int = 0):
         self.n_trees = n_trees
         self.seed = seed
 
-    def fit(
-        self,
-        X: Sequence[SparseVector],
-        y: Sequence[int],
-        n_labels: int | None = None,
-        n_features: int | None = None,
-    ) -> "RandomForest":
+    def fit(self, X: CsrMatrix, y: Sequence[int], n_labels: int | None = None) -> "RandomForest":
         if self.n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
-        X = list(X)
-        labels = np.asarray(y, dtype=np.int64)
-        if len(X) != labels.size:
-            raise ValueError(f"X and y lengths differ: {len(X)} vs {labels.size}")
+        labels, n_labels = check_labels(len(X), y, n_labels)
         if len(X) < 2:
             raise ValueError("training requires at least 2 samples")
-        if labels.min() < 0:
-            raise ValueError("label indices must be >= 0")
-        if n_labels is None:
-            n_labels = int(labels.max()) + 1
-        elif labels.max() >= n_labels:
-            raise ValueError("label index outside [0, n_labels)")
-        max_index = max((int(v.indices[-1]) for v in X if v.nnz), default=-1)
-        if n_features is None:
-            n_features = max_index + 1
-        elif max_index >= n_features:
-            raise ValueError("feature index outside [0, n_features)")
-        if n_features < 1:
+        if X.n_cols < 1:
             raise ValueError("training requires at least one feature column")
-        for i, vec in enumerate(X):
-            if vec.nnz and not np.all(np.isfinite(vec.values)):
-                raise ValueError(f"sample {i} contains non-finite feature values")
 
-        columns = _column_store(X)
-        n_samples = len(X)
-        n_candidates = min(n_features, math.ceil(math.sqrt(n_features)))
+        columns = X.transpose()
+        n_candidates = min(X.n_cols, math.ceil(math.sqrt(X.n_cols)))
         master = np.random.RandomState(self.seed)
         tree_seeds = master.randint(0, 2**31 - 1, size=self.n_trees)
-        self.trees_ = tuple(
-            _build_tree(columns, labels, n_samples, n_features, n_candidates, n_labels, int(s))
-            for s in tree_seeds
-        )
-        self.n_labels_ = n_labels
-        self.n_features_ = n_features
+        trees = [
+            _build_tree(columns, labels, n_candidates, n_labels, int(s)) for s in tree_seeds
+        ]
+        self._set_trees(trees, n_labels, X.n_cols)
         return self
 
     @classmethod
     def from_fitted(cls, params: dict, n_labels: int, n_features: int, trees: Sequence[list]) -> "RandomForest":
         forest = cls(**params)
-        forest.trees_ = tuple(_Tree.from_payload(nodes) for nodes in trees)
-        forest.n_labels_ = n_labels
-        forest.n_features_ = n_features
+        forest._set_trees(trees, n_labels, n_features)
         return forest
 
-    def tree_votes(self, x: SparseVector) -> list[int]:
-        check_is_fitted(self, "trees_")
-        return [tree.predict(x) for tree in self.trees_]
+    def _set_trees(self, trees: Sequence[list], n_labels: int, n_features: int) -> None:
+        """Fill the node arrays from per-tree node lists in bundle form.
 
-    def predict(self, x: SparseVector) -> int:
-        votes = np.bincount(self.tree_votes(x), minlength=self.n_labels_)
-        return int(np.argmax(votes))
+        Rejects what would make prediction index out of range or loop: a
+        split feature outside [0, n_features), a child not after its parent
+        or past the tree's end, a leaf distribution not of length n_labels.
+        """
+        if n_labels < 1 or n_features < 1 or not trees:
+            raise ValueError("a forest needs at least one tree, one label and one feature")
+        rows: list[tuple] = []  # (feature, threshold, left, right, dist) per node
+        starts = [0]
+        for t, nodes in enumerate(trees):
+            if not nodes:
+                raise ValueError(f"tree {t} has no nodes")
+            for i, node in enumerate(nodes):
+                where = f"tree {t} node {i}"
+                if "d" in node:
+                    if len(node["d"]) != n_labels:
+                        raise ValueError(f"{where}: leaf distribution is not of length {n_labels}")
+                    rows.append((_LEAF, 0.0, _LEAF, _LEAF, node["d"]))
+                    continue
+                f, lo, hi = int(node["f"]), int(node["l"]), int(node["r"])
+                if not 0 <= f < n_features:
+                    raise ValueError(f"{where}: split feature {f} outside [0, {n_features})")
+                if not (i < lo < len(nodes) and i < hi < len(nodes)):
+                    raise ValueError(f"{where}: children must lie after it within the tree")
+                rows.append((f, float(node["t"]), starts[-1] + lo, starts[-1] + hi, [0.0] * n_labels))
+            starts.append(starts[-1] + len(nodes))
+        feature, threshold, left, right, dist = zip(*rows)
+        self.feature_ = np.array(feature, dtype=np.int64)
+        self.threshold_ = np.array(threshold, dtype=np.float64)
+        self.left_ = np.array(left, dtype=np.int64)
+        self.right_ = np.array(right, dtype=np.int64)
+        self.dist_ = np.array(dist, dtype=np.float64).reshape(len(dist), n_labels)
+        self.tree_starts_ = np.array(starts, dtype=np.int64)
+        self.n_labels_ = n_labels
+        self.n_features_ = n_features
 
+    def tree_payloads(self) -> list[list[dict]]:
+        """Per tree, its nodes in bundle form with tree-relative child ids."""
+        check_is_fitted(self, "feature_")
+        feature, threshold = self.feature_.tolist(), self.threshold_.tolist()
+        left, right, dist = self.left_.tolist(), self.right_.tolist(), self.dist_.tolist()
+        starts = self.tree_starts_.tolist()
+        trees = []
+        for start, end in zip(starts[:-1], starts[1:]):
+            trees.append([
+                {"d": dist[i]}
+                if feature[i] == _LEAF
+                else {"f": feature[i], "t": threshold[i], "l": left[i] - start, "r": right[i] - start}
+                for i in range(start, end)
+            ])
+        return trees
 
-def _column_store(X: Sequence[SparseVector]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Per-feature (row ids, values) arrays over the nonzero entries of X."""
-    rows: dict[int, list[int]] = {}
-    vals: dict[int, list[float]] = {}
-    for row, vec in enumerate(X):
-        for idx, value in zip(vec.indices, vec.values):
-            key = int(idx)
-            rows.setdefault(key, []).append(row)
-            vals.setdefault(key, []).append(float(value))
-    return {
-        key: (np.asarray(rows[key], dtype=np.int64), np.asarray(vals[key], dtype=np.float64))
-        for key in rows
-    }
+    def tree_votes(self, X: CsrMatrix) -> np.ndarray:
+        """(docs x trees) label of the leaf each tree routes each doc to.
+
+        All (doc, tree) pairs descend together, one tree level per step.
+        """
+        check_is_fitted(self, "feature_")
+        X.check_cols(self.n_features_)
+        n_trees = self.tree_starts_.size - 1
+        node = np.tile(self.tree_starts_[:-1], len(X))
+        doc = np.repeat(np.arange(len(X), dtype=np.int64), n_trees)
+        active = np.flatnonzero(self.feature_[node] != _LEAF)
+        while active.size:
+            at = node[active]
+            go_left = X.lookup(doc[active], self.feature_[at]) <= self.threshold_[at]
+            node[active] = np.where(go_left, self.left_[at], self.right_[at])
+            active = active[self.feature_[node[active]] != _LEAF]
+        return np.argmax(self.dist_, axis=1)[node].reshape(len(X), n_trees)
+
+    def predict(self, X: CsrMatrix) -> np.ndarray:
+        """Per doc, the label most trees vote for; ties go to the lowest label."""
+        votes = self.tree_votes(X)
+        keys = votes + self.n_labels_ * np.arange(len(X), dtype=np.int64)[:, None]
+        counts = np.bincount(keys.ravel(), minlength=len(X) * self.n_labels_)
+        return np.argmax(counts.reshape(len(X), self.n_labels_), axis=1)
 
 
 def _build_tree(
-    columns: dict[int, tuple[np.ndarray, np.ndarray]],
+    columns: CsrMatrix,
     y: np.ndarray,
-    n_samples: int,
-    n_features: int,
     n_candidates: int,
     n_labels: int,
     seed: int,
-) -> _Tree:
+) -> list[dict]:
+    """One tree's nodes in bundle form; ``columns`` is the CSC form of the samples."""
+    n_samples, n_features = columns.n_cols, len(columns)
     rng = np.random.RandomState(seed)
     bootstrap = rng.randint(0, n_samples, size=n_samples)
     feature_urn = np.arange(n_features, dtype=np.int64)
-    tree = _Tree()
-    root = tree.add_node()
-    stack: list[tuple[int, np.ndarray]] = [(root, bootstrap)]
+    nodes: list[dict] = [{}]
+    stack: list[tuple[int, np.ndarray]] = [(0, bootstrap)]
     while stack:
         slot, samples = stack.pop()
         counts = np.bincount(y[samples], minlength=n_labels)
         if np.count_nonzero(counts) == 1:
-            tree.dist[slot] = counts.astype(np.float64) / samples.size
+            nodes[slot] = {"d": (counts.astype(np.float64) / samples.size).tolist()}
             continue
         candidates = _sample_without_replacement(rng, feature_urn, n_candidates)
         split = _best_split(columns, y, samples, candidates, n_labels, n_samples)
         if split is None:
-            tree.dist[slot] = counts.astype(np.float64) / samples.size
+            nodes[slot] = {"d": (counts.astype(np.float64) / samples.size).tolist()}
             continue
         feature, threshold, go_left = split
-        left_slot = tree.add_node()
-        right_slot = tree.add_node()
-        tree.feature[slot] = feature
-        tree.threshold[slot] = threshold
-        tree.left[slot] = left_slot
-        tree.right[slot] = right_slot
-        tree.dist[slot] = None
-        stack.append((right_slot, samples[~go_left]))
-        stack.append((left_slot, samples[go_left]))
-    return tree
+        nodes[slot] = {"f": feature, "t": threshold, "l": len(nodes), "r": len(nodes) + 1}
+        stack.append((len(nodes) + 1, samples[~go_left]))
+        stack.append((len(nodes), samples[go_left]))
+        nodes += [{}, {}]
+    return nodes
 
 
 def _sample_without_replacement(
@@ -216,7 +186,7 @@ def _sample_without_replacement(
 
 
 def _best_split(
-    columns: dict[int, tuple[np.ndarray, np.ndarray]],
+    columns: CsrMatrix,
     y: np.ndarray,
     samples: np.ndarray,
     candidates: np.ndarray,
@@ -235,11 +205,11 @@ def _best_split(
     best_quality = -np.inf
     best: tuple[int, float, np.ndarray] | None = None
     for feature in candidates:
-        column = columns.get(int(feature))
-        if column is None:
+        rows, column = columns.row(feature)
+        if not rows.size:
             continue
         dense = np.zeros(n_samples, dtype=np.float64)
-        dense[column[0]] = column[1]
+        dense[rows] = column
         values = dense[samples]
         order = np.argsort(values, kind="stable")
         sorted_values = values[order]

@@ -1,4 +1,4 @@
-"""K-nearest-neighbor classification under cosine similarity over sparse vectors."""
+"""K-nearest-neighbor classification under cosine similarity over sparse feature rows."""
 
 from __future__ import annotations
 
@@ -6,8 +6,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import BaseEstimator, check_is_fitted
-from .sparse import SparseVector
+from .base import BaseEstimator, check_is_fitted, check_labels
+from .sparse import CsrMatrix
+
+# Bound on the (query, training row) products and scores held at once.
+_CHUNK_BUDGET = 1 << 17
 
 
 class KnnClassifier(BaseEstimator):
@@ -21,88 +24,78 @@ class KnnClassifier(BaseEstimator):
     def __init__(self, k: int = 3):
         self.k = k
 
-    def fit(
-        self,
-        X: Sequence[SparseVector],
-        y: Sequence[int],
-        n_labels: int | None = None,
-    ) -> "KnnClassifier":
-        X = list(X)
-        labels = np.asarray(y, dtype=np.int64)
-        if len(X) != labels.size:
-            raise ValueError(f"X and y lengths differ: {len(X)} vs {labels.size}")
-        if not X:
+    def fit(self, X: CsrMatrix, y: Sequence[int], n_labels: int | None = None) -> "KnnClassifier":
+        labels, n_labels = check_labels(len(X), y, n_labels)
+        if not len(X):
             raise ValueError("cannot fit KNN on an empty training set")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.k > len(X):
-            raise ValueError(f"k={self.k} exceeds training size {len(X)}")
-        if labels.min() < 0:
-            raise ValueError("label indices must be >= 0")
-        if n_labels is None:
-            n_labels = int(labels.max()) + 1
-        elif labels.max() >= n_labels:
-            raise ValueError("label index outside [0, n_labels)")
-        self.vectors_ = tuple(X)
+        if not 1 <= self.k <= len(X):
+            raise ValueError(f"k must be in [1, {len(X)}] (the training size), got {self.k}")
+        self.vectors_ = X
         self.labels_ = labels
         self.n_labels_ = n_labels
-        self._index_vectors()
+        self.norms_ = X.row_norms()
+        self._columns = X.transpose()
         return self
-
-    def _index_vectors(self) -> None:
-        self.norms_ = np.array([v.norm() for v in self.vectors_])
-        columns: dict[int, tuple[list[int], list[float]]] = {}
-        for row, vec in enumerate(self.vectors_):
-            for idx, value in zip(vec.indices, vec.values):
-                bucket = columns.setdefault(int(idx), ([], []))
-                bucket[0].append(row)
-                bucket[1].append(float(value))
-        self._columns = {
-            key: (np.asarray(rows, dtype=np.int64), np.asarray(vals, dtype=np.float64))
-            for key, (rows, vals) in columns.items()
-        }
 
     @classmethod
     def from_fitted(
-        cls, params: dict, labels: Sequence[int], vectors: Sequence[SparseVector], n_labels: int
+        cls, params: dict, labels: Sequence[int], vectors: CsrMatrix, n_labels: int
     ) -> "KnnClassifier":
-        model = cls(**params)
-        model.vectors_ = tuple(vectors)
-        model.labels_ = np.asarray(labels, dtype=np.int64)
-        model.n_labels_ = n_labels
-        model._index_vectors()
-        return model
+        return cls(**params).fit(vectors, labels, n_labels)
 
-    def similarities(self, x: SparseVector) -> np.ndarray:
-        """Cosine similarity of x to every training vector."""
+    def similarities(self, X: CsrMatrix) -> np.ndarray:
+        """(queries x training rows) cosine similarities.
+
+        Each dot product adds its terms in the query's column order.
+        """
         check_is_fitted(self, "vectors_")
-        n = len(self.vectors_)
-        scores = np.zeros(n, dtype=np.float64)
-        query_norm = x.norm()
-        if query_norm == 0.0:
-            return scores
-        for idx, value in zip(x.indices, x.values):
-            column = self._columns.get(int(idx))
-            if column is not None:
-                scores[column[0]] += column[1] * value
-        sims = np.zeros(n, dtype=np.float64)
-        np.divide(scores, self.norms_ * query_norm, out=sims, where=self.norms_ > 0.0)
+        X.check_cols(self.vectors_.n_cols)
+        n_train = len(self.vectors_)
+        columns = self._columns
+        # Every (stored query value, training row sharing its column) pair.
+        starts = columns.indptr[X.indices]
+        count = columns.indptr[X.indices + 1] - starts
+        slots = np.repeat(starts - (np.cumsum(count) - count), count) + np.arange(count.sum())
+        keys = np.repeat(X.row_ids(), count) * n_train + columns.indices[slots]
+        products = columns.values[slots] * np.repeat(X.values, count)
+        scores = np.bincount(keys, weights=products, minlength=len(X) * n_train)
+        scores = scores.reshape(len(X), n_train)
+        denominators = X.row_norms()[:, None] * self.norms_
+        sims = np.zeros(scores.shape, dtype=np.float64)
+        np.divide(scores, denominators, out=sims, where=denominators > 0.0)
         return sims
 
-    def neighbors(self, x: SparseVector) -> np.ndarray:
-        """Training ids of the k most similar vectors, best first."""
-        sims = self.similarities(x)
-        order = np.lexsort((np.arange(sims.size), -sims))
-        return order[: self.k]
+    def neighbors(self, X: CsrMatrix) -> np.ndarray:
+        """(queries x k) training ids of the most similar rows, best first.
 
-    def predict(self, x: SparseVector) -> int:
-        top = self.neighbors(x)
-        votes = np.bincount(self.labels_[top], minlength=self.n_labels_)
-        best = votes.max()
-        tied = {label for label in self.labels_[top] if votes[label] == best}
-        if len(tied) == 1:
-            return int(next(iter(tied)))
-        for neighbor in top:
-            if int(self.labels_[neighbor]) in tied:
-                return int(self.labels_[neighbor])
-        raise AssertionError("unreachable: tied labels come from the neighbor list")
+        Queries go through ``similarities`` in chunks of bounded size.
+        """
+        check_is_fitted(self, "vectors_")
+        X.check_cols(self.vectors_.n_cols)
+        columns = self._columns
+        count = columns.indptr[X.indices + 1] - columns.indptr[X.indices]
+        # Cost of the queries before each: their pairs plus their score rows.
+        before = np.concatenate(([0], np.cumsum(count)))[X.indptr]
+        before += len(self.vectors_) * np.arange(len(X) + 1)
+        tops = [np.zeros((0, self.k), dtype=np.int64)]
+        lo = 0
+        while lo < len(X):
+            hi = int(np.searchsorted(before, before[lo] + _CHUNK_BUDGET, "right")) - 1
+            hi = min(len(X), max(lo + 1, hi))
+            sims = self.similarities(X.take(np.arange(lo, hi)))
+            tops.append(np.argsort(-sims, axis=1, kind="stable")[:, : self.k])
+            lo = hi
+        return np.concatenate(tops)
+
+    def predict(self, X: CsrMatrix) -> np.ndarray:
+        top_labels = self.labels_[self.neighbors(X)]
+        n = len(X)
+        counts = np.bincount(
+            (top_labels + self.n_labels_ * np.arange(n, dtype=np.int64)[:, None]).ravel(),
+            minlength=n * self.n_labels_,
+        ).reshape(n, self.n_labels_)
+        # The best-ranked neighbor whose label has the most votes; with one
+        # such label this is that label.
+        votes = np.take_along_axis(counts, top_labels, axis=1)
+        first = np.argmax(votes == votes.max(axis=1, keepdims=True), axis=1)
+        return top_labels[np.arange(n), first]

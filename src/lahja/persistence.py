@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .corpus import LabelSpace
 from .forest import RandomForest
 from .knn import KnnClassifier
 from .pipeline import DialectPipeline, PipelineConfig
-from .sparse import SparseVector
+from .sparse import CsrMatrix
 from .svm import LinearSvc
 from .vectorizer import BLOCK_ORDER, TfidfBlock, TfidfUnion
 
@@ -90,10 +89,6 @@ def dumps_canonical(payload: dict) -> bytes:
     return "".join(out).encode("utf-8")
 
 
-def _floats(values: Sequence[float]) -> list[float]:
-    return [float(v) for v in values]
-
-
 def _block_payload(block: TfidfBlock | None) -> dict | None:
     if block is None:
         return None
@@ -103,7 +98,7 @@ def _block_payload(block: TfidfBlock | None) -> dict | None:
         "max_features": block.max_features,
         "weight": float(block.weight),
         "vocabulary": block.feature_names(),
-        "idf": _floats(block.idf_),
+        "idf": block.idf_.tolist(),
     }
 
 
@@ -116,8 +111,8 @@ def _svc_payload(model: LinearSvc) -> dict:
             "max_epochs": int(model.max_epochs),
             "seed": int(model.seed),
         },
-        "coef": [_floats(row) for row in model.coef_],
-        "intercept": _floats(model.intercept_),
+        "coef": model.coef_.tolist(),
+        "intercept": model.intercept_.tolist(),
     }
 
 
@@ -126,7 +121,7 @@ def _forest_payload(model: RandomForest) -> dict:
         "params": {"n_trees": int(model.n_trees), "seed": int(model.seed)},
         "n_labels": int(model.n_labels_),
         "n_features": int(model.n_features_),
-        "trees": [tree.to_payload() for tree in model.trees_],
+        "trees": model.tree_payloads(),
     }
 
 
@@ -136,8 +131,8 @@ def _knn_payload(model: KnnClassifier) -> dict:
         "n_labels": int(model.n_labels_),
         "labels": [int(label) for label in model.labels_],
         "vectors": [
-            {"i": [int(i) for i in vec.indices], "v": _floats(vec.values)}
-            for vec in model.vectors_
+            {"i": idx.tolist(), "v": val.tolist()}
+            for idx, val in map(model.vectors_.row, range(len(model.vectors_)))
         ],
     }
 
@@ -195,6 +190,17 @@ def _load_block(payload: dict | None, kind: str) -> TfidfBlock | None:
         raise BundleFormatError(f"invalid {kind} block: {exc}") from exc
 
 
+def _knn_vectors(rows: list, n_cols: int) -> CsrMatrix:
+    if any(len(row["i"]) != len(row["v"]) for row in rows):
+        raise ValueError("a knn vector has different numbers of indices and values")
+    return CsrMatrix(
+        np.concatenate(([0], np.cumsum([len(row["i"]) for row in rows], dtype=np.int64))),
+        [i for row in rows for i in row["i"]],
+        [v for row in rows for v in row["v"]],
+        n_cols,
+    )
+
+
 def pipeline_from_dict(payload: dict) -> DialectPipeline:
     if not isinstance(payload, dict):
         raise BundleFormatError("bundle root must be a JSON object")
@@ -244,10 +250,7 @@ def pipeline_from_dict(payload: dict) -> DialectPipeline:
             knn = KnnClassifier.from_fitted(
                 dict(_require(entry, "params", "knn model")),
                 labels=_require(entry, "labels", "knn model"),
-                vectors=[
-                    SparseVector(item["i"], item["v"])
-                    for item in _require(entry, "vectors", "knn model")
-                ],
+                vectors=_knn_vectors(_require(entry, "vectors", "knn model"), union.n_features_),
                 n_labels=int(_require(entry, "n_labels", "knn model")),
             )
     except (TypeError, ValueError, KeyError) as exc:
@@ -275,6 +278,11 @@ def pipeline_from_dict(payload: dict) -> DialectPipeline:
             raise BundleFormatError(
                 f"svc intercept has shape {svc.intercept_.shape} for {len(label_space)} labels"
             )
+    for name, model in (("forest", forest), ("knn", knn)):
+        if model is not None and model.n_labels_ != len(label_space):
+            raise BundleFormatError(
+                f"{name} model has n_labels {model.n_labels_} for {len(label_space)} labels"
+            )
 
     pipeline = DialectPipeline(config)
     pipeline.union_ = union
@@ -290,9 +298,18 @@ def _reject_constant(name: str) -> None:
     raise BundleFormatError(f"bundle holds the non-finite real {name}")
 
 
+def _parse_finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise BundleFormatError(f"bundle holds the non-finite real {text} (overflows to {value})")
+    return value
+
+
 def loads_model(data: bytes) -> DialectPipeline:
     try:
-        payload = json.loads(data.decode("utf-8"), parse_constant=_reject_constant)
+        payload = json.loads(
+            data.decode("utf-8"), parse_float=_parse_finite, parse_constant=_reject_constant
+        )
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise BundleFormatError(f"bundle is not valid JSON (truncated or corrupt?): {exc}") from exc
     return pipeline_from_dict(payload)

@@ -14,13 +14,15 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .base import BaseEstimator, check_is_fitted
 from .corpus import Dataset
-from .ensemble import DecisionPolicy, decide_labels, weighted_hard_vote
+from .ensemble import CLASSIFIER_ORDER, DecisionPolicy, decide_labels, weighted_hard_vote
 from .forest import RandomForest
 from .knn import KnnClassifier
 from .metrics import MetricsReport, evaluate
-from .sparse import SparseVector
+from .sparse import CsrMatrix
 from .svm import LinearSvc
 from .vectorizer import BlockSpec, TfidfUnion
 
@@ -170,17 +172,14 @@ class DialectPipeline(BaseEstimator):
         cfg = self.config
         if not len(dataset):
             raise ValueError("cannot fit on an empty dataset")
-        union = TfidfUnion(word=cfg.word, char=cfg.char, char_wb=cfg.char_wb).fit(dataset.texts())
-        vectors = union.transform(dataset.texts())
+        union = TfidfUnion(word=cfg.word, char=cfg.char, char_wb=cfg.char_wb)
+        vectors = union.fit_transform(dataset.texts())
 
-        X: list[SparseVector] = []
-        y: list[int] = []
-        for doc in dataset.documents:
-            for label in sorted(doc.labels):
-                X.append(vectors[doc.id])
-                y.append(label)
-        if not X:
+        samples = [(doc.id, label) for doc in dataset.documents for label in sorted(doc.labels)]
+        if not samples:
             raise ValueError("no labeled documents available for classifier training")
+        X = vectors.take([doc_id for doc_id, _ in samples])
+        y = [label for _, label in samples]
 
         n_labels = len(dataset.label_space)
         svc = forest = knn = None
@@ -191,11 +190,9 @@ class DialectPipeline(BaseEstimator):
                 tol=cfg.svc.tol,
                 max_epochs=cfg.svc.max_epochs,
                 seed=cfg.seed,
-            ).fit(X, y, n_labels=n_labels, n_features=union.n_features_)
+            ).fit(X, y, n_labels=n_labels)
         if cfg.classifier in ("forest", "vote"):
-            forest = RandomForest(n_trees=cfg.forest.n_trees, seed=cfg.seed).fit(
-                X, y, n_labels=n_labels, n_features=union.n_features_
-            )
+            forest = RandomForest(n_trees=cfg.forest.n_trees, seed=cfg.seed).fit(X, y, n_labels=n_labels)
         if cfg.classifier in ("knn", "vote"):
             knn = KnnClassifier(k=cfg.k).fit(X, y, n_labels=n_labels)
 
@@ -207,33 +204,32 @@ class DialectPipeline(BaseEstimator):
         self.n_labels_ = n_labels
         return self
 
-    def transform_text(self, text: str) -> SparseVector:
+    def component_votes(self, X: CsrMatrix) -> np.ndarray:
+        """(docs x 3) argmax votes of the svc, forest and knn models, in that order."""
         check_is_fitted(self, "union_")
-        return self.union_.transform_one(text)
-
-    def predict_text(self, text: str) -> frozenset[int]:
-        check_is_fitted(self, "union_")
-        x = self.transform_text(text)
-        cfg = self.config
-        if cfg.classifier == "svc":
-            return decide_labels(self.svc_.decision_function(x), cfg.policy)
-        if cfg.classifier == "forest":
-            return frozenset((self.forest_.predict(x),))
-        if cfg.classifier == "knn":
-            return frozenset((self.knn_.predict(x),))
-        votes = (self.svc_.predict(x), self.forest_.predict(x), self.knn_.predict(x))
-        return frozenset((weighted_hard_vote(votes, cfg.vote_weights),))
+        if self.config.classifier != "vote":
+            raise ValueError("component votes need a voting configuration")
+        return np.column_stack((self.svc_.predict(X), self.forest_.predict(X), self.knn_.predict(X)))
 
     def predict(self, texts: Sequence[str]) -> list[frozenset[int]]:
-        return [self.predict_text(text) for text in texts]
+        """Label sets of ``texts``, featurized together as one matrix."""
+        check_is_fitted(self, "union_")
+        X = self.union_.transform(texts)
+        cfg = self.config
+        if cfg.classifier == "svc":
+            return [decide_labels(margins, cfg.policy) for margins in self.svc_.decision_function(X)]
+        if cfg.classifier == "forest":
+            return _singletons(self.forest_.predict(X))
+        if cfg.classifier == "knn":
+            return _singletons(self.knn_.predict(X))
+        return _singletons(_vote_all(self.component_votes(X), cfg.vote_weights))
+
+    def predict_text(self, text: str) -> frozenset[int]:
+        return self.predict([text])[0]
 
     def predict_dataset(self, dataset: Dataset) -> list[frozenset[int]]:
         self._check_label_space(dataset)
         return self.predict(dataset.texts())
-
-    def predict_names(self, text: str) -> list[str]:
-        """Predicted label names in canonical (sorted) order."""
-        return [self.label_space_.names[i] for i in sorted(self.predict_text(text))]
 
     def _check_label_space(self, dataset: Dataset) -> None:
         check_is_fitted(self, "union_")
@@ -270,27 +266,19 @@ def run_component_comparison(
     pipeline = DialectPipeline(config).fit(train)
     golds = eval_dataset.label_sets()
     n_labels = len(train.label_space)
-    vectors = [pipeline.transform_text(text) for text in eval_dataset.texts()]
-
-    components = {
-        "svc": lambda x: pipeline.svc_.predict(x),
-        "forest": lambda x: pipeline.forest_.predict(x),
-        "knn": lambda x: pipeline.knn_.predict(x),
+    votes = pipeline.component_votes(pipeline.union_.transform(eval_dataset.texts()))
+    reports = {
+        name: evaluate(_singletons(votes[:, i]), golds, n_labels=n_labels)
+        for i, name in enumerate(CLASSIFIER_ORDER)
     }
-    reports: dict[str, MetricsReport] = {}
-    for name, predict in components.items():
-        preds = [frozenset((predict(x),)) for x in vectors]
-        reports[name] = evaluate(preds, golds, n_labels=n_labels)
-    voted = [
-        frozenset(
-            (
-                weighted_hard_vote(
-                    (pipeline.svc_.predict(x), pipeline.forest_.predict(x), pipeline.knn_.predict(x)),
-                    config.vote_weights,
-                ),
-            )
-        )
-        for x in vectors
-    ]
-    reports["vote"] = evaluate(voted, golds, n_labels=n_labels)
+    reports["vote"] = evaluate(_singletons(_vote_all(votes, config.vote_weights)), golds, n_labels=n_labels)
     return reports
+
+
+def _vote_all(votes: np.ndarray, weights: Sequence[float]) -> list[int]:
+    """The weighted hard vote of each row of component votes."""
+    return [weighted_hard_vote(row, weights) for row in votes.tolist()]
+
+
+def _singletons(labels: Sequence[int]) -> list[frozenset[int]]:
+    return [frozenset((int(label),)) for label in labels]

@@ -1,136 +1,128 @@
-"""Sparse feature vectors: sorted (index, value) pairs with no stored zeros."""
+"""Compressed sparse row (CSR) feature matrices.
+
+One immutable type carries every batch of feature rows from featurization to
+the classifiers: row r holds the columns ``indices[indptr[r]:indptr[r + 1]]``
+with the values at the same positions. Within a row the columns are strictly
+increasing and every stored value is finite and nonzero.
+"""
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 
-class SparseVector:
-    """Immutable sparse vector over a zero-default feature space.
+class CsrMatrix:
+    """Immutable CSR matrix with ``n_cols`` columns and ``len(indptr) - 1`` rows."""
 
-    Indices are strictly increasing and every stored value is nonzero.
-    """
+    __slots__ = ("indptr", "indices", "values", "n_cols")
 
-    __slots__ = ("indices", "values")
-
-    def __init__(self, indices: Sequence[int] = (), values: Sequence[float] = ()):
-        idx = np.asarray(indices, dtype=np.int64)
-        val = np.asarray(values, dtype=np.float64)
-        if idx.ndim != 1 or val.ndim != 1 or idx.shape != val.shape:
-            raise ValueError("indices and values must be 1-d sequences of equal length")
-        if idx.size:
-            if idx[0] < 0:
-                raise ValueError("indices must be non-negative")
-            if np.any(np.diff(idx) <= 0):
-                raise ValueError("indices must be strictly increasing")
-            if np.any(val == 0.0):
+    def __init__(self, indptr, indices, values, n_cols: int):
+        indptr = np.asarray(indptr, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64)
+        values = np.asarray(values, dtype=np.float64)
+        n_cols = int(n_cols)
+        if indptr.ndim != 1 or indices.ndim != 1 or values.ndim != 1 or indices.shape != values.shape:
+            raise ValueError("indptr, indices and values must be 1-d, indices and values of equal length")
+        if not indptr.size or indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
+            raise ValueError("indptr must rise from 0 to the number of stored values")
+        if n_cols < 0:
+            raise ValueError(f"n_cols must be >= 0, got {n_cols}")
+        if indices.size:
+            if indices.min() < 0 or indices.max() >= n_cols:
+                raise ValueError(f"column index outside [0, {n_cols})")
+            # A column may not rise above its successor unless that successor starts a row.
+            row_start = np.zeros(indices.size, dtype=bool)
+            row_start[indptr[:-1][indptr[:-1] < indices.size]] = True
+            if np.any((np.diff(indices) <= 0) & ~row_start[1:]):
+                raise ValueError("column indices must be strictly increasing within a row")
+            if np.any(values == 0.0):
                 raise ValueError("explicit zeros are not allowed")
-        idx.setflags(write=False)
-        val.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
+            if not np.all(np.isfinite(values)):
+                raise ValueError("non-finite feature values are not allowed")
+        for array in (indptr, indices, values):
+            array.setflags(write=False)
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "n_cols", n_cols)
 
     def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("SparseVector is immutable")
+        raise AttributeError("CsrMatrix is immutable")
 
     @classmethod
-    def empty(cls) -> "SparseVector":
-        return cls((), ())
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "SparseVector":
-        items = sorted((int(i), float(v)) for i, v in pairs)
-        return cls([i for i, v in items if v != 0.0], [v for _, v in items if v != 0.0])
-
-    @classmethod
-    def from_counts(cls, counts: Mapping[int, float]) -> "SparseVector":
-        return cls.from_pairs(counts.items())
+    def hstack(cls, blocks: Sequence["CsrMatrix"], offsets: Sequence[int], n_cols: int) -> "CsrMatrix":
+        """Blocks of equal row count side by side, block b's columns shifted by ``offsets[b]``."""
+        n_rows = len(blocks[0])
+        if any(len(block) != n_rows for block in blocks) or len(blocks) != len(offsets):
+            raise ValueError("blocks must have equal row counts and one offset each")
+        indptr = np.zeros(n_rows + 1, dtype=np.int64)
+        for block in blocks:
+            indptr += block.indptr
+        indices = np.empty(int(indptr[-1]), dtype=np.int64)
+        values = np.empty(indices.size, dtype=np.float64)
+        start = indptr[:-1].copy()
+        for block, offset in zip(blocks, offsets):
+            lengths = np.diff(block.indptr)
+            dest = np.repeat(start - block.indptr[:-1], lengths) + np.arange(block.nnz)
+            indices[dest] = block.indices + offset
+            values[dest] = block.values
+            start += lengths
+        return cls(indptr, indices, values, n_cols)
 
     @property
     def nnz(self) -> int:
         return int(self.indices.size)
 
-    def __bool__(self) -> bool:
-        return self.nnz > 0
+    def __len__(self) -> int:
+        return int(self.indptr.size - 1)
 
-    def __iter__(self) -> Iterator[tuple[int, float]]:
-        for i, v in zip(self.indices, self.values):
-            yield int(i), float(v)
+    def check_cols(self, n_cols: int) -> None:
+        """Raise ValueError unless the matrix is ``n_cols`` wide (a model's dimension)."""
+        if self.n_cols != n_cols:
+            raise ValueError(f"matrix has {self.n_cols} columns for model dimension {n_cols}")
 
-    def pairs(self) -> list[tuple[int, float]]:
-        return list(self)
+    def row(self, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (columns, values) views of row r."""
+        lo, hi = self.indptr[r], self.indptr[r + 1]
+        return self.indices[lo:hi], self.values[lo:hi]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SparseVector):
-            return NotImplemented
-        return bool(
-            self.indices.shape == other.indices.shape
-            and np.all(self.indices == other.indices)
-            and np.all(self.values == other.values)
-        )
+    def __iter__(self) -> Iterator["CsrMatrix"]:
+        for r in range(len(self)):
+            yield self.take([r])
 
-    def __hash__(self) -> int:
-        return hash((self.indices.tobytes(), self.values.tobytes()))
+    def take(self, rows: Sequence[int]) -> "CsrMatrix":
+        """The given rows, in the given order; rows may repeat."""
+        rows = np.asarray(rows, dtype=np.int64)
+        lengths = self.indptr[rows + 1] - self.indptr[rows]
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        src = np.repeat(self.indptr[rows] - indptr[:-1], lengths) + np.arange(int(indptr[-1]))
+        return CsrMatrix(indptr, self.indices[src], self.values[src], self.n_cols)
 
-    def __repr__(self) -> str:
-        return f"SparseVector({self.pairs()!r})"
+    def row_ids(self) -> np.ndarray:
+        """The row of each stored value."""
+        return np.repeat(np.arange(len(self), dtype=np.int64), np.diff(self.indptr))
 
-    def norm(self) -> float:
+    def transpose(self) -> "CsrMatrix":
+        """The CSC form: row c of the result lists (row, value) of column c, rows ascending."""
+        order = np.argsort(self.indices, kind="stable")
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(self.indices, minlength=self.n_cols))))
+        return CsrMatrix(indptr, self.row_ids()[order], self.values[order], len(self))
+
+    def lookup(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Values at the (row, col) pairs; absent entries read as 0.0."""
+        wanted = np.asarray(rows, dtype=np.int64) * self.n_cols + cols
         if not self.nnz:
-            return 0.0
-        return float(np.sqrt(self.values @ self.values))
+            return np.zeros(wanted.shape, dtype=np.float64)
+        keys = self.row_ids() * self.n_cols + self.indices
+        pos = np.minimum(np.searchsorted(keys, wanted), self.nnz - 1)
+        return np.where(keys[pos] == wanted, self.values[pos], 0.0)
 
-    def dot(self, other: "SparseVector") -> float:
-        if not self.nnz or not other.nnz:
-            return 0.0
-        _, ia, ib = np.intersect1d(
-            self.indices, other.indices, assume_unique=True, return_indices=True
-        )
-        if not ia.size:
-            return 0.0
-        return float(self.values[ia] @ other.values[ib])
-
-    def dot_dense(self, weights: np.ndarray) -> float:
-        """Dot product against a dense weight vector indexed by feature id."""
-        if not self.nnz:
-            return 0.0
-        return float(weights[self.indices] @ self.values)
-
-    def value_at(self, index: int) -> float:
-        """Stored value at ``index``; absent features read as 0.0."""
-        pos = int(np.searchsorted(self.indices, index))
-        if pos < self.nnz and self.indices[pos] == index:
-            return float(self.values[pos])
-        return 0.0
-
-    def scaled(self, factor: float) -> "SparseVector":
-        if factor == 0.0:
-            return SparseVector.empty()
-        return SparseVector(self.indices, self.values * factor)
-
-    def shifted(self, offset: int) -> "SparseVector":
-        if offset < 0:
-            raise ValueError("offset must be >= 0")
-        if not self.nnz:
-            return self
-        return SparseVector(self.indices + offset, self.values)
-
-    def to_dense(self, size: int) -> np.ndarray:
-        out = np.zeros(size, dtype=np.float64)
-        if self.nnz:
-            out[self.indices] = self.values
-        return out
-
-
-def concat(parts: Sequence[SparseVector], offsets: Sequence[int]) -> SparseVector:
-    """Concatenate block vectors whose index ranges start at the given offsets."""
-    if len(parts) != len(offsets):
-        raise ValueError("parts and offsets must have equal length")
-    shifted = [p.shifted(off) for p, off in zip(parts, offsets) if p.nnz]
-    if not shifted:
-        return SparseVector.empty()
-    indices = np.concatenate([p.indices for p in shifted])
-    values = np.concatenate([p.values for p in shifted])
-    return SparseVector(indices, values)
+    def row_norms(self) -> np.ndarray:
+        """Euclidean norm of each row, each summed as that row's own dot product."""
+        norms = np.zeros(len(self), dtype=np.float64)
+        for r in np.flatnonzero(np.diff(self.indptr)):
+            values = self.values[self.indptr[r] : self.indptr[r + 1]]
+            norms[r] = np.sqrt(values @ values)
+        return norms

@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import BaseEstimator, check_is_fitted, check_positive
-from .sparse import SparseVector
+from .base import BaseEstimator, check_is_fitted, check_labels, check_positive
+from .sparse import CsrMatrix
 
 # Spreads per-label RNG streams apart so one-vs-rest problems stay
 # independently reproducible.
@@ -59,7 +59,7 @@ def compute_class_weights(y: Sequence[int], n_labels: int) -> np.ndarray:
 
 
 class LinearSvc(BaseEstimator):
-    """One-vs-rest linear SVM over sparse vectors.
+    """One-vs-rest linear SVM over sparse feature rows.
 
     Fitted attributes: ``coef_`` (n_labels x n_features), ``intercept_``
     (n_labels), ``n_features_``, ``n_labels_`` and
@@ -81,43 +81,19 @@ class LinearSvc(BaseEstimator):
         self.max_epochs = max_epochs
         self.seed = seed
 
-    def fit(
-        self,
-        X: Sequence[SparseVector],
-        y: Sequence[int],
-        n_labels: int | None = None,
-        n_features: int | None = None,
-    ) -> "LinearSvc":
+    def fit(self, X: CsrMatrix, y: Sequence[int], n_labels: int | None = None) -> "LinearSvc":
         check_positive("C", self.C)
         check_positive("tol", self.tol)
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        X = list(X)
-        labels = np.asarray(y, dtype=np.int64)
-        if len(X) != labels.size:
-            raise ValueError(f"X and y lengths differ: {len(X)} vs {labels.size}")
+        labels, n_labels = check_labels(len(X), y, n_labels)
         if len(X) < 2:
             raise ValueError("training requires at least 2 samples")
-        if labels.size and labels.min() < 0:
-            raise ValueError("label indices must be >= 0")
         if np.unique(labels).size < 2:
             raise ValueError("training requires at least 2 distinct labels")
-        if n_labels is None:
-            n_labels = int(labels.max()) + 1
-        elif labels.max() >= n_labels:
-            raise ValueError("label index outside [0, n_labels)")
 
-        index_arrays = [vec.indices for vec in X]
-        value_arrays = [vec.values for vec in X]
-        for i, values in enumerate(value_arrays):
-            if values.size and not np.all(np.isfinite(values)):
-                raise ValueError(f"sample {i} contains non-finite feature values")
-        max_index = max((int(idx[-1]) for idx in index_arrays if idx.size), default=-1)
-        if n_features is None:
-            n_features = max_index + 1
-        elif max_index >= n_features:
-            raise ValueError("feature index outside [0, n_features)")
-
+        n_features = X.n_cols
+        index_arrays, value_arrays = zip(*map(X.row, range(len(X))))
         weights = compute_class_weights(labels, n_labels) if self.balanced else None
         per_sample_c = np.full(labels.size, float(self.C))
         if weights is not None:
@@ -125,7 +101,7 @@ class LinearSvc(BaseEstimator):
         diag = 1.0 / (2.0 * per_sample_c)
         # +1.0 accounts for the implicit constant-1 bias feature.
         x_sq = np.array([float(v @ v) + 1.0 for v in value_arrays])
-        groups = _group_samples(X)
+        groups = _group_samples(index_arrays, value_arrays)
 
         coef = np.zeros((n_labels, n_features), dtype=np.float64)
         intercept = np.zeros(n_labels, dtype=np.float64)
@@ -179,32 +155,32 @@ class LinearSvc(BaseEstimator):
         model.dual_objective_history_ = []
         return model
 
-    def decision_function(self, x: SparseVector) -> np.ndarray:
-        """Per-label margins w_c . x + b_c."""
+    def decision_function(self, X: CsrMatrix) -> np.ndarray:
+        """(rows x labels) margins w_c . x + b_c, one row at a time."""
         check_is_fitted(self, "coef_")
-        if x.nnz and int(x.indices[-1]) >= self.n_features_:
-            raise ValueError(
-                f"vector index {int(x.indices[-1])} outside model dimension {self.n_features_}"
-            )
-        if not x.nnz:
-            return self.intercept_.copy()
-        return self.coef_[:, x.indices] @ x.values + self.intercept_
+        X.check_cols(self.n_features_)
+        margins = np.empty((len(X), self.n_labels_), dtype=np.float64)
+        for r in range(len(X)):
+            idx, val = X.row(r)
+            margins[r] = self.coef_[:, idx] @ val
+        margins += self.intercept_
+        return margins
 
-    def predict(self, x: SparseVector) -> int:
-        return int(np.argmax(self.decision_function(x)))
+    def predict(self, X: CsrMatrix) -> np.ndarray:
+        return np.argmax(self.decision_function(X), axis=1)
 
 
-def _group_samples(X: list[SparseVector]) -> list[list[int]]:
+def _group_samples(index_arrays: Sequence[np.ndarray], value_arrays: Sequence[np.ndarray]) -> list[list[int]]:
     """Sample indices grouped by equal feature vector, in first-occurrence order."""
-    groups: dict[SparseVector, list[int]] = {}
-    for i, vec in enumerate(X):
-        groups.setdefault(vec, []).append(i)
+    groups: dict[tuple[bytes, bytes], list[int]] = {}
+    for i, (idx, val) in enumerate(zip(index_arrays, value_arrays)):
+        groups.setdefault((idx.tobytes(), val.tobytes()), []).append(i)
     return list(groups.values())
 
 
 def _solve_binary(
-    index_arrays: list[np.ndarray],
-    value_arrays: list[np.ndarray],
+    index_arrays: Sequence[np.ndarray],
+    value_arrays: Sequence[np.ndarray],
     groups: list[list[int]],
     signs: np.ndarray,
     diag: np.ndarray,

@@ -10,15 +10,18 @@ blocks (word, char, char_wb) with fixed column offsets.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import partial
+from itertools import repeat
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .analyzers import ANALYZER_KINDS, CHAR, CHAR_WB, WORD, build_analyzer
 from .base import BaseEstimator, check_is_fitted, check_ngram_range
-from .sparse import SparseVector, concat
+from .sparse import CsrMatrix
 
 BLOCK_ORDER = (WORD, CHAR, CHAR_WB)
 
@@ -83,41 +86,50 @@ class TfidfBlock(BaseEstimator):
     def _check_params(self) -> Callable[[str], list[str]]:
         if self.analyzer not in ANALYZER_KINDS:
             raise ValueError(f"unknown analyzer {self.analyzer!r}; expected one of {ANALYZER_KINDS}")
-        if self.max_features is not None and self.max_features < 1:
-            raise ValueError(f"max_features must be >= 1 or None, got {self.max_features}")
-        if not 0.0 < self.weight <= 1.0:
-            raise ValueError(f"transformer weight must be in (0, 1], got {self.weight}")
+        BlockSpec(tuple(self.ngram_range), self.max_features, self.weight)  # validates the rest
         return build_analyzer(self.analyzer, tuple(self.ngram_range))
 
     def fit(self, texts: Sequence[str]) -> "TfidfBlock":
+        self.fit_transform(texts)
+        return self
+
+    def fit_transform(self, texts: Sequence[str]) -> CsrMatrix:
+        """Fit on ``texts`` and return their matrix, analyzing each text once.
+
+        Each new n-gram gets a provisional id in first-seen order; once the
+        vocabulary is fixed the ids map to lexicographic columns.
+        """
         analyze = self._check_params()
         texts = list(texts)
         if not texts:
             raise ValueError("cannot fit a TF-IDF block on an empty corpus")
-        totals: Counter[str] = Counter()
-        document_frequency: Counter[str] = Counter()
-        for text in texts:
-            features = analyze(text)
-            totals.update(features)
-            document_frequency.update(set(features))
-        if self.max_features is not None and len(totals) > self.max_features:
-            # Keep the features with the highest total corpus count; ties go
-            # to the lexicographically smaller feature string.
-            kept = sorted(totals.items(), key=lambda item: (-item[1], item[0]))[: self.max_features]
-            names = sorted(name for name, _ in kept)
-        else:
-            names = sorted(totals)
+        ids: defaultdict[str, int] = defaultdict()
+        ids.default_factory = ids.__len__
+        rows, stream = _analyze_all(texts, analyze, partial(map, ids.__getitem__))
+        names = list(ids)
         if not names:
             raise ValueError("no features survived fitting; corpus produced no analyzer output")
+        totals = np.bincount(stream, minlength=len(names)).tolist()
+        document_frequency = np.bincount(
+            np.unique(rows * len(names) + stream) % len(names), minlength=len(names)
+        ).tolist()
+        kept = range(len(names))
+        if self.max_features is not None and len(names) > self.max_features:
+            # Keep the features with the highest total corpus count; ties go
+            # to the lexicographically smaller feature string.
+            kept = sorted(kept, key=lambda i: (-totals[i], names[i]))[: self.max_features]
+        kept = sorted(kept, key=names.__getitem__)
         n_docs = len(texts)
-        self.vocabulary_ = {name: i for i, name in enumerate(names)}
+        self.vocabulary_ = {names[i]: column for column, i in enumerate(kept)}
         self.idf_ = np.array(
-            [math.log((1.0 + n_docs) / (1.0 + document_frequency[name])) + 1.0 for name in names],
+            [math.log((1.0 + n_docs) / (1.0 + document_frequency[i])) + 1.0 for i in kept],
             dtype=np.float64,
         )
-        self.n_features_ = len(names)
+        self.n_features_ = len(kept)
         self._analyze = analyze
-        return self
+        columns = np.full(len(names), -1, dtype=np.int64)
+        columns[kept] = np.arange(len(kept))
+        return self._tfidf(rows, columns[stream], n_docs)
 
     @classmethod
     def from_fitted(
@@ -145,24 +157,43 @@ class TfidfBlock(BaseEstimator):
         check_is_fitted(self, "vocabulary_")
         return sorted(self.vocabulary_, key=self.vocabulary_.get)
 
-    def transform_one(self, text: str) -> SparseVector:
+    def transform(self, texts: Sequence[str]) -> CsrMatrix:
         check_is_fitted(self, "vocabulary_")
-        counts: Counter[int] = Counter()
+        texts = list(texts)
         vocabulary = self.vocabulary_
-        for feature in self._analyze(text):
-            column = vocabulary.get(feature)
-            if column is not None:
-                counts[column] += 1
-        if not counts:
-            return SparseVector.empty()
-        indices = np.array(sorted(counts), dtype=np.int64)
-        values = np.array([counts[i] for i in indices], dtype=np.float64) * self.idf_[indices]
-        values /= np.sqrt(values @ values)
-        values *= self.weight
-        return SparseVector(indices, values)
+        rows, columns = _analyze_all(
+            texts, self._analyze, lambda features: map(vocabulary.get, features, repeat(-1))
+        )
+        return self._tfidf(rows, columns, len(texts))
 
-    def transform(self, texts: Sequence[str]) -> list[SparseVector]:
-        return [self.transform_one(text) for text in texts]
+    def _tfidf(self, rows: np.ndarray, columns: np.ndarray, n_rows: int) -> CsrMatrix:
+        """Counts of the (row, column) pairs, column -1 dropped, as idf-weighted
+        rows of L2 norm ``weight``."""
+        known = columns >= 0
+        n = self.n_features_
+        keys, counts = np.unique(rows[known] * n + columns[known], return_counts=True)
+        row_of, columns = np.divmod(keys, n)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=n_rows))))
+        raw = CsrMatrix(indptr, columns, counts.astype(np.float64) * self.idf_[columns], n)
+        values = raw.values / np.repeat(raw.row_norms(), np.diff(indptr)) * self.weight
+        return CsrMatrix(indptr, columns, values, n)
+
+
+def _analyze_all(
+    texts: Sequence[str],
+    analyze: Callable[[str], list[str]],
+    lookup: Callable[[list[str]], Iterable[int]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """(text index, id) of every n-gram of every text, in text order; ``lookup``
+    maps one text's n-grams to their ids."""
+    stream = array("q")
+    lengths = np.empty(len(texts), dtype=np.int64)
+    for i, text in enumerate(texts):
+        before = len(stream)
+        stream.extend(lookup(analyze(text)))
+        lengths[i] = len(stream) - before
+    rows = np.repeat(np.arange(len(texts), dtype=np.int64), lengths)
+    return rows, np.frombuffer(stream, dtype=np.int64)
 
 
 class TfidfUnion(BaseEstimator):
@@ -189,18 +220,20 @@ class TfidfUnion(BaseEstimator):
         return specs
 
     def fit(self, texts: Sequence[str]) -> "TfidfUnion":
-        specs = self._specs()
-        texts = list(texts)
-        blocks: list[TfidfBlock | None] = []
-        for kind, spec in zip(BLOCK_ORDER, specs):
-            if spec is None:
-                blocks.append(None)
-            else:
-                blocks.append(
-                    TfidfBlock(kind, spec.ngram_range, spec.max_features, spec.weight).fit(texts)
-                )
-        self._set_fitted(blocks)
+        self.fit_transform(texts)
         return self
+
+    def fit_transform(self, texts: Sequence[str]) -> CsrMatrix:
+        """Fit every block and return the union matrix of ``texts``; one
+        analyzer call per text per block."""
+        texts = list(texts)
+        blocks = [
+            None if spec is None else TfidfBlock(kind, spec.ngram_range, spec.max_features, spec.weight)
+            for kind, spec in zip(BLOCK_ORDER, self._specs())
+        ]
+        parts = [block.fit_transform(texts) for block in blocks if block is not None]
+        self._set_fitted(blocks)
+        return self._stack(parts)
 
     def _set_fitted(self, blocks: Sequence[TfidfBlock | None]) -> None:
         offsets: list[int] = []
@@ -228,13 +261,14 @@ class TfidfUnion(BaseEstimator):
         union._set_fitted(list(blocks))
         return union
 
-    def transform_one(self, text: str) -> SparseVector:
-        check_is_fitted(self, "blocks_")
-        parts = [
-            block.transform_one(text) if block is not None else SparseVector.empty()
-            for block in self.blocks_
-        ]
-        return concat(parts, self.offsets_)
+    def transform_one(self, text: str) -> CsrMatrix:
+        return self.transform([text])
 
-    def transform(self, texts: Sequence[str]) -> list[SparseVector]:
-        return [self.transform_one(text) for text in texts]
+    def transform(self, texts: Sequence[str]) -> CsrMatrix:
+        check_is_fitted(self, "blocks_")
+        texts = list(texts)
+        return self._stack([block.transform(texts) for block in self.blocks_ if block is not None])
+
+    def _stack(self, parts: Sequence[CsrMatrix]) -> CsrMatrix:
+        offsets = [offset for block, offset in zip(self.blocks_, self.offsets_) if block is not None]
+        return CsrMatrix.hstack(parts, offsets, self.n_features_)

@@ -4,13 +4,29 @@ import random
 
 import numpy as np
 
-from lahja import SparseVector, compute_class_weights
+from lahja import CsrMatrix, compute_class_weights
 from lahja.svm import _LABEL_SEED_STRIDE
 
 
-def as_sparse(dense) -> SparseVector:
-    """Dense sequence -> SparseVector, dropping zeros."""
-    return SparseVector.from_pairs(enumerate(dense))
+def csr(rows, n_cols: int | None = None) -> CsrMatrix:
+    """Dense rows -> CsrMatrix, dropping zeros; ``n_cols`` defaults to the row length."""
+    dense = np.asarray(rows, dtype=np.float64).reshape(len(rows), -1 if len(rows) else n_cols or 0)
+    r, c = np.nonzero(dense)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=dense.shape[0]))))
+    return CsrMatrix(indptr, c, dense[r, c], dense.shape[1] if n_cols is None else n_cols)
+
+
+def same(a: CsrMatrix, b: CsrMatrix) -> bool:
+    """Equal width, structure and value bits."""
+    return a.n_cols == b.n_cols and all(
+        getattr(a, name).tobytes() == getattr(b, name).tobytes() for name in ("indptr", "indices", "values")
+    )
+
+
+def pairs(matrix: CsrMatrix, row: int = 0) -> list[tuple[int, float]]:
+    """(column, value) of one row."""
+    indices, values = matrix.row(row)
+    return list(zip(indices.tolist(), values.tolist()))
 
 
 def reference_svc_fit(X, y, n_labels, n_features, C=1.0, balanced=False, tol=1e-4,
@@ -18,8 +34,8 @@ def reference_svc_fit(X, y, n_labels, n_features, C=1.0, balanced=False, tol=1e-
     """Per-sample one-vs-rest fit as ``LinearSvc.fit`` ran before samples were
     grouped by feature vector; returns (coef, intercept, objective histories)."""
     labels = np.asarray(y, dtype=np.int64)
-    index_arrays = [vec.indices for vec in X]
-    value_arrays = [vec.values for vec in X]
+    index_arrays = [X.row(r)[0] for r in range(len(X))]
+    value_arrays = [X.row(r)[1] for r in range(len(X))]
     per_sample_c = np.full(labels.size, float(C))
     if balanced:
         per_sample_c *= compute_class_weights(labels, n_labels)[labels]

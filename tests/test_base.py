@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from lahja import KnnClassifier, LinearSvc, NotFittedError, RandomForest, SparseVector, TfidfBlock
+from lahja import KnnClassifier, LinearSvc, NotFittedError, RandomForest, TfidfBlock
+
+from helpers import csr
 from lahja.grid import _worker_count
 
 
@@ -45,15 +47,15 @@ def test_estimators_survive_sklearn_clone():
 class TestNotFitted:
     def test_svc_predict_before_fit(self):
         with pytest.raises(NotFittedError):
-            LinearSvc().decision_function(SparseVector([0], [1.0]))
+            LinearSvc().decision_function(csr([[1.0]]))
 
     def test_forest_predict_before_fit(self):
         with pytest.raises(NotFittedError):
-            RandomForest().predict(SparseVector([0], [1.0]))
+            RandomForest().predict(csr([[1.0]]))
 
     def test_knn_predict_before_fit(self):
         with pytest.raises(NotFittedError):
-            KnnClassifier().similarities(SparseVector([0], [1.0]))
+            KnnClassifier().similarities(csr([[1.0]]))
 
 
 class TestWorkerCount:

@@ -165,3 +165,44 @@ class TestExitCodes:
         preds = root / "short_preds.tsv"
         preds.write_text("0\tlbl00\n", encoding="utf-8")
         assert main(["eval", "--pred", str(preds), "--gold", str(dev_path)]) == 2
+
+
+class TestPredictionsFile:
+    """``lahja eval`` reads predictions through the same TSV line reader as datasets."""
+
+    @staticmethod
+    def predictions(data_files, name: str) -> bytes:
+        root, train_path, dev_path = data_files
+        model, preds = root / f"{name}.json", root / f"{name}.tsv"
+        assert main(["train", "--train-file", str(train_path), "--preset", "baseline", "--out", str(model)]) == 0
+        assert main(["predict", "--model", str(model), "--in", str(dev_path), "--out", str(preds)]) == 0
+        return preds.read_bytes()
+
+    def test_crlf_predictions_score_like_lf(self, data_files, capsys):
+        root, _, dev_path = data_files
+        lf = root / "lf.tsv"
+        lf.write_bytes(self.predictions(data_files, "lf"))
+        crlf = root / "crlf.tsv"
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        capsys.readouterr()
+        assert main(["eval", "--pred", str(lf), "--gold", str(dev_path), "--json"]) == 0
+        expected = capsys.readouterr().out
+        assert main(["eval", "--pred", str(crlf), "--gold", str(dev_path), "--json"]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_non_utf8_predictions_is_data_error(self, data_files, capsys):
+        root, _, dev_path = data_files
+        bad = root / "latin1.tsv"
+        bad.write_bytes(self.predictions(data_files, "latin1").replace(b"\n", b"\xe9\n", 2))
+        capsys.readouterr()
+        assert main(["eval", "--pred", str(bad), "--gold", str(dev_path)]) == 2
+        assert capsys.readouterr().err.strip() == f"lahja: data error: {bad}: line 1: invalid UTF-8"
+
+    def test_wrong_field_count_names_the_fields(self, data_files, capsys):
+        root, _, dev_path = data_files
+        bad = root / "three.tsv"
+        bad.write_bytes(b"0\tlbl00\textra\n")
+        assert main(["eval", "--pred", str(bad), "--gold", str(dev_path)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            f"lahja: data error: {bad}: line 1: expected 2 tab-separated fields (id, labels), found 3"
+        )

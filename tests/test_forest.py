@@ -3,31 +3,28 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from lahja import RandomForest, SparseVector
+from lahja import CsrMatrix, RandomForest
 
-from helpers import as_sparse
+from helpers import csr
 
 
 def random_instance(rng: np.random.RandomState, n_samples: int, n_features: int, n_labels: int):
     """Random sparse instance with small-integer values (exact float sums)."""
-    X = []
+    rows = []
     for _ in range(n_samples):
         dense = rng.randint(0, 4, size=n_features).astype(float)
         dense[rng.rand(n_features) < 0.5] = 0.0
-        X.append(as_sparse(dense))
+        rows.append(dense)
     y = list(rng.randint(0, n_labels, size=n_samples))
     y[: n_labels] = list(range(n_labels))  # every label present
-    return X, y
+    return csr(rows), y
 
 
-def naive_tree_walk(tree, dense_x) -> int:
-    node = 0
-    while tree.feature[node] != -1:
-        if dense_x[tree.feature[node]] <= tree.threshold[node]:
-            node = tree.left[node]
-        else:
-            node = tree.right[node]
-    dist = tree.dist[node]
+def naive_tree_walk(nodes: list[dict], dense_x) -> int:
+    node = nodes[0]
+    while "d" not in node:
+        node = nodes[node["l"]] if dense_x[node["f"]] <= node["t"] else nodes[node["r"]]
+    dist = node["d"]
     best = max(dist)
     for label, p in enumerate(dist):
         if p == best:
@@ -37,8 +34,8 @@ def naive_tree_walk(tree, dense_x) -> int:
 
 def naive_forest_predict(forest: RandomForest, dense_x) -> int:
     counts = [0] * forest.n_labels_
-    for tree in forest.trees_:
-        counts[naive_tree_walk(tree, dense_x)] += 1
+    for nodes in forest.tree_payloads():
+        counts[naive_tree_walk(nodes, dense_x)] += 1
     best = max(counts)
     for label, c in enumerate(counts):
         if c == best:
@@ -48,40 +45,39 @@ def naive_forest_predict(forest: RandomForest, dense_x) -> int:
 
 class TestRandomForest:
     def test_single_label_gives_single_leaf_trees(self):
-        X = [as_sparse([1.0, 0.0]), as_sparse([0.0, 2.0]), as_sparse([3.0, 1.0])]
+        X = csr([[1.0, 0.0], [0.0, 2.0], [3.0, 1.0]])
         forest = RandomForest(n_trees=7, seed=1).fit(X, [1, 1, 1], n_labels=2)
-        assert all(len(tree.feature) == 1 for tree in forest.trees_)
-        assert forest.predict(as_sparse([5.0, 5.0])) == 1
+        assert all(len(nodes) == 1 for nodes in forest.tree_payloads())
+        assert forest.predict(csr([[5.0, 5.0]]))[0] == 1
 
     def test_xor_parity_fits_training_set(self):
-        X = [as_sparse(p) for p in ([0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0])]
+        X = csr([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = [0, 1, 1, 0]
-        forest = RandomForest(n_trees=100, seed=0).fit(X, y, n_features=2)
-        assert [forest.predict(x) for x in X] == y
+        forest = RandomForest(n_trees=100, seed=0).fit(X, y)
+        assert forest.predict(X).tolist() == y
 
     def test_same_seed_identical_structure(self):
         rng = np.random.RandomState(2)
         X, y = random_instance(rng, 30, 6, 3)
         a = RandomForest(n_trees=12, seed=5).fit(X, y)
         b = RandomForest(n_trees=12, seed=5).fit(X, y)
-        assert [t.to_payload() for t in a.trees_] == [t.to_payload() for t in b.trees_]
+        assert a.tree_payloads() == b.tree_payloads()
 
     def test_different_seed_differs(self):
         rng = np.random.RandomState(2)
         X, y = random_instance(rng, 30, 6, 3)
         a = RandomForest(n_trees=12, seed=5).fit(X, y)
         b = RandomForest(n_trees=12, seed=6).fit(X, y)
-        assert [t.to_payload() for t in a.trees_] != [t.to_payload() for t in b.trees_]
+        assert a.tree_payloads() != b.tree_payloads()
 
     def test_leaf_distributions_sum_to_one(self):
         rng = np.random.RandomState(3)
         X, y = random_instance(rng, 40, 8, 4)
         forest = RandomForest(n_trees=10, seed=0).fit(X, y)
-        for tree in forest.trees_:
-            for feature, dist in zip(tree.feature, tree.dist):
-                if feature == -1:
-                    assert dist.sum() == pytest.approx(1.0)
-                    assert (dist >= 0).all()
+        for feature, dist in zip(forest.feature_, forest.dist_):
+            if feature == -1:
+                assert dist.sum() == pytest.approx(1.0)
+                assert (dist >= 0).all()
 
     def test_agrees_with_naive_reimplementation(self):
         rng = np.random.RandomState(4)
@@ -89,30 +85,42 @@ class TestRandomForest:
             n_features = rng.randint(2, 11)
             X, y = random_instance(rng, rng.randint(5, 51), n_features, rng.randint(2, 5))
             forest = RandomForest(n_trees=9, seed=int(rng.randint(100))).fit(X, y)
-            for _ in range(10):
-                dense = rng.randint(0, 4, size=n_features).astype(float)
-                query = as_sparse(dense)
-                assert forest.predict(query) == naive_forest_predict(forest, dense)
+            queries = rng.randint(0, 4, size=(10, n_features)).astype(float)
+            expected = [naive_forest_predict(forest, dense) for dense in queries]
+            assert forest.predict(csr(queries)).tolist() == expected
 
     def test_majority_tie_goes_to_lowest_label(self):
         # Two trees voting different labels: bincount argmax takes the lower.
-        X = [as_sparse([0.0, 1.0]), as_sparse([1.0, 0.0])]
+        X = csr([[0.0, 1.0], [1.0, 0.0]])
         forest = RandomForest(n_trees=2, seed=3).fit(X, [0, 1], n_labels=2)
-        votes = forest.tree_votes(as_sparse([0.5, 0.5]))
+        (votes,) = forest.tree_votes(csr([[0.5, 0.5]]))
         if votes[0] != votes[1]:
-            assert forest.predict(as_sparse([0.5, 0.5])) == min(votes)
+            assert forest.predict(csr([[0.5, 0.5]]))[0] == min(votes)
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
-            RandomForest().fit([SparseVector([0], [1.0])], [0])
+            RandomForest().fit(csr([[1.0]]), [0])
 
     def test_non_finite_rejected(self):
-        X = [SparseVector([0], [float("nan")]), SparseVector([0], [1.0])]
+        # Feature rows cannot carry non-finite values, so no forest sees one.
         with pytest.raises(ValueError, match="non-finite"):
-            RandomForest().fit(X, [0, 1])
+            RandomForest().fit(CsrMatrix([0, 1, 2], [0, 0], [float("nan"), 1.0], 1), [0, 1])
 
     def test_absent_features_read_as_zero(self):
         # Split on feature 1; a query lacking it must route as value 0.
-        X = [as_sparse([0.0, 0.0]), as_sparse([0.0, 4.0])]
-        forest = RandomForest(n_trees=1, seed=0).fit(X, [0, 1], n_features=2)
-        assert forest.predict(SparseVector.empty()) == 0
+        X = csr([[0.0, 0.0], [0.0, 4.0]])
+        forest = RandomForest(n_trees=1, seed=0).fit(X, [0, 1])
+        assert forest.predict(csr([[0.0, 0.0]]))[0] == 0
+
+    def test_batch_predict_matches_one_row_at_a_time(self):
+        rng = np.random.RandomState(5)
+        X, y = random_instance(rng, 40, 8, 3)
+        forest = RandomForest(n_trees=15, seed=2).fit(X, y)
+        queries, _ = random_instance(rng, 25, 8, 3)
+        one_by_one = [forest.predict(queries.take([r]))[0] for r in range(len(queries))]
+        assert forest.predict(queries).tolist() == one_by_one
+
+    def test_dimension_mismatch_rejected(self):
+        forest = RandomForest(n_trees=2, seed=0).fit(csr([[1.0, 0.0], [0.0, 1.0]]), [0, 1])
+        with pytest.raises(ValueError, match="dimension"):
+            forest.predict(csr([[1.0, 0.0, 0.0]]))

@@ -17,6 +17,9 @@ from lahja import (
     preset,
     save_model,
 )
+from lahja.persistence import pipeline_from_dict
+
+from helpers import same
 
 
 @pytest.fixture(scope="module")
@@ -52,9 +55,9 @@ class TestRoundTrip:
         save_model(pipeline, path)
         loaded = load_model(path)
         for text in random_texts(ds, 100, seed=1):
-            x1 = pipeline.transform_text(text)
-            x2 = loaded.transform_text(text)
-            assert x1 == x2
+            x1 = pipeline.union_.transform_one(text)
+            x2 = loaded.union_.transform_one(text)
+            assert same(x1, x2)
             assert pipeline.predict_text(text) == loaded.predict_text(text)
             assert (
                 pipeline.svc_.decision_function(x1).tobytes()
@@ -179,3 +182,99 @@ class TestSvcPayloadChecks:
                      "--out", str(tmp_path / "out.tsv")])
         assert code == 2
         assert "non-finite real NaN" in capsys.readouterr().err
+
+
+def _first_split(nodes: list[dict]) -> int:
+    return next(i for i, node in enumerate(nodes) if "d" not in node)
+
+
+def _n_features(payload: dict) -> int:
+    return sum(len(block["vocabulary"]) for block in payload["union"]["blocks"] if block)
+
+
+def _set_first_split(payload: dict, key: str, value) -> None:
+    nodes = next(t for t in payload["models"]["forest"]["trees"] if len(t) > 1)
+    nodes[_first_split(nodes)][key] = value(nodes, _first_split(nodes))
+
+
+def _set_first_leaf_dist(payload: dict) -> None:
+    nodes = payload["models"]["forest"]["trees"][0]
+    next(node for node in nodes if "d" in node)["d"].pop()
+
+
+def _set_knn_vector(payload: dict, key: str, value) -> None:
+    row = next(r for r in payload["models"]["knn"]["vectors"] if len(r["i"]) >= 2)
+    row[key] = value(row[key], payload)
+
+
+CRAFTED = {
+    "knn labels shorter than vectors": lambda p: p["models"]["knn"]["labels"].pop(),
+    "knn vector index past the union": lambda p: _set_knn_vector(
+        p, "i", lambda i, p: [*i[:-1], _n_features(p)]
+    ),
+    "knn label past n_labels": lambda p: p["models"]["knn"]["labels"].__setitem__(0, 3),
+    "knn n_labels unlike the label space": lambda p: p["models"]["knn"].__setitem__("n_labels", 4),
+    "knn row indices not increasing": lambda p: _set_knn_vector(p, "i", lambda i, p: i[::-1]),
+    "knn row indices repeated": lambda p: _set_knn_vector(p, "i", lambda i, p: [i[0], *i[:-1]]),
+    "knn zero value": lambda p: _set_knn_vector(p, "v", lambda v, p: [0.0, *v[1:]]),
+    "knn non-finite value": lambda p: _set_knn_vector(p, "v", lambda v, p: [float("inf"), *v[1:]]),
+    "knn indices and values of unequal length": lambda p: _set_knn_vector(p, "v", lambda v, p: v[:-1]),
+    "forest split feature past the union": lambda p: _set_first_split(p, "f", lambda n, i: _n_features(p)),
+    "forest split feature negative": lambda p: _set_first_split(p, "f", lambda n, i: -1),
+    "forest child pointing at its parent": lambda p: _set_first_split(p, "l", lambda n, i: i),
+    "forest child before its parent": lambda p: _set_first_split(p, "r", lambda n, i: i - 1),
+    "forest child past the node count": lambda p: _set_first_split(p, "r", lambda n, i: len(n)),
+    "forest leaf distribution too short": _set_first_leaf_dist,
+    "forest n_labels unlike the label space": lambda p: p["models"]["forest"].__setitem__("n_labels", 2),
+    "forest with an empty tree": lambda p: p["models"]["forest"]["trees"].__setitem__(0, []),
+    "forest without trees": lambda p: p["models"]["forest"].__setitem__("trees", []),
+}
+
+
+class TestCraftedBundles:
+    """Bundles that would make prediction index out of range, loop or answer wrongly."""
+
+    @pytest.mark.parametrize("edit", CRAFTED.values(), ids=CRAFTED.keys())
+    def test_rejected_at_load(self, fitted_vote_pipeline, edit):
+        pipeline, _ = fitted_vote_pipeline
+        payload = json.loads(dumps_model(pipeline))
+        pipeline_from_dict(json.loads(dumps_model(pipeline)))  # the unedited bundle loads
+        edit(payload)
+        with pytest.raises(BundleFormatError):
+            pipeline_from_dict(payload)
+
+    def test_forest_self_loop_is_data_error_on_the_command_line(
+        self, fitted_vote_pipeline, tmp_path, capsys
+    ):
+        from lahja.cli import main
+
+        pipeline, ds = fitted_vote_pipeline
+        payload = json.loads(dumps_model(pipeline))
+        CRAFTED["forest child pointing at its parent"](payload)
+        bundle = tmp_path / "loop.json"
+        bundle.write_text(json.dumps(payload), encoding="utf-8")
+        texts = tmp_path / "in.tsv"
+        texts.write_text(f"{ds.documents[0].text}\t\n", encoding="utf-8")
+        code = main(["predict", "--model", str(bundle), "--in", str(texts),
+                     "--out", str(tmp_path / "out.tsv")])
+        assert code == 2
+        assert "children must lie after it" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            lambda p: p["models"]["svc"]["intercept"],
+            lambda p: p["union"]["blocks"][0]["idf"],
+            lambda p: next(n for n in p["models"]["forest"]["trees"][0] if "d" not in n),
+        ],
+        ids=["svc intercept", "idf", "forest threshold"],
+    )
+    def test_overflowing_literal_rejected(self, fitted_vote_pipeline, where):
+        pipeline, _ = fitted_vote_pipeline
+        payload = json.loads(dumps_model(pipeline))
+        target = where(payload)
+        target["t" if isinstance(target, dict) else 0] = 1.2345e300
+        text = json.dumps(payload)
+        assert text.count("1.2345e+300") == 1
+        with pytest.raises(BundleFormatError, match="non-finite real 1e999"):
+            loads_model(text.replace("1.2345e+300", "1e999").encode("utf-8"))

@@ -15,6 +15,7 @@ from lahja import (
     run_pipeline,
     run_sweep,
     split_dataset,
+    weighted_hard_vote,
 )
 
 
@@ -136,6 +137,32 @@ class TestComponentComparison:
         assert set(reports) == {"svc", "forest", "knn", "vote"}
         for report in reports.values():
             assert 0.0 <= report.f1 <= 1.0
+
+    def test_vote_is_built_on_component_votes(self, tiny_corpus):
+        train, out = split_dataset(tiny_corpus, 0.8, seed=0)
+        cfg = PipelineConfig(
+            word=BlockSpec((1, 1)), char=BlockSpec((1, 3)), char_wb=None,
+            classifier="vote", vote_weights=(0.2, 0.5, 0.4), forest=preset("exp3-hard").forest,
+        )
+        pipeline = DialectPipeline(cfg).fit(train)
+        X = pipeline.union_.transform(out.texts())
+        votes = pipeline.component_votes(X)
+        components = (pipeline.svc_, pipeline.forest_, pipeline.knn_)
+        assert votes.T.tolist() == [model.predict(X).tolist() for model in components]
+        expected = [frozenset((weighted_hard_vote(row, cfg.vote_weights),)) for row in votes.tolist()]
+        assert pipeline.predict(out.texts()) == expected
+        with pytest.raises(ValueError, match="voting"):
+            DialectPipeline(preset("baseline")).fit(train).component_votes(X)
+
+    def test_batch_predict_equals_one_text_at_a_time(self):
+        ds = make_synthetic(3, 30, 10, 0.5, seed=11)
+        cfg = PipelineConfig(
+            word=BlockSpec((1, 1)), char=BlockSpec((1, 3)), char_wb=None,
+            policy=DecisionPolicy("threshold", tau=-0.2),
+        )
+        pipeline = DialectPipeline(cfg).fit(ds)
+        texts = ds.texts() + ["zz_unseen qq_unseen"]
+        assert pipeline.predict(texts) == [pipeline.predict_text(text) for text in texts]
 
     def test_requires_vote_config(self, tiny_corpus):
         train, out = split_dataset(tiny_corpus, 0.8, seed=0)

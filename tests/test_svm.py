@@ -9,15 +9,15 @@ import pytest
 from lahja import (
     ConvergenceWarning,
     DialectPipeline,
+    CsrMatrix,
     LinearSvc,
-    SparseVector,
     compute_class_weights,
     make_synthetic,
     preset,
 )
 from lahja.svm import _group_samples, _group_step, _solve_binary
 
-from helpers import as_sparse, reference_svc_fit
+from helpers import csr, reference_svc_fit
 
 
 def separable_instance(rng: np.random.RandomState, n_points: int, n_dims: int):
@@ -33,9 +33,9 @@ def separable_instance(rng: np.random.RandomState, n_points: int, n_dims: int):
             continue
         if len(X) == n_points:  # swap one point to reach 2 classes
             X.pop(), y.pop()
-        X.append(as_sparse(x))
+        X.append(x)
         y.append(int(margin > 0))
-    return X, y
+    return csr(X), y
 
 
 def grouped_instance(rng: np.random.RandomState, n_dims: int = 5):
@@ -51,24 +51,26 @@ def grouped_instance(rng: np.random.RandomState, n_dims: int = 5):
         x = rng.randn(n_dims)
         x[rng.rand(n_dims) < 0.3] = 0.0
         x[rng.randint(n_dims)] = rng.randn() + 3.0  # never all zero
-        bases.append(as_sparse(x))
+        bases.append(x)
     carried = [{i % 3} for i in range(12)]
     for i in range(4):
         carried[i].add((i + 1) % 3)
     carried[4] = {0, 1, 2}
-    X, y = [], []
+    rows, y = [], []
     for i in list(range(12)) + [5]:
         for label in sorted(carried[i]):
-            X.append(bases[i])
+            rows.append(i)
             y.append(label)
-    return X, y, bases
+    return csr(bases).take(rows), y, np.array(bases)
 
 
 def squared_hinge_minimum(X, y, label, n_features, per_sample_c):
     """Primal optimum (w, b) of one one-vs-rest problem, bias regularized as a
     constant-1 feature, by L-BFGS-B on the dense problem."""
     minimize = pytest.importorskip("scipy.optimize").minimize
-    A = np.array([np.append(x.to_dense(n_features), 1.0) for x in X])
+    A = np.zeros((len(X), n_features + 1))
+    A[X.row_ids(), X.indices] = X.values
+    A[:, -1] = 1.0
     s = np.where(np.asarray(y) == label, 1.0, -1.0)
 
     def objective(theta):
@@ -115,12 +117,10 @@ class TestClassWeights:
 
 class TestLinearSvc:
     def test_separates_two_point_set(self):
-        X = [SparseVector([0], [1.0]), SparseVector([1], [1.0])]
+        X = csr([[1.0, 0.0], [0.0, 1.0]])
         model = LinearSvc(C=1.0).fit(X, [1, 0])
-        assert model.predict(X[0]) == 1
-        assert model.predict(X[1]) == 0
-        margins0 = model.decision_function(X[0])
-        margins1 = model.decision_function(X[1])
+        assert model.predict(X).tolist() == [1, 0]
+        margins0, margins1 = model.decision_function(X)
         assert margins0[1] > 0 > margins0[0]
         assert margins1[0] > 0 > margins1[1]
 
@@ -129,7 +129,7 @@ class TestLinearSvc:
         for _ in range(10):
             X, y = separable_instance(rng, rng.randint(4, 21), rng.randint(2, 6))
             model = LinearSvc(C=1.0).fit(X, y)
-            assert all(model.predict(x) == label for x, label in zip(X, y))
+            assert model.predict(X).tolist() == y
 
     def test_dual_objective_non_decreasing(self):
         rng = np.random.RandomState(2)
@@ -144,12 +144,9 @@ class TestLinearSvc:
         X, y = separable_instance(rng, 10, 3)
         tight = dict(tol=1e-10, max_epochs=50_000)
         m1 = LinearSvc(C=2.0, seed=4, **tight).fit(X, y)
-        m2 = LinearSvc(C=1.0, seed=4, **tight).fit(X + X, y + y)
-        for _ in range(5):
-            q = as_sparse(rng.randn(3))
-            np.testing.assert_allclose(
-                m1.decision_function(q), m2.decision_function(q), atol=1e-4
-            )
+        m2 = LinearSvc(C=1.0, seed=4, **tight).fit(X.take(list(range(len(X))) * 2), y + y)
+        q = csr(rng.randn(5, 3))
+        np.testing.assert_allclose(m1.decision_function(q), m2.decision_function(q), atol=1e-4)
 
     def test_same_seed_bit_identical(self):
         rng = np.random.RandomState(5)
@@ -161,24 +158,24 @@ class TestLinearSvc:
 
     def test_balanced_weights_applied(self):
         # Heavily imbalanced set: balanced training must still separate it.
-        X = [as_sparse([1.0, 0.0])] * 8 + [as_sparse([0.0, 1.0])] * 2
+        X = csr([[1.0, 0.0]] * 8 + [[0.0, 1.0]] * 2)
         y = [0] * 8 + [1] * 2
         model = LinearSvc(C=1.0, balanced=True).fit(X, y)
-        assert model.predict(as_sparse([0.0, 1.0])) == 1
+        assert model.predict(csr([[0.0, 1.0]]))[0] == 1
 
     def test_single_class_rejected(self):
-        X = [SparseVector([0], [1.0]), SparseVector([1], [1.0])]
+        X = csr([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="distinct"):
             LinearSvc().fit(X, [0, 0])
 
     def test_non_finite_values_rejected(self):
-        X = [SparseVector([0], [float("inf")]), SparseVector([1], [1.0])]
+        # Feature rows cannot carry non-finite values, so no SVC sees one.
         with pytest.raises(ValueError, match="non-finite"):
-            LinearSvc().fit(X, [0, 1])
+            LinearSvc().fit(CsrMatrix([0, 1, 2], [0, 1], [float("inf"), 1.0], 2), [0, 1])
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
-            LinearSvc().fit([SparseVector([0], [1.0])], [0])
+            LinearSvc().fit(csr([[1.0]]), [0])
 
 
 class TestGroupedSolver:
@@ -188,10 +185,11 @@ class TestGroupedSolver:
     def test_duplicate_free_fit_bit_identical_to_per_sample_solver(self, balanced):
         rng = np.random.RandomState(11)
         for trial in range(4):
-            X = [as_sparse(rng.randn(6) * (rng.rand(6) < 0.6)) for _ in range(24)]
-            X = list(dict.fromkeys(X))  # drop any repeats
+            rows = rng.randn(24, 6) * (rng.rand(24, 6) < 0.6)
+            _, first = np.unique(rows, axis=0, return_index=True)
+            X = csr(rows[np.sort(first)])  # drop any repeats
             y = [i % 3 for i in range(len(X))]
-            model = LinearSvc(C=2.0, balanced=balanced, seed=trial).fit(X, y, n_features=6)
+            model = LinearSvc(C=2.0, balanced=balanced, seed=trial).fit(X, y)
             coef, intercept, history = reference_svc_fit(
                 X, y, 3, 6, C=2.0, balanced=balanced, seed=trial
             )
@@ -200,33 +198,37 @@ class TestGroupedSolver:
             assert model.dual_objective_history_ == history
 
     def test_groups_in_first_occurrence_order(self):
-        a, b = as_sparse([1.0, 0.0]), as_sparse([0.0, 2.0])
-        assert _group_samples([a, b, as_sparse([1.0, 0.0]), a, b]) == [[0, 2, 3], [1, 4]]
+        X = csr([[1.0, 0.0], [0.0, 2.0], [1.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+        rows = [X.row(r) for r in range(len(X))]
+        groups = _group_samples([idx for idx, _ in rows], [val for _, val in rows])
+        assert groups == [[0, 2, 3], [1, 4]]
 
     @pytest.mark.parametrize("balanced", [False, True])
     def test_grouped_fit_reaches_squared_hinge_minimum(self, balanced):
         rng = np.random.RandomState(12)
         X, y, bases = grouped_instance(rng)
-        assert sorted(len(g) for g in _group_samples(X) if len(g) > 1) == [2, 2, 2, 2, 2, 3]
+        groups = _group_samples(*zip(*(X.row(r) for r in range(len(X)))))
+        assert sorted(len(g) for g in groups if len(g) > 1) == [2, 2, 2, 2, 2, 3]
         model = LinearSvc(C=1.5, balanced=balanced, tol=1e-9, max_epochs=100_000).fit(X, y)
         per_sample_c = np.full(len(y), 1.5)
         if balanced:
             per_sample_c *= compute_class_weights(y, 3)[y]
         for label in range(3):
             w, b = squared_hinge_minimum(X, y, label, model.n_features_, per_sample_c)
-            for x in bases:
-                expected = x.dot_dense(w) + b
-                assert model.decision_function(x)[label] == pytest.approx(expected, abs=1e-4)
+            expected = bases @ w + b
+            margins = model.decision_function(csr(bases))[:, label]
+            np.testing.assert_allclose(margins, expected, atol=1e-4)
 
     def test_grouped_dual_non_decreasing_and_converged(self):
         rng = np.random.RandomState(12)
         X, y, _ = grouped_instance(rng)
         labels = np.asarray(y)
         diag = np.full(labels.size, 1.0 / (2.0 * 1.5))
-        x_sq = np.array([float(x.values @ x.values) + 1.0 for x in X])
+        indices, values = zip(*(X.row(r) for r in range(len(X))))
+        x_sq = np.array([float(v @ v) + 1.0 for v in values])
         for label in range(3):
             _, _, history, violation = _solve_binary(
-                [x.indices for x in X], [x.values for x in X], _group_samples(X),
+                list(indices), list(values), _group_samples(indices, values),
                 np.where(labels == label, 1.0, -1.0), diag, x_sq, 5, 1e-4, 1000, label,
             )
             assert (np.diff(history) >= -1e-9).all()
@@ -280,7 +282,7 @@ class TestMargins:
             coef=np.array([[1.0, -1.0]]),
             intercept=np.array([0.0]),
         )
-        assert model.decision_function(SparseVector([0], [1.0]))[0] == pytest.approx(1.0)
+        assert model.decision_function(csr([[1.0, 0.0]]))[0, 0] == pytest.approx(1.0)
 
     def test_empty_vector_scores_bias(self):
         model = LinearSvc.from_fitted(
@@ -288,9 +290,7 @@ class TestMargins:
             coef=np.array([[1.0, -1.0], [0.5, 0.5]]),
             intercept=np.array([0.25, -0.75]),
         )
-        np.testing.assert_allclose(
-            model.decision_function(SparseVector.empty()), [0.25, -0.75]
-        )
+        np.testing.assert_allclose(model.decision_function(csr([[0.0, 0.0]])), [[0.25, -0.75]])
 
     def test_linearity_identity(self):
         rng = np.random.RandomState(7)
@@ -298,12 +298,8 @@ class TestMargins:
         model = LinearSvc(C=1.0).fit(X, y)
         a = rng.randn(4)
         b = rng.randn(4)
-        lhs = model.decision_function(as_sparse(a + b))
-        rhs = (
-            model.decision_function(as_sparse(a))
-            + model.decision_function(as_sparse(b))
-            - model.intercept_
-        )
+        lhs = model.decision_function(csr([a + b]))
+        rhs = model.decision_function(csr([a])) + model.decision_function(csr([b])) - model.intercept_
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_dimension_mismatch_rejected(self):
@@ -313,4 +309,13 @@ class TestMargins:
             intercept=np.array([0.0]),
         )
         with pytest.raises(ValueError, match="dimension"):
-            model.decision_function(SparseVector([5], [1.0]))
+            model.decision_function(csr([[0.0] * 5 + [1.0]]))
+
+    def test_batch_margins_equal_one_row_margins(self):
+        rng = np.random.RandomState(8)
+        X, y = separable_instance(rng, 12, 4)
+        model = LinearSvc(C=1.0).fit(X, y)
+        queries = csr(rng.randn(9, 4) * (rng.rand(9, 4) < 0.7))
+        batch = model.decision_function(queries)
+        for r in range(len(queries)):
+            assert batch[r].tobytes() == model.decision_function(queries.take([r]))[0].tobytes()

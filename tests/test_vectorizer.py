@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from lahja import BlockSpec, NotFittedError, TfidfBlock, TfidfUnion
 
+from helpers import pairs, same
+
 TWO_DOC_CORPUS = ["a b a", "b c"]
 
 
@@ -71,31 +73,31 @@ class TestFitBlock:
 class TestTransformBlock:
     def test_hand_computed_values(self):
         block = TfidfBlock("word", (1, 1)).fit(TWO_DOC_CORPUS)
-        vec = block.transform_one("a b a")
-        assert vec.pairs()[0][0] == 0 and vec.pairs()[1][0] == 1
+        vec = block.transform(["a b a"])
+        assert [i for i, _ in pairs(vec)] == [0, 1]
         np.testing.assert_allclose(vec.values, [0.942156, 0.335176], atol=1e-6)
 
     def test_oov_only_input_is_empty(self):
         block = TfidfBlock("word", (1, 1)).fit(TWO_DOC_CORPUS)
-        assert block.transform_one("zzz qqq").nnz == 0
+        assert block.transform(["zzz qqq"]).nnz == 0
 
     def test_weight_scales_every_value(self):
         full = TfidfBlock("word", (1, 1), weight=1.0).fit(TWO_DOC_CORPUS)
         half = TfidfBlock("word", (1, 1), weight=0.5).fit(TWO_DOC_CORPUS)
-        v1 = full.transform_one("a b a")
-        v2 = half.transform_one("a b a")
+        v1 = full.transform(["a b a"])
+        v2 = half.transform(["a b a"])
         np.testing.assert_array_equal(v2.values, v1.values * 0.5)
 
     def test_unit_norm_at_weight_one(self):
         block = TfidfBlock("char", (1, 3)).fit(TWO_DOC_CORPUS)
         for text in TWO_DOC_CORPUS + ["b a c"]:
-            vec = block.transform_one(text)
+            vec = block.transform([text])
             if vec.nnz:
-                assert abs(vec.norm() - 1.0) < 1e-9
+                assert abs(vec.row_norms()[0] - 1.0) < 1e-9
 
     def test_transform_before_fit_raises(self):
         with pytest.raises(NotFittedError):
-            TfidfBlock().transform_one("a")
+            TfidfBlock().transform(["a"])
 
 
 class TestUnion:
@@ -130,9 +132,9 @@ class TestUnion:
             combined = union.transform_one(text)
             rebuilt = []
             for block, offset in zip(union.blocks_, union.offsets_):
-                for idx, value in block.transform_one(text):
+                for idx, value in pairs(block.transform([text])):
                     rebuilt.append((idx + offset, value))
-            assert combined.pairs() == rebuilt
+            assert pairs(combined) == rebuilt
 
     def test_per_block_weight_scaling_leaves_other_slices_bit_identical(self):
         base = TfidfUnion(
@@ -146,8 +148,8 @@ class TestUnion:
             char_wb=BlockSpec((1, 2), weight=1.0),
         ).fit(TWO_DOC_CORPUS)
         text = "a b c"
-        v_base = dict(base.transform_one(text).pairs())
-        v_scaled = dict(scaled.transform_one(text).pairs())
+        v_base = dict(pairs(base.transform_one(text)))
+        v_scaled = dict(pairs(scaled.transform_one(text)))
         assert set(v_base) == set(v_scaled)
         lo, hi = base.offsets_[1], base.offsets_[2]
         for idx, value in v_base.items():
@@ -163,6 +165,52 @@ class TestUnion:
             char_wb=BlockSpec((1, 5), max_features=10),
         ).fit(["abc def ghi jkl", "mno pqr stu", "vwx yz abc"])
         assert union.n_features_ <= 30
+
+    @given(
+        st.lists(st.text(alphabet="ab c\u0628\u062a", min_size=0, max_size=12), min_size=1, max_size=8),
+        st.sampled_from([None, 3, 8]),
+    )
+    def test_fit_transform_equals_fit_then_transform(self, texts, max_features):
+        def union():
+            return TfidfUnion(
+                word=BlockSpec((1, 2), max_features, 0.5),
+                char=BlockSpec((1, 3), max_features),
+                char_wb=BlockSpec((2, 4), max_features, 0.75),
+            )
+
+        try:
+            fitted = union().fit(texts)
+        except ValueError:
+            return  # some block found no features
+        once = union().fit_transform(texts)
+        again = fitted.transform(texts)
+        np.testing.assert_array_equal(once.indptr, again.indptr)
+        np.testing.assert_array_equal(once.indices, again.indices)
+        assert once.values.tobytes() == again.values.tobytes()
+        assert once.n_cols == again.n_cols == fitted.n_features_
+
+    def test_batch_rows_equal_one_text_rows(self):
+        union = TfidfUnion(
+            word=BlockSpec((1, 2)), char=BlockSpec((1, 3), max_features=20), char_wb=BlockSpec((1, 3))
+        ).fit(TWO_DOC_CORPUS)
+        texts = ["a b a", "zz", "c b", "b a c a"]
+        batch = union.transform(texts)
+        assert all(same(batch.take([r]), union.transform_one(t)) for r, t in enumerate(texts))
+
+    def test_one_analyzer_call_per_text_per_block(self, monkeypatch):
+        import lahja.vectorizer
+
+        calls = []
+        build = lahja.vectorizer.build_analyzer
+
+        def counting(kind, ngram_range):
+            analyze = build(kind, ngram_range)
+            return lambda text: calls.append(kind) or analyze(text)
+
+        monkeypatch.setattr(lahja.vectorizer, "build_analyzer", counting)
+        texts = ["a b a", "b c", "c d e"]
+        TfidfUnion(word=BlockSpec((1, 1)), char=BlockSpec((1, 2)), char_wb=None).fit_transform(texts)
+        assert sorted(calls) == ["char"] * 3 + ["word"] * 3
 
     def test_get_params_round_trip(self):
         spec = BlockSpec((1, 3), 100, 0.5)
