@@ -61,7 +61,7 @@ def check_ngram_range(ngram_range: tuple[int, int]) -> tuple[int, int]:
         lo, hi = ngram_range
     except (TypeError, ValueError):
         raise ValueError(f"ngram_range must be a (lo, hi) pair, got {ngram_range!r}") from None
-    if not (isinstance(lo, int) and isinstance(hi, int)):
+    if type(lo) is not int or type(hi) is not int:
         raise ValueError(f"ngram_range bounds must be integers, got {ngram_range!r}")
     if not 1 <= lo <= hi <= 10:
         raise ValueError(f"ngram_range must satisfy 1 <= lo <= hi <= 10, got ({lo}, {hi})")
@@ -81,6 +81,14 @@ def check_labels(n_rows: int, y: Sequence[int], n_labels: int | None) -> tuple[n
     elif labels.size and labels.max() >= n_labels:
         raise ValueError("label index outside [0, n_labels)")
     return labels, n_labels
+
+
+def check_int(name: str, value: object) -> int:
+    """``value`` if it is an int; a real or a bool read from JSON would
+    silently truncate or count as 0/1."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def check_positive(name: str, value: float) -> float:

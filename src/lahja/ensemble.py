@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .base import check_int
+
 CLASSIFIER_ORDER = ("svc", "forest", "knn")
 
 POLICY_KINDS = ("argmax", "threshold", "topk")
@@ -50,7 +52,7 @@ class DecisionPolicy:
         return cls(
             kind=payload["kind"],
             tau=float(payload.get("tau", 0.0)),
-            k=int(payload.get("k", 1)),
+            k=check_int("policy k", payload.get("k", 1)),
         )
 
 

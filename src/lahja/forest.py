@@ -64,8 +64,9 @@ class RandomForest(BaseEstimator):
         """Fill the node arrays from per-tree node lists in bundle form.
 
         Rejects what would make prediction index out of range or loop: a
-        split feature outside [0, n_features), a child not after its parent
-        or past the tree's end, a leaf distribution not of length n_labels.
+        split feature or child id that is not an int, a split feature outside
+        [0, n_features), a child not after its parent or past the tree's end,
+        a leaf distribution not of length n_labels.
         """
         if n_labels < 1 or n_features < 1 or not trees:
             raise ValueError("a forest needs at least one tree, one label and one feature")
@@ -81,7 +82,9 @@ class RandomForest(BaseEstimator):
                         raise ValueError(f"{where}: leaf distribution is not of length {n_labels}")
                     rows.append((_LEAF, 0.0, _LEAF, _LEAF, node["d"]))
                     continue
-                f, lo, hi = int(node["f"]), int(node["l"]), int(node["r"])
+                f, lo, hi = node["f"], node["l"], node["r"]
+                if type(f) is not int or type(lo) is not int or type(hi) is not int:
+                    raise ValueError(f"{where}: split feature and child ids must be integers")
                 if not 0 <= f < n_features:
                     raise ValueError(f"{where}: split feature {f} outside [0, {n_features})")
                 if not (i < lo < len(nodes) and i < hi < len(nodes)):
@@ -147,28 +150,32 @@ def _build_tree(
     n_labels: int,
     seed: int,
 ) -> list[dict]:
-    """One tree's nodes in bundle form; ``columns`` is the CSC form of the samples."""
+    """One tree's nodes in bundle form; ``columns`` is the CSC form of the samples.
+
+    A node holds the distinct training rows that reach it, ascending, with
+    their multiplicities in the tree's bootstrap resample.
+    """
     n_samples, n_features = columns.n_cols, len(columns)
     rng = np.random.RandomState(seed)
-    bootstrap = rng.randint(0, n_samples, size=n_samples)
+    rows, weights = np.unique(rng.randint(0, n_samples, size=n_samples), return_counts=True)
     feature_urn = np.arange(n_features, dtype=np.int64)
     nodes: list[dict] = [{}]
-    stack: list[tuple[int, np.ndarray]] = [(0, bootstrap)]
+    stack: list[tuple[int, np.ndarray, np.ndarray]] = [(0, rows, weights)]
     while stack:
-        slot, samples = stack.pop()
-        counts = np.bincount(y[samples], minlength=n_labels)
+        slot, rows, weights = stack.pop()
+        counts = np.bincount(y[rows], weights=weights, minlength=n_labels)
         if np.count_nonzero(counts) == 1:
-            nodes[slot] = {"d": (counts.astype(np.float64) / samples.size).tolist()}
+            nodes[slot] = {"d": (counts / weights.sum()).tolist()}
             continue
         candidates = _sample_without_replacement(rng, feature_urn, n_candidates)
-        split = _best_split(columns, y, samples, candidates, n_labels, n_samples)
+        split = _best_split(columns, y, rows, weights, candidates, n_labels)
         if split is None:
-            nodes[slot] = {"d": (counts.astype(np.float64) / samples.size).tolist()}
+            nodes[slot] = {"d": (counts / weights.sum()).tolist()}
             continue
         feature, threshold, go_left = split
         nodes[slot] = {"f": feature, "t": threshold, "l": len(nodes), "r": len(nodes) + 1}
-        stack.append((len(nodes) + 1, samples[~go_left]))
-        stack.append((len(nodes), samples[go_left]))
+        stack.append((len(nodes) + 1, rows[~go_left], weights[~go_left]))
+        stack.append((len(nodes), rows[go_left], weights[go_left]))
         nodes += [{}, {}]
     return nodes
 
@@ -188,51 +195,73 @@ def _sample_without_replacement(
 def _best_split(
     columns: CsrMatrix,
     y: np.ndarray,
-    samples: np.ndarray,
+    rows: np.ndarray,
+    weights: np.ndarray,
     candidates: np.ndarray,
     n_labels: int,
-    n_samples: int,
 ) -> tuple[int, float, np.ndarray] | None:
-    """Best (feature, threshold, left mask) over the candidates, or None.
+    """Best (feature, threshold, left mask over ``rows``) over the candidates, or None.
 
-    Quality maximizes sum(left_counts^2)/n_left + sum(right_counts^2)/n_right,
-    equivalent to minimizing the weighted child Gini impurity. Ties keep the
-    earlier candidate; within a feature the smallest qualifying threshold.
+    ``rows`` are the node's distinct training rows and ``weights`` their
+    multiplicities. Quality maximizes sum(left_counts^2)/n_left +
+    sum(right_counts^2)/n_right, equivalent to minimizing the weighted child
+    Gini impurity. Ties keep the earlier candidate; within a feature the
+    smallest qualifying threshold.
+
+    All candidates are scored in one pass over their stored entries at the
+    node; the node's samples a candidate does not store count as one entry of
+    value 0.0 (stored values are nonzero). Class counts are integer-valued
+    floats, so the qualities are exact functions of the counts.
     """
-    m = samples.size
-    node_y = y[samples]
-    one_hot = np.zeros((m, n_labels), dtype=np.float64)
-    best_quality = -np.inf
-    best: tuple[int, float, np.ndarray] | None = None
-    for feature in candidates:
-        rows, column = columns.row(feature)
-        if not rows.size:
-            continue
-        dense = np.zeros(n_samples, dtype=np.float64)
-        dense[rows] = column
-        values = dense[samples]
-        order = np.argsort(values, kind="stable")
-        sorted_values = values[order]
-        if sorted_values[0] == sorted_values[-1]:
-            continue
-        boundaries = np.flatnonzero(sorted_values[:-1] < sorted_values[1:])
-        one_hot[:] = 0.0
-        one_hot[np.arange(m), node_y[order]] = 1.0
-        cumulative = one_hot.cumsum(axis=0)
-        left_counts = cumulative[boundaries]
-        total = cumulative[-1]
-        n_left = (boundaries + 1).astype(np.float64)
-        n_right = m - n_left
-        quality = (left_counts**2).sum(axis=1) / n_left + (
-            (total - left_counts) ** 2
-        ).sum(axis=1) / n_right
-        pick = int(np.argmax(quality))
-        if quality[pick] > best_quality:
-            lo = float(sorted_values[boundaries[pick]])
-            hi = float(sorted_values[boundaries[pick] + 1])
-            threshold = (lo + hi) / 2.0
-            if threshold >= hi:  # midpoint rounded up to the right value
-                threshold = lo
-            best_quality = float(quality[pick])
-            best = (int(feature), threshold, values <= threshold)
-    return best
+    counts = np.bincount(y[rows], weights=weights, minlength=n_labels)
+    n_node, n_candidates = int(weights.sum()), candidates.size
+    multiplicity = np.zeros(columns.n_cols, dtype=np.int64)
+    multiplicity[rows] = weights
+    src, lengths = columns.entries(candidates)
+    entry_rows = columns.indices[src]
+    kept = np.flatnonzero(multiplicity[entry_rows])
+    src, entry_rows = src[kept], entry_rows[kept]
+    entry_weight, label = multiplicity[entry_rows], y[entry_rows]
+    position = np.repeat(np.arange(n_candidates), lengths)[kept]
+    stored = np.bincount(position * n_labels + label, weights=entry_weight, minlength=n_candidates * n_labels)
+    absent = counts - stored.reshape(n_candidates, n_labels)
+    with_absent = np.flatnonzero(absent.any(axis=1))
+
+    position = np.concatenate((position, with_absent))
+    value = np.concatenate((columns.values[src], np.zeros(with_absent.size)))
+    order = np.lexsort((value, position))
+    position, value = position[order], value[order]
+    # Equal values of one candidate form one group; groups are in (candidate, value) order.
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = (position[1:] != position[:-1]) | (value[1:] != value[:-1])
+    group = np.empty(order.size, dtype=np.int64)
+    group[order] = np.cumsum(starts) - 1
+    position, value = position[starts], value[starts]
+    boundaries = np.flatnonzero(position[:-1] == position[1:])
+    if not boundaries.size:
+        return None
+
+    n_groups = position.size
+    group_counts = np.bincount(
+        group[: kept.size] * n_labels + label,
+        weights=entry_weight,
+        minlength=n_groups * n_labels,
+    ).reshape(n_groups, n_labels)
+    group_counts[group[kept.size :]] += absent[with_absent]
+    # Each candidate's groups sum to the node's counts, and candidate c has c before it.
+    left_counts = group_counts.cumsum(axis=0)[boundaries] - position[boundaries, None] * counts
+    n_left = left_counts.sum(axis=1)
+    n_right = n_node - n_left
+    quality = (left_counts**2).sum(axis=1) / n_left + (
+        (counts - left_counts) ** 2
+    ).sum(axis=1) / n_right
+    pick = boundaries[int(np.argmax(quality))]
+    lo, hi = float(value[pick]), float(value[pick + 1])
+    threshold = (lo + hi) / 2.0
+    if threshold >= hi:  # midpoint rounded up to the right value
+        threshold = lo
+    feature = int(candidates[position[pick]])
+    dense = np.zeros(columns.n_cols, dtype=np.float64)
+    column_rows, column_values = columns.row(feature)
+    dense[column_rows] = column_values
+    return feature, threshold, dense[rows] <= threshold

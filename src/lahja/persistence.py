@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .base import check_int
 from .corpus import LabelSpace
 from .forest import RandomForest
 from .knn import KnnClassifier
@@ -180,14 +181,28 @@ def _load_block(payload: dict | None, kind: str) -> TfidfBlock | None:
     try:
         return TfidfBlock.from_fitted(
             analyzer=kind,
-            ngram_range=(int(lo), int(hi)),
+            ngram_range=(lo, hi),
             max_features=payload.get("max_features"),
             weight=float(_require(payload, "weight", f"{kind} block")),
             feature_names=list(_require(payload, "vocabulary", f"{kind} block")),
             idf=[float(v) for v in _require(payload, "idf", f"{kind} block")],
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise BundleFormatError(f"invalid {kind} block: {exc}") from exc
+
+
+def _params(entry: dict, model: str, integers: tuple[str, ...]) -> dict:
+    params = dict(_require(entry, "params", f"{model} model"))
+    for name in integers:
+        if name in params:
+            check_int(f"{model} {name}", params[name])
+    return params
+
+
+def _integers(values: list, what: str) -> list[int]:
+    if any(type(v) is not int for v in values):
+        raise ValueError(f"{what} must be integers")
+    return values
 
 
 def _knn_vectors(rows: list, n_cols: int) -> CsrMatrix:
@@ -195,7 +210,7 @@ def _knn_vectors(rows: list, n_cols: int) -> CsrMatrix:
         raise ValueError("a knn vector has different numbers of indices and values")
     return CsrMatrix(
         np.concatenate(([0], np.cumsum([len(row["i"]) for row in rows], dtype=np.int64))),
-        [i for row in rows for i in row["i"]],
+        _integers([i for row in rows for i in row["i"]], "knn vector indices"),
         [v for row in rows for v in row["v"]],
         n_cols,
     )
@@ -205,7 +220,7 @@ def pipeline_from_dict(payload: dict) -> DialectPipeline:
     if not isinstance(payload, dict):
         raise BundleFormatError("bundle root must be a JSON object")
     version = _require(payload, "format_version", "root")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise BundleFormatError(
             f"unsupported bundle format version {version}; this build reads version {FORMAT_VERSION}"
         )
@@ -233,25 +248,25 @@ def pipeline_from_dict(payload: dict) -> DialectPipeline:
         if "svc" in models:
             entry = models["svc"]
             svc = LinearSvc.from_fitted(
-                dict(_require(entry, "params", "svc model")),
+                _params(entry, "svc", ("max_epochs", "seed")),
                 np.asarray(_require(entry, "coef", "svc model"), dtype=np.float64),
                 np.asarray(_require(entry, "intercept", "svc model"), dtype=np.float64),
             )
         if "forest" in models:
             entry = models["forest"]
             forest = RandomForest.from_fitted(
-                dict(_require(entry, "params", "forest model")),
-                n_labels=int(_require(entry, "n_labels", "forest model")),
-                n_features=int(_require(entry, "n_features", "forest model")),
+                _params(entry, "forest", ("n_trees", "seed")),
+                n_labels=check_int("forest n_labels", _require(entry, "n_labels", "forest model")),
+                n_features=check_int("forest n_features", _require(entry, "n_features", "forest model")),
                 trees=_require(entry, "trees", "forest model"),
             )
         if "knn" in models:
             entry = models["knn"]
             knn = KnnClassifier.from_fitted(
-                dict(_require(entry, "params", "knn model")),
-                labels=_require(entry, "labels", "knn model"),
+                _params(entry, "knn", ("k",)),
+                labels=_integers(_require(entry, "labels", "knn model"), "knn labels"),
                 vectors=_knn_vectors(_require(entry, "vectors", "knn model"), union.n_features_),
-                n_labels=int(_require(entry, "n_labels", "knn model")),
+                n_labels=check_int("knn n_labels", _require(entry, "n_labels", "knn model")),
             )
     except (TypeError, ValueError, KeyError) as exc:
         raise BundleFormatError(f"invalid classifier payload: {exc}") from exc

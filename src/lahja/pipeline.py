@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import BaseEstimator, check_is_fitted
+from .base import BaseEstimator, check_int, check_is_fitted
 from .corpus import Dataset
 from .ensemble import CLASSIFIER_ORDER, DecisionPolicy, decide_labels, weighted_hard_vote
 from .forest import RandomForest
@@ -56,7 +56,7 @@ class SvcParams:
             C=float(payload.get("C", 1.0)),
             balanced=bool(payload.get("balanced", False)),
             tol=float(payload.get("tol", 1e-4)),
-            max_epochs=int(payload.get("max_epochs", 1000)),
+            max_epochs=check_int("max_epochs", payload.get("max_epochs", 1000)),
         )
 
 
@@ -76,7 +76,7 @@ class ForestParams:
         unknown = set(payload) - {"n_trees"}
         if unknown:
             raise ValueError(f"unknown forest fields: {sorted(unknown)}")
-        return cls(n_trees=int(payload.get("n_trees", 100)))
+        return cls(n_trees=check_int("n_trees", payload.get("n_trees", 100)))
 
 
 @dataclass(frozen=True)
@@ -151,10 +151,10 @@ class PipelineConfig:
             classifier=payload.get("classifier", "svc"),
             svc=SvcParams.from_dict(payload.get("svc", {})),
             forest=ForestParams.from_dict(payload.get("forest", {})),
-            k=int(payload.get("k", 3)),
+            k=check_int("k", payload.get("k", 3)),
             vote_weights=tuple(float(w) for w in vote_weights),
             policy=DecisionPolicy.from_dict(payload.get("policy", {"kind": "argmax"})),
-            seed=int(payload.get("seed", 0)),
+            seed=check_int("seed", payload.get("seed", 0)),
         )
 
     def canonical_json(self) -> str:

@@ -94,11 +94,18 @@ class CsrMatrix:
 
     def take(self, rows: Sequence[int]) -> "CsrMatrix":
         """The given rows, in the given order; rows may repeat."""
+        src, lengths = self.entries(rows)
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        return CsrMatrix(indptr, self.indices[src], self.values[src], self.n_cols)
+
+    def entries(self, rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Positions in ``indices``/``values`` of the given rows' stored entries,
+        row after row in the given order, and the number of entries of each row."""
         rows = np.asarray(rows, dtype=np.int64)
         lengths = self.indptr[rows + 1] - self.indptr[rows]
-        indptr = np.concatenate(([0], np.cumsum(lengths)))
-        src = np.repeat(self.indptr[rows] - indptr[:-1], lengths) + np.arange(int(indptr[-1]))
-        return CsrMatrix(indptr, self.indices[src], self.values[src], self.n_cols)
+        positions = np.repeat(self.indptr[rows] - np.cumsum(lengths) + lengths, lengths)
+        positions += np.arange(positions.size)
+        return positions, lengths
 
     def row_ids(self) -> np.ndarray:
         """The row of each stored value."""

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .analyzers import ANALYZER_KINDS, CHAR, CHAR_WB, WORD, build_analyzer
-from .base import BaseEstimator, check_is_fitted, check_ngram_range
+from .base import BaseEstimator, check_int, check_is_fitted, check_ngram_range
 from .sparse import CsrMatrix
 
 BLOCK_ORDER = (WORD, CHAR, CHAR_WB)
@@ -36,7 +36,7 @@ class BlockSpec:
 
     def __post_init__(self) -> None:
         check_ngram_range(self.ngram_range)
-        if self.max_features is not None and self.max_features < 1:
+        if self.max_features is not None and check_int("max_features", self.max_features) < 1:
             raise ValueError(f"max_features must be >= 1 or None, got {self.max_features}")
         if not 0.0 < self.weight <= 1.0:
             raise ValueError(f"transformer weight must be in (0, 1], got {self.weight}")
@@ -56,10 +56,9 @@ class BlockSpec:
         if unknown:
             raise ValueError(f"unknown block spec fields: {sorted(unknown)}")
         lo, hi = payload.get("ngram_range", (1, 1))
-        max_features = payload.get("max_features")
         return cls(
-            ngram_range=(int(lo), int(hi)),
-            max_features=None if max_features is None else int(max_features),
+            ngram_range=(lo, hi),
+            max_features=payload.get("max_features"),
             weight=float(payload.get("weight", 1.0)),
         )
 
@@ -142,14 +141,17 @@ class TfidfBlock(BaseEstimator):
         idf: Sequence[float],
     ) -> "TfidfBlock":
         """Rebuild a fitted block from persisted state."""
-        if list(feature_names) != sorted(feature_names):
-            raise ValueError("persisted vocabulary must be in sorted order")
+        if any(a >= b for a, b in zip(feature_names, feature_names[1:])):
+            raise ValueError("persisted vocabulary must be strictly increasing (sorted, no repeats)")
         if len(feature_names) != len(idf):
             raise ValueError("vocabulary and idf lengths differ")
+        idf = np.asarray(idf, dtype=np.float64)
+        if not np.all(idf >= 1.0):
+            raise ValueError("persisted idf values must be >= 1")
         block = cls(analyzer, tuple(ngram_range), max_features, weight)
         block._analyze = block._check_params()
         block.vocabulary_ = {name: i for i, name in enumerate(feature_names)}
-        block.idf_ = np.asarray(idf, dtype=np.float64)
+        block.idf_ = idf
         block.n_features_ = len(feature_names)
         return block
 

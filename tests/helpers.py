@@ -5,6 +5,7 @@ import random
 import numpy as np
 
 from lahja import CsrMatrix, compute_class_weights
+from lahja.forest import _sample_without_replacement
 from lahja.svm import _LABEL_SEED_STRIDE
 
 
@@ -106,3 +107,93 @@ def reference_solve_binary(
         if max_violation < tol:
             break
     return w, b, objective
+
+
+def reference_build_tree(
+    columns: CsrMatrix,
+    y: np.ndarray,
+    n_candidates: int,
+    n_labels: int,
+    seed: int,
+) -> list[dict]:
+    """One tree as ``forest._build_tree`` grew it before the split search scored
+    all candidates at once; it passes each node's samples, repeats included."""
+    n_samples, n_features = columns.n_cols, len(columns)
+    rng = np.random.RandomState(seed)
+    bootstrap = rng.randint(0, n_samples, size=n_samples)
+    feature_urn = np.arange(n_features, dtype=np.int64)
+    nodes: list[dict] = [{}]
+    stack: list[tuple[int, np.ndarray]] = [(0, bootstrap)]
+    while stack:
+        slot, samples = stack.pop()
+        counts = np.bincount(y[samples], minlength=n_labels)
+        if np.count_nonzero(counts) == 1:
+            nodes[slot] = {"d": (counts.astype(np.float64) / samples.size).tolist()}
+            continue
+        candidates = _sample_without_replacement(rng, feature_urn, n_candidates)
+        split = reference_best_split(columns, y, samples, candidates, n_labels, n_samples)
+        if split is None:
+            nodes[slot] = {"d": (counts.astype(np.float64) / samples.size).tolist()}
+            continue
+        feature, threshold, go_left = split
+        nodes[slot] = {"f": feature, "t": threshold, "l": len(nodes), "r": len(nodes) + 1}
+        stack.append((len(nodes) + 1, samples[~go_left]))
+        stack.append((len(nodes), samples[go_left]))
+        nodes += [{}, {}]
+    return nodes
+
+
+def reference_best_split(
+    columns: CsrMatrix,
+    y: np.ndarray,
+    samples: np.ndarray,
+    candidates: np.ndarray,
+    n_labels: int,
+    n_samples: int,
+) -> tuple[int, float, np.ndarray] | None:
+    """Best (feature, threshold, left mask) over the candidates, or None.
+
+    The per-candidate loop ``forest._best_split`` replaced; ``samples`` lists
+    the node's training rows, repeats included.
+
+    Quality maximizes sum(left_counts^2)/n_left + sum(right_counts^2)/n_right,
+    equivalent to minimizing the weighted child Gini impurity. Ties keep the
+    earlier candidate; within a feature the smallest qualifying threshold.
+    """
+    m = samples.size
+    node_y = y[samples]
+    one_hot = np.zeros((m, n_labels), dtype=np.float64)
+    best_quality = -np.inf
+    best: tuple[int, float, np.ndarray] | None = None
+    for feature in candidates:
+        rows, column = columns.row(feature)
+        if not rows.size:
+            continue
+        dense = np.zeros(n_samples, dtype=np.float64)
+        dense[rows] = column
+        values = dense[samples]
+        order = np.argsort(values, kind="stable")
+        sorted_values = values[order]
+        if sorted_values[0] == sorted_values[-1]:
+            continue
+        boundaries = np.flatnonzero(sorted_values[:-1] < sorted_values[1:])
+        one_hot[:] = 0.0
+        one_hot[np.arange(m), node_y[order]] = 1.0
+        cumulative = one_hot.cumsum(axis=0)
+        left_counts = cumulative[boundaries]
+        total = cumulative[-1]
+        n_left = (boundaries + 1).astype(np.float64)
+        n_right = m - n_left
+        quality = (left_counts**2).sum(axis=1) / n_left + (
+            (total - left_counts) ** 2
+        ).sum(axis=1) / n_right
+        pick = int(np.argmax(quality))
+        if quality[pick] > best_quality:
+            lo = float(sorted_values[boundaries[pick]])
+            hi = float(sorted_values[boundaries[pick] + 1])
+            threshold = (lo + hi) / 2.0
+            if threshold >= hi:  # midpoint rounded up to the right value
+                threshold = lo
+            best_quality = float(quality[pick])
+            best = (int(feature), threshold, values <= threshold)
+    return best

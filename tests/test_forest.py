@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lahja import CsrMatrix, RandomForest
+from lahja import BlockSpec, CsrMatrix, RandomForest, make_synthetic
+from lahja.forest import _best_split
+from lahja.vectorizer import TfidfUnion
 
-from helpers import csr
+from helpers import csr, reference_best_split, reference_build_tree
 
 
 def random_instance(rng: np.random.RandomState, n_samples: int, n_features: int, n_labels: int):
@@ -124,3 +131,77 @@ class TestRandomForest:
         forest = RandomForest(n_trees=2, seed=0).fit(csr([[1.0, 0.0], [0.0, 1.0]]), [0, 1])
         with pytest.raises(ValueError, match="dimension"):
             forest.predict(csr([[1.0, 0.0, 0.0]]))
+
+
+# Negative values, ties, and the two doubles after 1.0, whose midpoint rounds
+# up to the right value; zeros are absent entries.
+_AFTER_ONE = float(np.nextafter(1.0, 2.0))
+SPLIT_VALUES = [0.0, 0.0, 0.0, -2.0, -0.5, 0.5, 1.0, _AFTER_ONE, float(np.nextafter(_AFTER_ONE, 2.0)), 3.0]
+
+
+@st.composite
+def split_problems(draw):
+    """(columns, y, node samples with repeats, candidates, n_labels)."""
+    n_rows = draw(st.integers(2, 10))
+    n_labels = draw(st.integers(2, 5))
+    n_free = draw(st.integers(1, 5))
+    row = st.lists(st.sampled_from(SPLIT_VALUES), min_size=n_free, max_size=n_free)
+    dense = np.array(draw(st.lists(row, min_size=n_rows, max_size=n_rows)))
+    # One column never stored and one constant column, beside the drawn ones.
+    dense = np.column_stack((dense, np.zeros(n_rows), np.full(n_rows, 0.5)))
+    y = np.array(draw(st.lists(st.integers(0, n_labels - 1), min_size=n_rows, max_size=n_rows)))
+    samples = np.array(draw(st.lists(st.integers(0, n_rows - 1), min_size=2, max_size=16)))
+    n_cols = dense.shape[1]
+    candidates = np.array(draw(st.permutations(range(n_cols)))[: draw(st.integers(1, n_cols))])
+    return csr(dense).transpose(), y, samples, candidates, n_labels
+
+
+class TestSplitSearch:
+    """The all-candidate split search against the per-candidate loop it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(split_problems())
+    def test_same_split_as_reference(self, problem):
+        columns, y, samples, candidates, n_labels = problem
+        rows, weights = np.unique(samples, return_counts=True)
+        got = _best_split(columns, y, rows, weights, candidates, n_labels)
+        want = reference_best_split(columns, y, samples, candidates, n_labels, columns.n_cols)
+        if want is None:
+            assert got is None
+            return
+        feature, threshold, go_left = got
+        assert feature == want[0]
+        assert np.float64(threshold).tobytes() == np.float64(want[1]).tobytes()
+        assert go_left[np.searchsorted(rows, samples)].tolist() == want[2].tolist()
+
+    def test_midpoint_rounded_up_falls_back_to_left_value(self):
+        later = float(np.nextafter(_AFTER_ONE, 2.0))
+        columns = csr([[_AFTER_ONE], [later]]).transpose()
+        rows, weights = np.array([0, 1]), np.array([2, 1])
+        feature, threshold, go_left = _best_split(columns, np.array([0, 1]), rows, weights, np.array([0]), 2)
+        assert (_AFTER_ONE + later) / 2.0 == later
+        assert (feature, threshold, go_left.tolist()) == (0, _AFTER_ONE, [True, False])
+
+    @pytest.mark.parametrize(
+        "corpus",
+        [(3, 15, 8, 0.0, 13), (4, 12, 10, 0.15, 5), (5, 10, 12, 0.15, 42)],
+        ids=["single-label", "15% multi-label", "15% multi-label, 5 labels"],
+    )
+    def test_trees_equal_reference_trees(self, corpus):
+        *shape, seed = corpus
+        dataset = make_synthetic(*shape, seed=seed)
+        union = TfidfUnion(word=BlockSpec((1, 1)), char=BlockSpec((1, 3), max_features=300))
+        vectors = union.fit_transform(dataset.texts())
+        samples = [(doc.id, label) for doc in dataset.documents for label in sorted(doc.labels)]
+        X = vectors.take([doc_id for doc_id, _ in samples])
+        y = np.array([label for _, label in samples])
+        n_candidates = math.ceil(math.sqrt(X.n_cols))
+        for forest_seed in (0, 7, 1009):
+            forest = RandomForest(n_trees=4, seed=forest_seed)
+            forest.fit(X, y, n_labels=len(dataset.label_space))
+            tree_seeds = np.random.RandomState(forest_seed).randint(0, 2**31 - 1, size=4)
+            reference = [
+                reference_build_tree(X.transpose(), y, n_candidates, len(dataset.label_space), int(s))
+                for s in tree_seeds
+            ]
+            assert json.dumps(forest.tree_payloads()) == json.dumps(reference)

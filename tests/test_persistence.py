@@ -228,6 +228,34 @@ CRAFTED = {
     "forest n_labels unlike the label space": lambda p: p["models"]["forest"].__setitem__("n_labels", 2),
     "forest with an empty tree": lambda p: p["models"]["forest"]["trees"].__setitem__(0, []),
     "forest without trees": lambda p: p["models"]["forest"].__setitem__("trees", []),
+    # Integer fields holding reals or booleans used to load truncated, or to fail at predict.
+    "format version true": lambda p: p.__setitem__("format_version", True),
+    "config k a real": lambda p: p["config"].__setitem__("k", 3.5),
+    "config seed a bool": lambda p: p["config"].__setitem__("seed", False),
+    "config n_trees a real": lambda p: p["config"]["forest"].__setitem__("n_trees", 100.5),
+    "config policy k a real": lambda p: p["config"]["policy"].__setitem__("k", 1.5),
+    "block ngram_range bound a real": lambda p: p["union"]["blocks"][1].__setitem__("ngram_range", [1, 3.5]),
+    "block max_features a real": lambda p: p["union"]["blocks"][1].__setitem__("max_features", 50.5),
+    "svc max_epochs a real": lambda p: p["models"]["svc"]["params"].__setitem__("max_epochs", 1000.5),
+    "knn k a real": lambda p: p["models"]["knn"]["params"].__setitem__("k", 2.9),
+    "knn k a bool": lambda p: p["models"]["knn"]["params"].__setitem__("k", True),
+    "knn n_labels a real": lambda p: p["models"]["knn"].__setitem__("n_labels", 3.7),
+    "knn label a real": lambda p: p["models"]["knn"]["labels"].__setitem__(0, 1.7),
+    "knn vector index a real": lambda p: _set_knn_vector(p, "i", lambda i, p: [i[0] + 0.5, *i[1:]]),
+    "forest split feature a real": lambda p: _set_first_split(p, "f", lambda n, i: n[i]["f"] + 0.9),
+    "forest child a real": lambda p: _set_first_split(p, "l", lambda n, i: n[i]["l"] + 0.5),
+    "forest n_trees a real": lambda p: p["models"]["forest"]["params"].__setitem__("n_trees", 2.5),
+    "forest n_labels a real": lambda p: p["models"]["forest"].__setitem__("n_labels", 3.7),
+    "forest n_features a real": lambda p: p["models"]["forest"].__setitem__(
+        "n_features", p["models"]["forest"]["n_features"] + 0.5
+    ),
+    # Vocabulary and idf.
+    "vocabulary entry repeated": lambda p: p["union"]["blocks"][0]["vocabulary"].__setitem__(
+        1, p["union"]["blocks"][0]["vocabulary"][0]
+    ),
+    "idf of 0": lambda p: p["union"]["blocks"][0]["idf"].__setitem__(0, 0.0),
+    "idf negative": lambda p: p["union"]["blocks"][0]["idf"].__setitem__(0, -1.5),
+    "idf below 1": lambda p: p["union"]["blocks"][0]["idf"].__setitem__(0, 0.999),
 }
 
 
@@ -243,22 +271,36 @@ class TestCraftedBundles:
         with pytest.raises(BundleFormatError):
             pipeline_from_dict(payload)
 
-    def test_forest_self_loop_is_data_error_on_the_command_line(
-        self, fitted_vote_pipeline, tmp_path, capsys
-    ):
+    @staticmethod
+    def predict_with(fitted_vote_pipeline, tmp_path, case: str) -> int:
+        """Exit code of ``lahja predict`` with a bundle edited by ``CRAFTED[case]``."""
         from lahja.cli import main
 
         pipeline, ds = fitted_vote_pipeline
         payload = json.loads(dumps_model(pipeline))
-        CRAFTED["forest child pointing at its parent"](payload)
-        bundle = tmp_path / "loop.json"
+        CRAFTED[case](payload)
+        bundle = tmp_path / "crafted.json"
         bundle.write_text(json.dumps(payload), encoding="utf-8")
         texts = tmp_path / "in.tsv"
         texts.write_text(f"{ds.documents[0].text}\t\n", encoding="utf-8")
-        code = main(["predict", "--model", str(bundle), "--in", str(texts),
+        return main(["predict", "--model", str(bundle), "--in", str(texts),
                      "--out", str(tmp_path / "out.tsv")])
-        assert code == 2
+
+    def test_forest_self_loop_is_data_error_on_the_command_line(
+        self, fitted_vote_pipeline, tmp_path, capsys
+    ):
+        assert self.predict_with(fitted_vote_pipeline, tmp_path, "forest child pointing at its parent") == 2
         assert "children must lie after it" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [("knn k a real", "knn k must be an integer"), ("idf of 0", "idf values must be >= 1")],
+    )
+    def test_crafted_bundle_is_data_error_on_the_command_line(
+        self, fitted_vote_pipeline, tmp_path, capsys, case, message
+    ):
+        assert self.predict_with(fitted_vote_pipeline, tmp_path, case) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "where",
