@@ -3,7 +3,9 @@
 A :class:`GridSpec` holds one candidate list per tunable field; the sweep
 runs the full Cartesian product with the declared field order (``n`` varies
 slowest, ``v3`` fastest). Classifier choice and other non-swept settings are
-fixed scalar fields. Sweep workers can run in separate processes — the
+fixed scalar fields. The sweep fits each distinct TF-IDF block and each
+distinct model once and re-votes per vote-weight triple (see
+:func:`run_sweep`). Sweep workers can run in separate processes — the
 ``LAHJA_THREADS`` environment variable caps the worker count (default 1) —
 and results are merged in config order, so output is independent of
 scheduling.
@@ -11,18 +13,33 @@ scheduling.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import IO, Sequence
 
+import numpy as np
+
+from .base import check_int
 from .corpus import Dataset
 from .ensemble import DecisionPolicy
-from .metrics import MetricsReport
-from .pipeline import CLASSIFIER_CHOICES, ForestParams, PipelineConfig, SvcParams, run_pipeline
-from .vectorizer import BlockSpec
+from .metrics import MetricsReport, evaluate
+from .pipeline import (  # noqa: F401  (perfbench/tracing.py wraps lahja.grid.run_pipeline)
+    CLASSIFIER_CHOICES,
+    DialectPipeline,
+    ForestParams,
+    PipelineConfig,
+    SvcParams,
+    _singletons,
+    _vote_all,
+    run_pipeline,
+)
+from .sparse import CsrMatrix
+from .vectorizer import BLOCK_ORDER, BlockSpec, TfidfBlock
 
 DEFAULT_MAX_CONFIGS = 10_000
 
@@ -127,24 +144,33 @@ class GridSpec:
                 if not isinstance(values, list):
                     raise ValueError(f"grid field {name!r} must be a list of candidate values")
                 if name == "n":
-                    kwargs[name] = tuple(int(v) for v in values)
+                    kwargs[name] = tuple(check_int("grid n", v) for v in values)
                 elif name == "max_features":
-                    kwargs[name] = tuple(None if v is None else int(v) for v in values)
+                    kwargs[name] = tuple(
+                        None if v is None else check_int("grid max_features", v) for v in values
+                    )
                 else:
-                    kwargs[name] = tuple(float(v) for v in values)
+                    kwargs[name] = tuple(_check_real(f"grid {name}", v) for v in values)
         if "classifier" in payload:
             kwargs["classifier"] = payload["classifier"]
         if "balanced" in payload:
-            kwargs["balanced"] = bool(payload["balanced"])
-        if "k" in payload:
-            kwargs["k"] = int(payload["k"])
-        if "n_trees" in payload:
-            kwargs["n_trees"] = int(payload["n_trees"])
+            if type(payload["balanced"]) is not bool:
+                raise ValueError(f"grid balanced must be true or false, got {payload['balanced']!r}")
+            kwargs["balanced"] = payload["balanced"]
+        for name in ("k", "n_trees", "seed"):
+            if name in payload:
+                kwargs[name] = check_int(f"grid {name}", payload[name])
         if "policy" in payload:
             kwargs["policy"] = DecisionPolicy.from_dict(payload["policy"])
-        if "seed" in payload:
-            kwargs["seed"] = int(payload["seed"])
         return cls(**kwargs)
+
+
+def _check_real(name: str, value: object) -> float:
+    """``value`` as a float if it is a JSON number; a bool would count as 0/1
+    and a string would parse."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def enumerate_grid(spec: GridSpec, max_configs: int = DEFAULT_MAX_CONFIGS) -> list[PipelineConfig]:
@@ -182,11 +208,6 @@ def _worker_count() -> int:
     return max(1, count)
 
 
-def _evaluate_config(args: tuple[Dataset, Dataset, PipelineConfig]) -> MetricsReport:
-    train, dev, config = args
-    return run_pipeline(train, dev, config)
-
-
 def run_sweep(
     train: Dataset,
     dev: Dataset,
@@ -196,22 +217,99 @@ def run_sweep(
 ) -> list[tuple[PipelineConfig, MetricsReport]]:
     """Run every grid configuration and sort results by f1 descending.
 
-    Ties order by the config's canonical JSON serialization. ``workers``
-    defaults to the LAHJA_THREADS cap.
+    Each report equals ``run_pipeline(train, dev, config)``, but the work is
+    shared in three stages. Each distinct TF-IDF block is fitted once at
+    weight 1.0 and transforms dev once; a config's union scales the blocks
+    by its weights, which gives the same bits as fitting at that weight.
+    Each model group (a config with its vote weights set aside) is fitted
+    once and predicts dev once; a voting group keeps its component votes.
+    Each config is then scored from its group's output, re-voted with its
+    own weights. Ties order by the config's canonical JSON serialization.
+    ``workers`` defaults to the LAHJA_THREADS cap; with more than one, the
+    blocks and then the model groups are spread over worker processes.
     """
     configs = enumerate_grid(spec, max_configs=max_configs)
+    if not len(train):
+        raise ValueError("cannot fit on an empty dataset")
+    if train.label_space.names != dev.label_space.names:
+        raise ValueError(
+            "train and eval label spaces differ; align them first (see corpus.merge_label_spaces)"
+        )
+    groups = list(dict.fromkeys(_model_group(config) for config in configs))
+    block_keys = list(dict.fromkeys(key for group in groups for key, _ in _block_slots(group)))
     if workers is None:
         workers = _worker_count()
-    workers = min(max(1, workers), len(configs))
-    tasks = [(train, dev, config) for config in configs]
-    if workers == 1:
-        reports = [_evaluate_config(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_evaluate_config, tasks))
-    results = list(zip(configs, reports))
+    workers = min(max(1, workers), max(len(block_keys), len(groups)))
+    train_texts, dev_texts = train.texts(), dev.texts()
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if workers > 1:
+            spawn = multiprocessing.get_context("spawn")
+            mapper = stack.enter_context(ProcessPoolExecutor(workers, mp_context=spawn)).map
+        fitted = mapper(_fit_block, block_keys, itertools.repeat(train_texts), itertools.repeat(dev_texts))
+        blocks = dict(zip(block_keys, fitted))
+        parts = [[blocks[key] for key, _ in _block_slots(group)] for group in groups]
+        outputs = dict(zip(groups, mapper(_fit_group, groups, parts, itertools.repeat(train))))
+    golds = dev.label_sets()
+    n_labels = len(train.label_space)
+    results = []
+    for config in configs:
+        output = outputs[_model_group(config)]
+        if config.classifier == "vote":
+            output = _singletons(_vote_all(output, config.vote_weights))
+        results.append((config, evaluate(output, golds, n_labels=n_labels)))
     results.sort(key=lambda pair: (-pair[1].f1, pair[0].canonical_json()))
     return results
+
+
+BlockKey = tuple[str, tuple[int, int], int | None]
+
+
+def _model_group(config: PipelineConfig) -> PipelineConfig:
+    """The config with its vote weights set aside: the models it fits."""
+    return replace(config, vote_weights=(1.0, 1.0, 1.0))
+
+
+def _block_slots(config: PipelineConfig) -> list[tuple[BlockKey, float]]:
+    """(block key, transformer weight) of each enabled block, in union order."""
+    specs = (config.word, config.char, config.char_wb)
+    return [
+        ((kind, spec.ngram_range, spec.max_features), spec.weight)
+        for kind, spec in zip(BLOCK_ORDER, specs)
+        if spec is not None
+    ]
+
+
+def _fit_block(
+    key: BlockKey, train_texts: list[str], dev_texts: list[str]
+) -> tuple[CsrMatrix, CsrMatrix]:
+    """The train and dev matrices of one block fitted on train at weight 1.0."""
+    block = TfidfBlock(*key, weight=1.0)
+    return block.fit_transform(train_texts), block.transform(dev_texts)
+
+
+def _fit_group(
+    group: PipelineConfig, parts: list[tuple[CsrMatrix, CsrMatrix]], train: Dataset
+) -> list[frozenset[int]] | np.ndarray:
+    """Fit one model group on the train matrices of its blocks and predict the
+    dev ones: the dev label sets, or for a voting group its component votes."""
+    weights = [weight for _, weight in _block_slots(group)]
+    train_X, dev_X = (_union([pair[side] for pair in parts], weights) for side in (0, 1))
+    pipeline = DialectPipeline(group).fit_matrix(train_X, train)
+    if group.classifier == "vote":
+        return pipeline.component_votes(dev_X)
+    return pipeline.predict_matrix(dev_X)
+
+
+def _union(blocks: list[CsrMatrix], weights: list[float]) -> CsrMatrix:
+    """Weight-1.0 block matrices scaled by their weights, side by side. Their
+    values are v / |v|, so v / |v| * w has the bits of fitting at weight w."""
+    offsets = [0, *itertools.accumulate(block.n_cols for block in blocks)]
+    scaled = [
+        CsrMatrix(block.indptr, block.indices, block.values * weight, block.n_cols)
+        for block, weight in zip(blocks, weights)
+    ]
+    return CsrMatrix.hstack(scaled, offsets[:-1], offsets[-1])
 
 
 def write_sweep_tsv(

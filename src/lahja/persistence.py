@@ -64,12 +64,16 @@ def _write_canonical(value: object, out: list[str]) -> None:
     elif isinstance(value, str):
         out.append(json.dumps(value, ensure_ascii=False))
     elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(",")
-            _write_canonical(item, out)
-        out.append("]")
+        text = _uniform_list(value)
+        if text is not None:
+            out.append(text)
+        else:
+            out.append("[")
+            for i, item in enumerate(value):
+                if i:
+                    out.append(",")
+                _write_canonical(item, out)
+            out.append("]")
     elif isinstance(value, dict):
         out.append("{")
         for i, (key, item) in enumerate(value.items()):
@@ -81,6 +85,23 @@ def _write_canonical(value: object, out: list[str]) -> None:
         out.append("}")
     else:
         raise TypeError(f"cannot serialize {type(value).__name__} into a bundle")
+
+
+def _uniform_list(items: list | tuple) -> str | None:
+    """The text of a non-empty list whose items are all exactly float, all
+    exactly int or all exactly str, written in one pass; None otherwise."""
+    kinds = set(map(type, items))
+    if kinds == {float}:
+        texts = [t if "." in t or "e" in t else t + ".0" for t in map("%.17g".__mod__, items)]
+        text = ",".join(texts)
+        if "n" in text:  # "inf" or "nan"
+            _format_float(next(v for v in items if not math.isfinite(v)))
+        return f"[{text}]"
+    if kinds == {int}:
+        return f"[{','.join(map(str, items))}]"
+    if kinds == {str}:
+        return json.dumps(items, ensure_ascii=False, separators=(",", ":"))
+    return None
 
 
 def dumps_canonical(payload: dict) -> bytes:

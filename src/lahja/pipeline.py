@@ -173,8 +173,14 @@ class DialectPipeline(BaseEstimator):
         if not len(dataset):
             raise ValueError("cannot fit on an empty dataset")
         union = TfidfUnion(word=cfg.word, char=cfg.char, char_wb=cfg.char_wb)
-        vectors = union.fit_transform(dataset.texts())
+        self.fit_matrix(union.fit_transform(dataset.texts()), dataset)
+        self.union_ = union
+        return self
 
+    def fit_matrix(self, vectors: CsrMatrix, dataset: Dataset) -> "DialectPipeline":
+        """Fit the configured classifier(s) on ``vectors``, row i being the
+        features of ``dataset``'s document i; the union is left unset."""
+        cfg = self.config
         samples = [(doc.id, label) for doc in dataset.documents for label in sorted(doc.labels)]
         if not samples:
             raise ValueError("no labeled documents available for classifier training")
@@ -196,7 +202,6 @@ class DialectPipeline(BaseEstimator):
         if cfg.classifier in ("knn", "vote"):
             knn = KnnClassifier(k=cfg.k).fit(X, y, n_labels=n_labels)
 
-        self.union_ = union
         self.svc_ = svc
         self.forest_ = forest
         self.knn_ = knn
@@ -206,7 +211,7 @@ class DialectPipeline(BaseEstimator):
 
     def component_votes(self, X: CsrMatrix) -> np.ndarray:
         """(docs x 3) argmax votes of the svc, forest and knn models, in that order."""
-        check_is_fitted(self, "union_")
+        check_is_fitted(self, "label_space_")
         if self.config.classifier != "vote":
             raise ValueError("component votes need a voting configuration")
         return np.column_stack((self.svc_.predict(X), self.forest_.predict(X), self.knn_.predict(X)))
@@ -214,7 +219,11 @@ class DialectPipeline(BaseEstimator):
     def predict(self, texts: Sequence[str]) -> list[frozenset[int]]:
         """Label sets of ``texts``, featurized together as one matrix."""
         check_is_fitted(self, "union_")
-        X = self.union_.transform(texts)
+        return self.predict_matrix(self.union_.transform(texts))
+
+    def predict_matrix(self, X: CsrMatrix) -> list[frozenset[int]]:
+        """Label sets of the feature rows of ``X``."""
+        check_is_fitted(self, "label_space_")
         cfg = self.config
         if cfg.classifier == "svc":
             return [decide_labels(margins, cfg.policy) for margins in self.svc_.decision_function(X)]

@@ -51,6 +51,10 @@ class CsrMatrix:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("CsrMatrix is immutable")
 
+    def __reduce__(self) -> tuple:
+        # Unpickling goes through __init__, so a pickle is checked like any input.
+        return CsrMatrix, (self.indptr, self.indices, self.values, self.n_cols)
+
     @classmethod
     def hstack(cls, blocks: Sequence["CsrMatrix"], offsets: Sequence[int], n_cols: int) -> "CsrMatrix":
         """Blocks of equal row count side by side, block b's columns shifted by ``offsets[b]``."""

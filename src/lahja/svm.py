@@ -100,7 +100,7 @@ class LinearSvc(BaseEstimator):
             per_sample_c *= weights[labels]
         diag = 1.0 / (2.0 * per_sample_c)
         # +1.0 accounts for the implicit constant-1 bias feature.
-        x_sq = np.array([float(v @ v) + 1.0 for v in value_arrays])
+        x_sq = [float(v @ v) + 1.0 for v in value_arrays]
         groups = _group_samples(index_arrays, value_arrays)
 
         coef = np.zeros((n_labels, n_features), dtype=np.float64)
@@ -108,7 +108,7 @@ class LinearSvc(BaseEstimator):
         history: list[list[float]] = []
         unconverged: list[str] = []
         for label in range(n_labels):
-            signs = np.where(labels == label, 1.0, -1.0)
+            signs = np.where(labels == label, 1.0, -1.0).tolist()
             w, b, objective, violation = _solve_binary(
                 index_arrays,
                 value_arrays,
@@ -182,9 +182,9 @@ def _solve_binary(
     index_arrays: Sequence[np.ndarray],
     value_arrays: Sequence[np.ndarray],
     groups: list[list[int]],
-    signs: np.ndarray,
+    signs: list[float],
     diag: np.ndarray,
-    x_sq: np.ndarray,
+    x_sq: list[float],
     n_features: int,
     tol: float,
     max_epochs: int,
@@ -192,14 +192,17 @@ def _solve_binary(
 ) -> tuple[np.ndarray, float, list[float], float]:
     """Dual coordinate descent for one binary subproblem.
 
-    ``x_sq[i]`` is x_i . x_i + 1 (the bias feature included). Returns (w, b,
-    objective history, largest violation of the last epoch).
+    ``x_sq[i]`` is x_i . x_i + 1 (the bias feature included). The per-sample
+    scalars live in Python lists, which index faster than numpy arrays; only
+    ``w`` is an array. Returns (w, b, objective history, largest violation of
+    the last epoch).
     """
-    n = signs.size
-    q_diag = x_sq + diag
+    n = len(signs)
+    diag_list = diag.tolist()
+    q_diag = (np.asarray(x_sq) + diag).tolist()
     w = np.zeros(n_features, dtype=np.float64)
     b = 0.0
-    alpha = np.zeros(n, dtype=np.float64)
+    alpha = [0.0] * n
     order = list(range(len(groups)))
     rng = random.Random(seed)
     objective: list[float] = []
@@ -213,11 +216,11 @@ def _solve_binary(
             val = value_arrays[i]
             margin = (float(w[idx] @ val) + b) if idx.size else b
             if len(members) > 1:
-                violation, step = _group_step(alpha, members, signs, diag, margin, x_sq[i])
+                violation, step = _group_step(alpha, members, signs, diag_list, margin, x_sq[i])
             else:
                 sign = signs[i]
                 a_old = alpha[i]
-                gradient = sign * margin - 1.0 + a_old * diag[i]
+                gradient = sign * margin - 1.0 + a_old * diag_list[i]
                 projected = min(gradient, 0.0) if a_old == 0.0 else gradient
                 violation = abs(projected)
                 step = 0.0
@@ -233,19 +236,18 @@ def _solve_binary(
                 if idx.size:
                     w[idx] += step * val
                 b += step
-        objective.append(
-            float(alpha.sum() - 0.5 * (w @ w + b * b + float(alpha @ (alpha * diag))))
-        )
+        a = np.array(alpha)
+        objective.append(float(a.sum() - 0.5 * (w @ w + b * b + float(a @ (a * diag)))))
         if max_violation < tol:
             break
     return w, b, objective, max_violation
 
 
 def _group_step(
-    alpha: np.ndarray,
+    alpha: list[float],
     members: list[int],
-    signs: np.ndarray,
-    diag: np.ndarray,
+    signs: list[float],
+    diag: list[float],
     margin: float,
     p: float,
 ) -> tuple[float, float]:

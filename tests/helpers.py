@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import json
+import math
 import random
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from lahja import CsrMatrix, compute_class_weights
+from lahja import CsrMatrix, compute_class_weights, enumerate_grid, run_pipeline
 from lahja.forest import _sample_without_replacement
 from lahja.svm import _LABEL_SEED_STRIDE
 
@@ -197,3 +200,69 @@ def reference_best_split(
             best_quality = float(quality[pick])
             best = (int(feature), threshold, values <= threshold)
     return best
+
+
+def reference_run_sweep(train, dev, spec, workers: int = 1) -> list:
+    """``grid.run_sweep`` as it ran before the stages were shared: one whole
+    ``run_pipeline`` per config, spread over ``workers`` processes."""
+    configs = enumerate_grid(spec)
+    workers = min(max(1, workers), len(configs))
+    tasks = [(train, dev, config) for config in configs]
+    if workers == 1:
+        reports = [_reference_evaluate_config(task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            reports = list(pool.map(_reference_evaluate_config, tasks))
+    results = list(zip(configs, reports))
+    results.sort(key=lambda pair: (-pair[1].f1, pair[0].canonical_json()))
+    return results
+
+
+def _reference_evaluate_config(args):
+    train, dev, config = args
+    return run_pipeline(train, dev, config)
+
+
+def reference_format_float(value: float) -> str:
+    """``persistence._format_float``, the per-value writer of the canonical bundle."""
+    if not math.isfinite(value):
+        raise ValueError(f"cannot serialize non-finite real {value!r}")
+    text = format(value, ".17g")
+    if not any(c in text for c in ".eE"):
+        text += ".0"  # keep the value a JSON real
+    return text
+
+
+def reference_write_canonical(value: object, out: list[str]) -> None:
+    """``persistence._write_canonical`` as it was before lists of one scalar
+    type were written in one pass: one string per value."""
+    if value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(str(value))
+    elif isinstance(value, float):
+        out.append(reference_format_float(value))
+    elif isinstance(value, str):
+        out.append(json.dumps(value, ensure_ascii=False))
+    elif isinstance(value, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(value):
+            if i:
+                out.append(",")
+            reference_write_canonical(item, out)
+        out.append("]")
+    elif isinstance(value, dict):
+        out.append("{")
+        for i, (key, item) in enumerate(value.items()):
+            if i:
+                out.append(",")
+            out.append(json.dumps(str(key), ensure_ascii=False))
+            out.append(":")
+            reference_write_canonical(item, out)
+        out.append("}")
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__} into a bundle")

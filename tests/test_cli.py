@@ -116,6 +116,20 @@ def test_sweep_cap_is_usage_error(data_files):
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "grid", [{"n": [2.5]}, {"balanced": "false"}, {"k": 3.9}, {"n_trees": True}, {"C": [True]}]
+    )
+    def test_mistyped_grid_field_is_usage_error(self, data_files, capsys, grid):
+        root, train_path, dev_path = data_files
+        grid_path = root / "grid_typed.json"
+        grid_path.write_text(json.dumps(grid), encoding="utf-8")
+        out_path = root / "typed.tsv"
+        code = main(["sweep", "--train-file", str(train_path), "--dev-file", str(dev_path),
+                     "--grid", str(grid_path), "--out", str(out_path)])
+        assert code == 1
+        assert "must be" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_unknown_preset_is_usage_error(self, data_files, capsys):
         root, train_path, _ = data_files
         code = main(["train", "--train-file", str(train_path), "--preset", "nope",

@@ -3,7 +3,10 @@ from __future__ import annotations
 import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lahja import (
     BlockSpec,
@@ -13,13 +16,14 @@ from lahja import (
     dumps_model,
     load_model,
     loads_model,
+    PRESET_NAMES,
     make_synthetic,
     preset,
     save_model,
 )
-from lahja.persistence import pipeline_from_dict
+from lahja.persistence import _write_canonical, bundle_to_dict, dumps_canonical, pipeline_from_dict
 
-from helpers import same
+from helpers import reference_write_canonical, same
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +86,89 @@ class TestRoundTrip:
         assert loaded.forest_ is None and loaded.knn_ is None
         for doc in ds.documents:
             assert loaded.predict_text(doc.text) == pipeline.predict_text(doc.text)
+
+
+def written(write, value) -> str:
+    out: list[str] = []
+    write(value, out)
+    return "".join(out)
+
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**60), 2**60).map(float),
+    st.sampled_from([0.0, -0.0, 1e16, 1e17, -1e17, 5e-324, 1.5e300, 123456789012345678.0]),
+)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**40), 10**40),
+    FLOATS,
+    FLOATS.map(np.float64),
+    st.text(),
+    st.text(st.characters(codec="utf-8", max_codepoint=0x7F)),
+    st.sampled_from(["", "é", "\x00\x1f\n\t\"\\", "ج ي", "\u2028", "😀"]),
+)
+VALUES = st.recursive(
+    st.one_of(SCALARS, st.lists(FLOATS), st.lists(st.integers()), st.lists(st.text())),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=5), children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+class TestCanonicalWriter:
+    """Lists of one scalar type are written in one pass, with the bytes of
+    the per-value writer they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(VALUES)
+    def test_matches_per_value_writer(self, value):
+        assert written(_write_canonical, value) == written(reference_write_canonical, value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [1.0, 2.0, -0.0, 0.0, 1e16, 1e17, 5e-324, 0.1, -3.0],
+            [0, -1, 10**30, -(10**30), 7],
+            ["a", "é", "\x00", "\x7f", "\u2028", "\"\\", "😀"],
+            [1, True],
+            [1.0, 1],
+            [True, False],
+            [np.float64(1.0), np.float64(0.5)],
+            [1.0, np.float64(2.0)],
+            [[], [[]], {}],
+            [[1.5, 2.0], [3.0]],
+        ],
+    )
+    def test_edge_lists(self, value):
+        assert written(_write_canonical, value) == written(reference_write_canonical, value)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("where", [0, 2])
+    def test_non_finite_raises_the_same_error(self, bad, where):
+        value = [0.5, 1.0, 2.0]
+        value[where] = bad
+        with pytest.raises(ValueError) as new:
+            written(_write_canonical, value)
+        with pytest.raises(ValueError) as old:
+            written(reference_write_canonical, value)
+        assert str(new.value) == str(old.value)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_bundles_match_per_value_writer(self, name):
+        pipeline = DialectPipeline(preset(name)).fit(make_synthetic(3, 8, 12, 0.2, seed=11))
+        payload = bundle_to_dict(pipeline)
+        assert dumps_model(pipeline).decode("utf-8") == written(reference_write_canonical, payload) + "\n"
+
+    def test_bundle_is_json_with_real_reals(self):
+        text = dumps_canonical({"a": [1.0, 2.5e-7], "b": [3, 4], "c": ["x"]}).decode("utf-8")
+        assert text == '{"a":[1.0,2.4999999999999999e-07],"b":[3,4],"c":["x"]}\n'
+        assert json.loads(text) == {"a": [1.0, 2.5e-7], "b": [3, 4], "c": ["x"]}
 
 
 class TestFormat:

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import io
+import random
+
 import pytest
 
+import lahja.vectorizer
 from lahja import (
     BlockSpec,
     DecisionPolicy,
@@ -16,7 +20,13 @@ from lahja import (
     run_sweep,
     split_dataset,
     weighted_hard_vote,
+    write_sweep_tsv,
 )
+from lahja.forest import RandomForest
+from lahja.knn import KnnClassifier
+from lahja.svm import LinearSvc
+
+from helpers import reference_run_sweep
 
 
 class TestConfig:
@@ -192,3 +202,92 @@ class TestSweep:
         sequential = run_sweep(train, dev, spec, workers=1)
         parallel = run_sweep(train, dev, spec, workers=2)
         assert sequential == parallel
+
+
+def sweep_tsv(results) -> str:
+    out = io.StringIO()
+    write_sweep_tsv(results, out)
+    return out.getvalue()
+
+
+def noisy_corpus(n_docs: int = 64, seed: int = 5):
+    """Four labels over overlapping vocabularies with some wrong and some second
+    labels, so that the configs of a small grid score differently."""
+    rng = random.Random(seed)
+    shared = [f"s{i}" for i in range(8)]
+    lines = []
+    for i in range(n_docs):
+        label = i % 4
+        own = [f"l{label}w{j}" for j in range(4)]
+        text = " ".join(rng.choice(own if rng.random() < 0.4 else shared) for _ in range(rng.randint(3, 8)))
+        labels = {label if rng.random() < 0.8 else rng.randrange(4)}
+        if rng.random() < 0.15:
+            labels.add(rng.randrange(4))
+        lines.append(f"{text}\t{','.join(f'L{x}' for x in sorted(labels))}\n")
+    return parse_tsv("".join(lines).encode("utf-8"))
+
+
+SHARED_GRIDS = {
+    "svc-n-C": GridSpec(n=(1, 2), C=(1.0, 3.0)),
+    "weights": GridSpec(n=(2,), w1=(0.3, 1.0), w2=(0.5,), w3=(0.2, 0.9), C=(2.0,), balanced=False),
+    "vote-tied": GridSpec(
+        n=(2,), C=(1.0,), v1=(0.1, 0.2), v2=(0.1, 0.2), v3=(0.1, 0.3),
+        classifier="vote", n_trees=5, seed=4,
+    ),
+    "forest": GridSpec(n=(1, 2), max_features=(None, 40), C=(1.0,), classifier="forest", n_trees=7, seed=3),
+    "knn": GridSpec(n=(1, 3), w1=(0.2, 1.0), C=(1.0,), classifier="knn", k=3),
+}
+
+
+class TestSharedSweep:
+    """The staged sweep against one whole ``run_pipeline`` per config."""
+
+    @pytest.fixture(scope="class")
+    def split(self):
+        return split_dataset(noisy_corpus(), 0.75, seed=1)
+
+    @pytest.mark.parametrize("name", sorted(SHARED_GRIDS))
+    def test_tsv_byte_identical_to_per_config_runs(self, split, name):
+        train, dev = split
+        spec = SHARED_GRIDS[name]
+        expected = sweep_tsv(reference_run_sweep(train, dev, spec))
+        assert sweep_tsv(run_sweep(train, dev, spec, workers=1)) == expected
+        assert sweep_tsv(run_sweep(train, dev, spec, workers=2)) == expected
+
+    def test_each_block_and_model_group_fitted_once(self, split, monkeypatch):
+        train, dev = split
+        texts = len(train) + len(dev)
+        analyzed: dict[tuple, int] = {}
+        fits: dict[str, int] = {}
+        build = lahja.vectorizer.build_analyzer
+
+        def counting_build(kind, ngram_range):
+            analyze = build(kind, ngram_range)
+
+            def counted(text):
+                analyzed[kind, ngram_range] = analyzed.get((kind, ngram_range), 0) + 1
+                return analyze(text)
+
+            return counted
+
+        monkeypatch.setattr(lahja.vectorizer, "build_analyzer", counting_build)
+        for cls in (LinearSvc, RandomForest, KnnClassifier):
+            fit = cls.fit
+
+            def counting_fit(self, *args, _fit=fit, _name=cls.__name__, **kwargs):
+                fits[_name] = fits.get(_name, 0) + 1
+                return _fit(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "fit", counting_fit)
+        # 2 n x 2 C model groups, each re-voted with 4 weight triples.
+        spec = GridSpec(n=(1, 2), C=(1.0, 2.0), v1=(0.2, 0.4), v2=(0.1, 0.3), classifier="vote", n_trees=3)
+        assert len(run_sweep(train, dev, spec, workers=1)) == 16
+        blocks = {(kind, (1, n)) for kind in ("word", "char", "char_wb") for n in (1, 2)}
+        assert analyzed == {block: texts for block in blocks}
+        assert fits == {"LinearSvc": 4, "RandomForest": 4, "KnnClassifier": 4}
+
+    def test_label_space_mismatch_rejected(self, split):
+        train, dev = split
+        other = parse_tsv(b"aa bb\tZZ\n")
+        with pytest.raises(ValueError, match="label spaces differ"):
+            run_sweep(train, other, GridSpec(n=(1,), C=(1.0,)))

@@ -119,3 +119,44 @@ class TestEnumerateGrid:
     def test_empty_candidate_list_rejected(self):
         with pytest.raises(ValueError):
             GridSpec(n=())
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"n": [2.5]},
+            {"n": [2.0]},
+            {"n": [True]},
+            {"n": ["2"]},
+            {"max_features": [300.0]},
+            {"max_features": [False]},
+            {"k": 3.9},
+            {"k": "3"},
+            {"n_trees": True},
+            {"n_trees": 10.0},
+            {"seed": 1.5},
+            {"balanced": "false"},
+            {"balanced": 0},
+            {"balanced": None},
+            {"C": [True]},
+            {"C": ["1.0"]},
+            {"w1": [False]},
+            {"w2": ["0.5"]},
+            {"w3": [None]},
+            {"v1": [True]},
+            {"v2": ["0.2"]},
+            {"v3": [[0.1]]},
+        ],
+    )
+    def test_from_dict_rejects_wrong_json_types(self, payload):
+        with pytest.raises(ValueError, match="must be"):
+            GridSpec.from_dict(payload)
+
+    def test_from_dict_reads_json_numbers(self):
+        spec = GridSpec.from_dict(
+            {"n": [2], "max_features": [None, 300], "C": [1, 2.5], "w1": [1], "v3": [0.5],
+             "balanced": False, "k": 5, "n_trees": 7, "seed": 3}
+        )
+        assert spec.n == (2,) and spec.max_features == (None, 300)
+        assert spec.C == (1.0, 2.5) and all(type(c) is float for c in spec.C)
+        assert spec.w1 == (1.0,) and spec.v3 == (0.5,)
+        assert spec.balanced is False and (spec.k, spec.n_trees, spec.seed) == (5, 7, 3)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -100,6 +101,29 @@ def test_immutability():
         matrix.indices = np.array([1])
     with pytest.raises(ValueError):
         matrix.values[0] = 2.0  # numpy read-only flag
+
+
+@given(dense_matrices())
+def test_pickle_round_trip_is_bit_identical(case):
+    rows, n_cols = case
+    matrix = csr(rows, n_cols)
+    copy = pickle.loads(pickle.dumps(matrix))
+    assert same(copy, matrix)
+    with pytest.raises(AttributeError, match="immutable"):
+        copy.n_cols = 0
+    assert not copy.values.flags.writeable
+
+
+class _ForgedPickle:
+    """Pickles as a CsrMatrix built from an explicit zero."""
+
+    def __reduce__(self):
+        return CsrMatrix, (np.array([0, 1]), np.array([0]), np.array([0.0]), 1)
+
+
+def test_unpickling_checks_like_the_constructor():
+    with pytest.raises(ValueError, match="explicit zeros"):
+        pickle.loads(pickle.dumps(_ForgedPickle()))
 
 
 def test_iteration_yields_one_row_matrices():
