@@ -7,7 +7,11 @@ a trailing underscore, and ``fit`` returns ``self``.
 
 from __future__ import annotations
 
+import functools
 import inspect
+import math
+import types
+import typing
 from typing import Any, Sequence
 
 import numpy as np
@@ -89,6 +93,127 @@ def check_int(name: str, value: object) -> int:
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def check_real(name: str, value: object) -> float:
+    """``value`` as a float if it is a finite JSON number; a bool would count
+    as 0/1 and a string would parse."""
+    if type(value) in (int, float):
+        try:
+            real = float(value)
+        except OverflowError:  # an integer beyond the float range
+            real = math.inf
+        if math.isfinite(real):
+            return real
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+# The JSON types a list item may have, and their name, by the type it is read as.
+_ITEM_TYPES = {
+    int: ({int}, "integers"),
+    float: ({int, float}, "numbers"),
+    str: ({str}, "strings"),
+    list: ({list}, "lists"),
+}
+
+
+def check_list(name: str, value: object, item: type) -> list:
+    """``value`` if it is a JSON list whose items all read as ``item``, checked
+    in one pass; ``float`` items are JSON numbers, with no bools or strings."""
+    kinds, noun = _ITEM_TYPES[item]
+    if type(value) is not list or not set(map(type, value)) <= kinds:
+        raise ValueError(f"{name} must be a list of {noun}")
+    return value
+
+
+def check_reals(name: str, value: object) -> np.ndarray:
+    """``value``, a JSON list of finite numbers, as a float64 array."""
+    items = check_list(name, value, float)
+    try:
+        reals = np.array(items, dtype=np.float64)
+        if np.isfinite(reals).all():
+            return reals
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ValueError(f"{name} must be a list of finite numbers")
+
+
+@functools.cache
+def _init_hints(cls: type) -> dict[str, Any]:
+    """The resolved type hints of the parameters of ``cls.__init__``, in order."""
+    hints = typing.get_type_hints(cls.__init__)
+    hints.pop("return", None)
+    return hints
+
+
+def read_fields(cls: type, payload: object, what: str) -> dict[str, Any]:
+    """The keyword arguments of ``cls`` held by the JSON object ``payload``,
+    each read by its type hint on ``cls.__init__``; absent fields keep their
+    defaults. Errors call the object ``what`` and a field ``what`` + name."""
+    if type(payload) is not dict:
+        raise ValueError(f"{what} must be an object, got {type(payload).__name__}")
+    hints = _init_hints(cls)
+    unknown = payload.keys() - hints.keys()
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    return {name: _read_value(f"{what} {name}", hints[name], value) for name, value in payload.items()}
+
+
+def _read_value(name: str, hint: Any, value: object) -> Any:
+    """``value`` read from JSON as type ``hint``: int, finite float, bool, str,
+    ``X | None``, a tuple from a list, or a :class:`JsonObject`."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        (hint,) = [arg for arg in args if arg is not type(None)]
+        return _read_value(name, hint, value)
+    if origin is tuple:
+        if type(value) is not list:
+            raise ValueError(f"{name} must be a list, got {value!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ValueError(f"{name} must be a list of {len(args)} items, got {value!r}")
+        return tuple(_read_value(f"{name}[{i}]", arg, item) for i, (arg, item) in enumerate(zip(args, value)))
+    if hint is int:
+        return check_int(name, value)
+    if hint is float:
+        return check_real(name, value)
+    if hint is bool:
+        if type(value) is not bool:
+            raise ValueError(f"{name} must be true or false, got {value!r}")
+        return value
+    if hint is str:
+        if type(value) is not str:
+            raise ValueError(f"{name} must be a string, got {value!r}")
+        return value
+    if isinstance(hint, type) and issubclass(hint, JsonObject):
+        return hint.from_dict(value, name)
+    raise TypeError(f"no JSON reader for {name} of type {hint!r}")
+
+
+class JsonObject:
+    """A value kept as a JSON object of its constructor fields, read by
+    :func:`read_fields` and written in declared order: tuples as lists, nested
+    objects by their own ``to_dict``. ``json_name`` names it in errors."""
+
+    json_name = "object"
+
+    @classmethod
+    def from_dict(cls, payload: dict, what: str | None = None) -> Any:
+        return cls(**read_fields(cls, payload, what or cls.json_name))
+
+    def to_dict(self) -> dict:
+        payload = {}
+        for name in _init_hints(type(self)):
+            value = getattr(self, name)
+            if isinstance(value, tuple):
+                value = list(value)
+            elif isinstance(value, JsonObject):
+                value = value.to_dict()
+            payload[name] = value
+        return payload
 
 
 def check_positive(name: str, value: float) -> float:

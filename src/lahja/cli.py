@@ -110,7 +110,7 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     raw = _read_bytes(args.config, "config file")
     try:
         payload = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also an over-long integer or too deep nesting
         raise UsageError(f"config file {args.config!r} is not valid JSON: {exc}") from exc
     try:
         return PipelineConfig.from_dict(payload)
@@ -206,7 +206,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     raw = _read_bytes(args.grid, "grid file")
     try:
         payload = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also an over-long integer or too deep nesting
         raise UsageError(f"grid file {args.grid!r} is not valid JSON: {exc}") from exc
     try:
         spec = GridSpec.from_dict(payload)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import check_int
+from .base import JsonObject
 
 CLASSIFIER_ORDER = ("svc", "forest", "knn")
 
@@ -22,8 +22,10 @@ POLICY_KINDS = ("argmax", "threshold", "topk")
 
 
 @dataclass(frozen=True)
-class DecisionPolicy:
+class DecisionPolicy(JsonObject):
     """Rule mapping per-label scores to a predicted label set."""
+
+    json_name = "policy"
 
     kind: str = "argmax"
     tau: float = 0.0
@@ -43,17 +45,10 @@ class DecisionPolicy:
         return {"kind": self.kind}
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "DecisionPolicy":
+    def from_dict(cls, payload: dict, what: str = "policy") -> "DecisionPolicy":
         if not isinstance(payload, dict) or "kind" not in payload:
-            raise ValueError("policy must be an object with a 'kind' field")
-        unknown = set(payload) - {"kind", "tau", "k"}
-        if unknown:
-            raise ValueError(f"unknown policy fields: {sorted(unknown)}")
-        return cls(
-            kind=payload["kind"],
-            tau=float(payload.get("tau", 0.0)),
-            k=check_int("policy k", payload.get("k", 1)),
-        )
+            raise ValueError(f"{what} must be an object with a 'kind' field")
+        return super().from_dict(payload, what)
 
 
 def weighted_hard_vote(votes: Sequence[int], weights: Sequence[float]) -> int:

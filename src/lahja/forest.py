@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import BaseEstimator, check_is_fitted, check_labels
+from .base import BaseEstimator, check_is_fitted, check_labels, check_reals
 from .sparse import CsrMatrix
 
 _LEAF = -1
@@ -66,11 +66,14 @@ class RandomForest(BaseEstimator):
         Rejects what would make prediction index out of range or loop: a
         split feature or child id that is not an int, a split feature outside
         [0, n_features), a child not after its parent or past the tree's end,
-        a leaf distribution not of length n_labels.
+        a leaf distribution not of length n_labels; and a threshold or leaf
+        distribution value that is not a finite JSON number.
         """
         if n_labels < 1 or n_features < 1 or not trees:
             raise ValueError("a forest needs at least one tree, one label and one feature")
-        rows: list[tuple] = []  # (feature, threshold, left, right, dist) per node
+        rows: list[tuple] = []  # (feature, threshold, left, right) per node
+        dist: list = []  # every node's class distribution, end to end
+        no_dist = [0.0] * n_labels
         starts = [0]
         for t, nodes in enumerate(trees):
             if not nodes:
@@ -80,7 +83,8 @@ class RandomForest(BaseEstimator):
                 if "d" in node:
                     if len(node["d"]) != n_labels:
                         raise ValueError(f"{where}: leaf distribution is not of length {n_labels}")
-                    rows.append((_LEAF, 0.0, _LEAF, _LEAF, node["d"]))
+                    rows.append((_LEAF, 0.0, _LEAF, _LEAF))
+                    dist.extend(node["d"])
                     continue
                 f, lo, hi = node["f"], node["l"], node["r"]
                 if type(f) is not int or type(lo) is not int or type(hi) is not int:
@@ -89,14 +93,15 @@ class RandomForest(BaseEstimator):
                     raise ValueError(f"{where}: split feature {f} outside [0, {n_features})")
                 if not (i < lo < len(nodes) and i < hi < len(nodes)):
                     raise ValueError(f"{where}: children must lie after it within the tree")
-                rows.append((f, float(node["t"]), starts[-1] + lo, starts[-1] + hi, [0.0] * n_labels))
+                rows.append((f, node["t"], starts[-1] + lo, starts[-1] + hi))
+                dist.extend(no_dist)
             starts.append(starts[-1] + len(nodes))
-        feature, threshold, left, right, dist = zip(*rows)
+        feature, threshold, left, right = zip(*rows)
         self.feature_ = np.array(feature, dtype=np.int64)
-        self.threshold_ = np.array(threshold, dtype=np.float64)
+        self.threshold_ = check_reals("forest thresholds", list(threshold))
         self.left_ = np.array(left, dtype=np.int64)
         self.right_ = np.array(right, dtype=np.int64)
-        self.dist_ = np.array(dist, dtype=np.float64).reshape(len(dist), n_labels)
+        self.dist_ = check_reals("forest leaf distributions", dist).reshape(len(rows), n_labels)
         self.tree_starts_ = np.array(starts, dtype=np.int64)
         self.n_labels_ = n_labels
         self.n_features_ = n_features

@@ -15,16 +15,14 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import IO, Sequence
 
 import numpy as np
 
-from .base import check_int
+from .base import JsonObject
 from .corpus import Dataset
 from .ensemble import DecisionPolicy
 from .metrics import MetricsReport, evaluate
@@ -51,7 +49,6 @@ VOTE_WEIGHT_DOMAIN = tuple(round(0.1 * i, 1) for i in range(1, 7))
 MAX_FEATURES_DOMAIN = (300, 1000)  # inclusive bounds, any value in between
 
 _PRODUCT_FIELDS = ("n", "w1", "w2", "w3", "max_features", "C", "v1", "v2", "v3")
-_FIXED_FIELDS = ("classifier", "balanced", "k", "n_trees", "policy", "seed")
 
 
 class GridSizeError(ValueError):
@@ -67,7 +64,7 @@ class GridSizeError(ValueError):
 
 
 @dataclass(frozen=True)
-class GridSpec:
+class GridSpec(JsonObject):
     """Candidate value lists per tunable field plus fixed run settings.
 
     ``n`` is a shared upper n-gram bound applied as range (1, n) to all
@@ -75,6 +72,8 @@ class GridSpec:
     weights, ``max_features`` the shared per-block cap, ``v1``/``v2``/``v3``
     the vote weights.
     """
+
+    json_name = "grid"
 
     n: tuple[int, ...] = N_DOMAIN
     w1: tuple[float, ...] = (1.0,)
@@ -110,67 +109,6 @@ class GridSpec:
         for name in _PRODUCT_FIELDS:
             count *= len(getattr(self, name))
         return count
-
-    def to_dict(self) -> dict:
-        return {
-            "n": list(self.n),
-            "w1": list(self.w1),
-            "w2": list(self.w2),
-            "w3": list(self.w3),
-            "max_features": list(self.max_features),
-            "C": list(self.C),
-            "v1": list(self.v1),
-            "v2": list(self.v2),
-            "v3": list(self.v3),
-            "classifier": self.classifier,
-            "balanced": self.balanced,
-            "k": self.k,
-            "n_trees": self.n_trees,
-            "policy": self.policy.to_dict(),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "GridSpec":
-        if not isinstance(payload, dict):
-            raise ValueError(f"grid spec must be an object, got {type(payload).__name__}")
-        unknown = set(payload) - set(_PRODUCT_FIELDS) - set(_FIXED_FIELDS)
-        if unknown:
-            raise ValueError(f"unknown grid fields: {sorted(unknown)}")
-        kwargs: dict = {}
-        for name in _PRODUCT_FIELDS:
-            if name in payload:
-                values = payload[name]
-                if not isinstance(values, list):
-                    raise ValueError(f"grid field {name!r} must be a list of candidate values")
-                if name == "n":
-                    kwargs[name] = tuple(check_int("grid n", v) for v in values)
-                elif name == "max_features":
-                    kwargs[name] = tuple(
-                        None if v is None else check_int("grid max_features", v) for v in values
-                    )
-                else:
-                    kwargs[name] = tuple(_check_real(f"grid {name}", v) for v in values)
-        if "classifier" in payload:
-            kwargs["classifier"] = payload["classifier"]
-        if "balanced" in payload:
-            if type(payload["balanced"]) is not bool:
-                raise ValueError(f"grid balanced must be true or false, got {payload['balanced']!r}")
-            kwargs["balanced"] = payload["balanced"]
-        for name in ("k", "n_trees", "seed"):
-            if name in payload:
-                kwargs[name] = check_int(f"grid {name}", payload[name])
-        if "policy" in payload:
-            kwargs["policy"] = DecisionPolicy.from_dict(payload["policy"])
-        return cls(**kwargs)
-
-
-def _check_real(name: str, value: object) -> float:
-    """``value`` as a float if it is a JSON number; a bool would count as 0/1
-    and a string would parse."""
-    if type(value) not in (int, float):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
 
 
 def enumerate_grid(spec: GridSpec, max_configs: int = DEFAULT_MAX_CONFIGS) -> list[PipelineConfig]:
@@ -244,6 +182,10 @@ def run_sweep(
     with contextlib.ExitStack() as stack:
         mapper = map
         if workers > 1:
+            # Only a multi-worker sweep pays for importing these.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             spawn = multiprocessing.get_context("spawn")
             mapper = stack.enter_context(ProcessPoolExecutor(workers, mp_context=spawn)).map
         fitted = mapper(_fit_block, block_keys, itertools.repeat(train_texts), itertools.repeat(dev_texts))

@@ -25,14 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .base import check_int
+from .base import check_int, check_list, check_reals, read_fields
 from .corpus import LabelSpace
 from .forest import RandomForest
 from .knn import KnnClassifier
 from .pipeline import DialectPipeline, PipelineConfig
 from .sparse import CsrMatrix
 from .svm import LinearSvc
-from .vectorizer import BLOCK_ORDER, TfidfBlock, TfidfUnion
+from .vectorizer import BLOCK_ORDER, BlockSpec, TfidfBlock, TfidfUnion
 
 FORMAT_VERSION = 1
 
@@ -124,32 +124,26 @@ def _block_payload(block: TfidfBlock | None) -> dict | None:
     }
 
 
-def _svc_payload(model: LinearSvc) -> dict:
+def _svc_payload(model: LinearSvc, params: dict) -> dict:
     return {
-        "params": {
-            "C": float(model.C),
-            "balanced": bool(model.balanced),
-            "tol": float(model.tol),
-            "max_epochs": int(model.max_epochs),
-            "seed": int(model.seed),
-        },
+        "params": params,
         "coef": model.coef_.tolist(),
         "intercept": model.intercept_.tolist(),
     }
 
 
-def _forest_payload(model: RandomForest) -> dict:
+def _forest_payload(model: RandomForest, params: dict) -> dict:
     return {
-        "params": {"n_trees": int(model.n_trees), "seed": int(model.seed)},
+        "params": params,
         "n_labels": int(model.n_labels_),
         "n_features": int(model.n_features_),
         "trees": model.tree_payloads(),
     }
 
 
-def _knn_payload(model: KnnClassifier) -> dict:
+def _knn_payload(model: KnnClassifier, params: dict) -> dict:
     return {
-        "params": {"k": int(model.k)},
+        "params": params,
         "n_labels": int(model.n_labels_),
         "labels": [int(label) for label in model.labels_],
         "vectors": [
@@ -162,13 +156,15 @@ def _knn_payload(model: KnnClassifier) -> dict:
 def bundle_to_dict(pipeline: DialectPipeline) -> dict:
     if getattr(pipeline, "union_", None) is None:
         raise ValueError("cannot save an unfitted pipeline")
+    # The models were built from these, and the loader checks them against the config.
+    params = pipeline.config.model_params()
     models: dict = {}
     if pipeline.svc_ is not None:
-        models["svc"] = _svc_payload(pipeline.svc_)
+        models["svc"] = _svc_payload(pipeline.svc_, params["svc"])
     if pipeline.forest_ is not None:
-        models["forest"] = _forest_payload(pipeline.forest_)
+        models["forest"] = _forest_payload(pipeline.forest_, params["forest"])
     if pipeline.knn_ is not None:
-        models["knn"] = _knn_payload(pipeline.knn_)
+        models["knn"] = _knn_payload(pipeline.knn_, params["knn"])
     return {
         "format_version": FORMAT_VERSION,
         "config": pipeline.config.to_dict(),
@@ -195,35 +191,27 @@ def _require(payload: dict, key: str, context: str) -> object:
 def _load_block(payload: dict | None, kind: str) -> TfidfBlock | None:
     if payload is None:
         return None
-    analyzer = _require(payload, "analyzer", f"{kind} block")
+    where = f"{kind} block"
+    analyzer = _require(payload, "analyzer", where)
     if analyzer != kind:
         raise BundleFormatError(f"block analyzer {analyzer!r} does not match slot {kind!r}")
-    lo, hi = _require(payload, "ngram_range", f"{kind} block")
+    for name in ("ngram_range", "weight", "vocabulary", "idf"):
+        _require(payload, name, where)
     try:
+        spec = BlockSpec.from_dict(
+            {name: payload[name] for name in ("ngram_range", "max_features", "weight") if name in payload},
+            "block",
+        )
         return TfidfBlock.from_fitted(
             analyzer=kind,
-            ngram_range=(lo, hi),
-            max_features=payload.get("max_features"),
-            weight=float(_require(payload, "weight", f"{kind} block")),
-            feature_names=list(_require(payload, "vocabulary", f"{kind} block")),
-            idf=[float(v) for v in _require(payload, "idf", f"{kind} block")],
+            ngram_range=spec.ngram_range,
+            max_features=spec.max_features,
+            weight=spec.weight,
+            feature_names=check_list("vocabulary", payload["vocabulary"], str),
+            idf=check_reals("idf", payload["idf"]),
         )
     except (TypeError, ValueError) as exc:
         raise BundleFormatError(f"invalid {kind} block: {exc}") from exc
-
-
-def _params(entry: dict, model: str, integers: tuple[str, ...]) -> dict:
-    params = dict(_require(entry, "params", f"{model} model"))
-    for name in integers:
-        if name in params:
-            check_int(f"{model} {name}", params[name])
-    return params
-
-
-def _integers(values: list, what: str) -> list[int]:
-    if any(type(v) is not int for v in values):
-        raise ValueError(f"{what} must be integers")
-    return values
 
 
 def _knn_vectors(rows: list, n_cols: int) -> CsrMatrix:
@@ -231,8 +219,8 @@ def _knn_vectors(rows: list, n_cols: int) -> CsrMatrix:
         raise ValueError("a knn vector has different numbers of indices and values")
     return CsrMatrix(
         np.concatenate(([0], np.cumsum([len(row["i"]) for row in rows], dtype=np.int64))),
-        _integers([i for row in rows for i in row["i"]], "knn vector indices"),
-        [v for row in rows for v in row["v"]],
+        check_list("knn vector indices", [i for row in rows for i in row["i"]], int),
+        check_reals("knn vector values", [v for row in rows for v in row["v"]]),
         n_cols,
     )
 
@@ -250,7 +238,8 @@ def pipeline_from_dict(payload: dict) -> DialectPipeline:
     except ValueError as exc:
         raise BundleFormatError(f"invalid config: {exc}") from exc
     try:
-        label_space = LabelSpace(tuple(_require(payload, "label_space", "root")))
+        names = check_list("label space", _require(payload, "label_space", "root"), str)
+        label_space = LabelSpace(tuple(names))
     except ValueError as exc:
         raise BundleFormatError(f"invalid label space: {exc}") from exc
 
@@ -260,23 +249,36 @@ def pipeline_from_dict(payload: dict) -> DialectPipeline:
         raise BundleFormatError("union must hold exactly 3 block slots")
     blocks = [_load_block(block, kind) for block, kind in zip(blocks_payload, BLOCK_ORDER)]
     union = TfidfUnion.from_fitted_blocks(blocks)
+    if (union.word, union.char, union.char_wb) != (config.word, config.char, config.char_wb):
+        raise BundleFormatError("union blocks differ from the block specs of the config")
 
     models = _require(payload, "models", "root")
     if not isinstance(models, dict):
         raise BundleFormatError("models must be an object")
+    expected = config.model_params()
+
+    def params(name: str, cls: type) -> dict:
+        # Both sides are read by the same type hints, so equal values have
+        # equal types: a k of 3.0 fails as a real before it could match 3.
+        found = read_fields(cls, _require(models[name], "params", f"{name} model"), name)
+        if found != expected[name]:
+            raise ValueError(f"{name} params {found} differ from {expected[name]}, set by the config")
+        return found
+
     svc = forest = knn = None
     try:
         if "svc" in models:
             entry = models["svc"]
+            coef = check_list("svc coef", _require(entry, "coef", "svc model"), list)
             svc = LinearSvc.from_fitted(
-                _params(entry, "svc", ("max_epochs", "seed")),
-                np.asarray(_require(entry, "coef", "svc model"), dtype=np.float64),
-                np.asarray(_require(entry, "intercept", "svc model"), dtype=np.float64),
+                params("svc", LinearSvc),
+                np.array([check_reals("svc coef row", row) for row in coef]),
+                check_reals("svc intercept", _require(entry, "intercept", "svc model")),
             )
         if "forest" in models:
             entry = models["forest"]
             forest = RandomForest.from_fitted(
-                _params(entry, "forest", ("n_trees", "seed")),
+                params("forest", RandomForest),
                 n_labels=check_int("forest n_labels", _require(entry, "n_labels", "forest model")),
                 n_features=check_int("forest n_features", _require(entry, "n_features", "forest model")),
                 trees=_require(entry, "trees", "forest model"),
@@ -284,12 +286,12 @@ def pipeline_from_dict(payload: dict) -> DialectPipeline:
         if "knn" in models:
             entry = models["knn"]
             knn = KnnClassifier.from_fitted(
-                _params(entry, "knn", ("k",)),
-                labels=_integers(_require(entry, "labels", "knn model"), "knn labels"),
+                params("knn", KnnClassifier),
+                labels=check_list("knn labels", _require(entry, "labels", "knn model"), int),
                 vectors=_knn_vectors(_require(entry, "vectors", "knn model"), union.n_features_),
                 n_labels=check_int("knn n_labels", _require(entry, "n_labels", "knn model")),
             )
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:  # overflow: an int64 index beyond range
         raise BundleFormatError(f"invalid classifier payload: {exc}") from exc
 
     needed = {"svc": ("svc",), "forest": ("forest",), "knn": ("knn",), "vote": ("svc", "forest", "knn")}
@@ -346,7 +348,7 @@ def loads_model(data: bytes) -> DialectPipeline:
         payload = json.loads(
             data.decode("utf-8"), parse_float=_parse_finite, parse_constant=_reject_constant
         )
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also an over-long integer or too deep nesting
         raise BundleFormatError(f"bundle is not valid JSON (truncated or corrupt?): {exc}") from exc
     return pipeline_from_dict(payload)
 

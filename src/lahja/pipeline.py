@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import BaseEstimator, check_int, check_is_fitted
+from .base import BaseEstimator, JsonObject, check_is_fitted
 from .corpus import Dataset
 from .ensemble import CLASSIFIER_ORDER, DecisionPolicy, decide_labels, weighted_hard_vote
 from .forest import RandomForest
@@ -30,7 +30,9 @@ CLASSIFIER_CHOICES = ("svc", "forest", "knn", "vote")
 
 
 @dataclass(frozen=True)
-class SvcParams:
+class SvcParams(JsonObject):
+    json_name = "svc"
+
     C: float = 1.0
     balanced: bool = False
     tol: float = 1e-4
@@ -44,44 +46,23 @@ class SvcParams:
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
 
-    def to_dict(self) -> dict:
-        return {"C": self.C, "balanced": self.balanced, "tol": self.tol, "max_epochs": self.max_epochs}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SvcParams":
-        unknown = set(payload) - {"C", "balanced", "tol", "max_epochs"}
-        if unknown:
-            raise ValueError(f"unknown svc fields: {sorted(unknown)}")
-        return cls(
-            C=float(payload.get("C", 1.0)),
-            balanced=bool(payload.get("balanced", False)),
-            tol=float(payload.get("tol", 1e-4)),
-            max_epochs=check_int("max_epochs", payload.get("max_epochs", 1000)),
-        )
-
 
 @dataclass(frozen=True)
-class ForestParams:
+class ForestParams(JsonObject):
+    json_name = "forest"
+
     n_trees: int = 100
 
     def __post_init__(self) -> None:
         if self.n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
 
-    def to_dict(self) -> dict:
-        return {"n_trees": self.n_trees}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ForestParams":
-        unknown = set(payload) - {"n_trees"}
-        if unknown:
-            raise ValueError(f"unknown forest fields: {sorted(unknown)}")
-        return cls(n_trees=check_int("n_trees", payload.get("n_trees", 100)))
-
 
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(JsonObject):
     """Complete run configuration; JSON config files mirror these field names."""
+
+    json_name = "config"
 
     word: BlockSpec | None = field(default_factory=lambda: BlockSpec((1, 1)))
     char: BlockSpec | None = None
@@ -111,51 +92,13 @@ class PipelineConfig:
                 f"classifier {self.classifier!r} supports only argmax"
             )
 
-    def to_dict(self) -> dict:
+    def model_params(self) -> dict[str, dict]:
+        """Constructor arguments of the svc, forest and knn models this config fits."""
         return {
-            "word": None if self.word is None else self.word.to_dict(),
-            "char": None if self.char is None else self.char.to_dict(),
-            "char_wb": None if self.char_wb is None else self.char_wb.to_dict(),
-            "classifier": self.classifier,
-            "svc": self.svc.to_dict(),
-            "forest": self.forest.to_dict(),
-            "k": self.k,
-            "vote_weights": list(self.vote_weights),
-            "policy": self.policy.to_dict(),
-            "seed": self.seed,
+            "svc": {**self.svc.to_dict(), "seed": self.seed},
+            "forest": {**self.forest.to_dict(), "seed": self.seed},
+            "knn": {"k": self.k},
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PipelineConfig":
-        if not isinstance(payload, dict):
-            raise ValueError(f"config must be an object, got {type(payload).__name__}")
-        known = {
-            "word", "char", "char_wb", "classifier", "svc", "forest", "k",
-            "vote_weights", "policy", "seed",
-        }
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-
-        def block(name: str, default: BlockSpec | None) -> BlockSpec | None:
-            if name not in payload:
-                return default
-            value = payload[name]
-            return None if value is None else BlockSpec.from_dict(value)
-
-        vote_weights = payload.get("vote_weights", (1.0, 1.0, 1.0))
-        return cls(
-            word=block("word", BlockSpec((1, 1))),
-            char=block("char", None),
-            char_wb=block("char_wb", None),
-            classifier=payload.get("classifier", "svc"),
-            svc=SvcParams.from_dict(payload.get("svc", {})),
-            forest=ForestParams.from_dict(payload.get("forest", {})),
-            k=check_int("k", payload.get("k", 3)),
-            vote_weights=tuple(float(w) for w in vote_weights),
-            policy=DecisionPolicy.from_dict(payload.get("policy", {"kind": "argmax"})),
-            seed=check_int("seed", payload.get("seed", 0)),
-        )
 
     def canonical_json(self) -> str:
         """Deterministic serialization used for tie-ordering sweep results."""
@@ -188,19 +131,14 @@ class DialectPipeline(BaseEstimator):
         y = [label for _, label in samples]
 
         n_labels = len(dataset.label_space)
+        params = cfg.model_params()
         svc = forest = knn = None
         if cfg.classifier in ("svc", "vote"):
-            svc = LinearSvc(
-                C=cfg.svc.C,
-                balanced=cfg.svc.balanced,
-                tol=cfg.svc.tol,
-                max_epochs=cfg.svc.max_epochs,
-                seed=cfg.seed,
-            ).fit(X, y, n_labels=n_labels)
+            svc = LinearSvc(**params["svc"]).fit(X, y, n_labels=n_labels)
         if cfg.classifier in ("forest", "vote"):
-            forest = RandomForest(n_trees=cfg.forest.n_trees, seed=cfg.seed).fit(X, y, n_labels=n_labels)
+            forest = RandomForest(**params["forest"]).fit(X, y, n_labels=n_labels)
         if cfg.classifier in ("knn", "vote"):
-            knn = KnnClassifier(k=cfg.k).fit(X, y, n_labels=n_labels)
+            knn = KnnClassifier(**params["knn"]).fit(X, y, n_labels=n_labels)
 
         self.svc_ = svc
         self.forest_ = forest

@@ -20,15 +20,17 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .analyzers import ANALYZER_KINDS, CHAR, CHAR_WB, WORD, build_analyzer
-from .base import BaseEstimator, check_int, check_is_fitted, check_ngram_range
+from .base import BaseEstimator, JsonObject, check_int, check_is_fitted, check_ngram_range
 from .sparse import CsrMatrix
 
 BLOCK_ORDER = (WORD, CHAR, CHAR_WB)
 
 
 @dataclass(frozen=True)
-class BlockSpec:
+class BlockSpec(JsonObject):
     """Per-block configuration: n-gram range, vocabulary cap, transformer weight."""
+
+    json_name = "block spec"
 
     ngram_range: tuple[int, int] = (1, 1)
     max_features: int | None = None
@@ -40,27 +42,6 @@ class BlockSpec:
             raise ValueError(f"max_features must be >= 1 or None, got {self.max_features}")
         if not 0.0 < self.weight <= 1.0:
             raise ValueError(f"transformer weight must be in (0, 1], got {self.weight}")
-
-    def to_dict(self) -> dict:
-        return {
-            "ngram_range": list(self.ngram_range),
-            "max_features": self.max_features,
-            "weight": self.weight,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "BlockSpec":
-        if not isinstance(payload, dict):
-            raise ValueError(f"block spec must be an object, got {type(payload).__name__}")
-        unknown = set(payload) - {"ngram_range", "max_features", "weight"}
-        if unknown:
-            raise ValueError(f"unknown block spec fields: {sorted(unknown)}")
-        lo, hi = payload.get("ngram_range", (1, 1))
-        return cls(
-            ngram_range=(lo, hi),
-            max_features=payload.get("max_features"),
-            weight=float(payload.get("weight", 1.0)),
-        )
 
 
 class TfidfBlock(BaseEstimator):

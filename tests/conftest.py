@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from lahja import make_synthetic, split_dataset
+
+# CI runs with --hypothesis-profile=ci: the same examples on every run, and no
+# per-example deadline on a shared runner.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 @pytest.fixture(scope="session")

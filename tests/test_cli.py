@@ -130,6 +130,29 @@ class TestExitCodes:
         assert "must be" in capsys.readouterr().err
         assert not out_path.exists()
 
+    def test_overflowing_config_real_is_usage_error(self, data_files, capsys):
+        root, train_path, _ = data_files
+        config_path = root / "config_inf.json"
+        config_path.write_text('{"svc": {"C": 1e999}}', encoding="utf-8")
+        out_path = root / "inf.json"
+        code = main(["train", "--train-file", str(train_path), "--config", str(config_path),
+                     "--out", str(out_path)])
+        assert code == 1
+        assert "config svc C must be a finite number, got inf" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "text", ["[" * 100_000, '{"seed": 1' + "0" * 5000 + "}"], ids=["deep", "long integer"]
+    )
+    def test_hostile_config_json_is_usage_error(self, data_files, capsys, text):
+        root, train_path, _ = data_files
+        config_path = root / "config_hostile.json"
+        config_path.write_text(text, encoding="utf-8")
+        code = main(["train", "--train-file", str(train_path), "--config", str(config_path),
+                     "--out", str(root / "hostile.json")])
+        assert code == 1
+        assert "is not valid JSON" in capsys.readouterr().err
+
     def test_unknown_preset_is_usage_error(self, data_files, capsys):
         root, train_path, _ = data_files
         code = main(["train", "--train-file", str(train_path), "--preset", "nope",

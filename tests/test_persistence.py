@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import random
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -209,6 +211,13 @@ class TestFormat:
         with pytest.raises(BundleFormatError, match="JSON"):
             loads_model(data[: len(data) // 2])
 
+    @pytest.mark.parametrize(
+        "data", [b"[" * 100_000, b'{"format_version": 1' + b"0" * 5000 + b"}"], ids=["deep", "long integer"]
+    )
+    def test_hostile_json_rejected(self, data):
+        with pytest.raises(BundleFormatError, match="JSON"):
+            loads_model(data)
+
     def test_missing_model_for_classifier_rejected(self, fitted_vote_pipeline):
         pipeline, _ = fitted_vote_pipeline
         payload = json.loads(dumps_model(pipeline))
@@ -289,6 +298,11 @@ def _set_first_leaf_dist(payload: dict) -> None:
     next(node for node in nodes if "d" in node)["d"].pop()
 
 
+def _set_first_leaf(payload: dict, value) -> None:
+    leaf = next(node for node in payload["models"]["forest"]["trees"][0] if "d" in node)
+    leaf["d"] = value(leaf["d"])
+
+
 def _set_knn_vector(payload: dict, key: str, value) -> None:
     row = next(r for r in payload["models"]["knn"]["vectors"] if len(r["i"]) >= 2)
     row[key] = value(row[key], payload)
@@ -343,6 +357,40 @@ CRAFTED = {
     "idf of 0": lambda p: p["union"]["blocks"][0]["idf"].__setitem__(0, 0.0),
     "idf negative": lambda p: p["union"]["blocks"][0]["idf"].__setitem__(0, -1.5),
     "idf below 1": lambda p: p["union"]["blocks"][0]["idf"].__setitem__(0, 0.999),
+    # Lists are typed as they load: numpy would parse strings and bools as numbers.
+    "label space a string": lambda p: p.__setitem__("label_space", "abc"),
+    "label space of integers": lambda p: p.__setitem__("label_space", [0, 1, 2]),
+    "vocabulary of integers": lambda p: p["union"]["blocks"][0].__setitem__(
+        "vocabulary", list(range(len(p["union"]["blocks"][0]["vocabulary"])))
+    ),
+    "idf a string": lambda p: p["union"]["blocks"][0]["idf"].__setitem__(0, "7"),
+    "idf a bool": lambda p: p["union"]["blocks"][0]["idf"].__setitem__(0, True),
+    "idf an integer beyond the float range": lambda p: p["union"]["blocks"][0]["idf"].__setitem__(0, 10**400),
+    "block weight a bool": lambda p: p["union"]["blocks"][0].__setitem__("weight", True),
+    "block ngram_range a number": lambda p: p["union"]["blocks"][0].__setitem__("ngram_range", 5),
+    "block ngram_range of three bounds": lambda p: p["union"]["blocks"][0].__setitem__("ngram_range", [1, 1, 1]),
+    "svc coef a string": lambda p: p["models"]["svc"]["coef"][0].__setitem__(0, "0.5"),
+    "svc coef an integer beyond the float range": lambda p: p["models"]["svc"]["coef"][0].__setitem__(0, 10**400),
+    "svc intercept a bool": lambda p: p["models"]["svc"]["intercept"].__setitem__(0, True),
+    "forest threshold a string": lambda p: _set_first_split(p, "t", lambda n, i: "0.5"),
+    "forest threshold a bool": lambda p: _set_first_split(p, "t", lambda n, i: True),
+    "forest threshold an integer beyond the float range": lambda p: _set_first_split(p, "t", lambda n, i: 10**400),
+    "forest leaf distribution of strings": lambda p: _set_first_leaf(p, lambda d: [str(v) for v in d]),
+    "forest leaf distribution with a bool": lambda p: _set_first_leaf(p, lambda d: [True, *d[1:]]),
+    "knn value a string": lambda p: _set_knn_vector(p, "v", lambda v, p: ["0.5", *v[1:]]),
+    "knn value a bool": lambda p: _set_knn_vector(p, "v", lambda v, p: [True, *v[1:]]),
+    "knn value an integer beyond the float range": lambda p: _set_knn_vector(p, "v", lambda v, p: [10**400, *v[1:]]),
+    # Model params must be the ones the config implies.
+    "knn params k unlike the config": lambda p: p["models"]["knn"]["params"].__setitem__("k", 1),
+    "svc params C unlike the config": lambda p: p["models"]["svc"]["params"].__setitem__("C", 2.0),
+    "svc params without a seed": lambda p: p["models"]["svc"]["params"].pop("seed"),
+    "forest params seed unlike the config": lambda p: p["models"]["forest"]["params"].__setitem__("seed", 4),
+    "config seed unlike the params": lambda p: p["config"].__setitem__("seed", 4),
+    "config k unlike the params": lambda p: p["config"].__setitem__("k", 1),
+    # So must the union's blocks.
+    "config ngram_range unlike the block": lambda p: p["config"]["word"].__setitem__("ngram_range", [1, 2]),
+    "config block absent from the union": lambda p: p["config"].__setitem__("char_wb", None),
+    "block weight unlike the config": lambda p: p["union"]["blocks"][1].__setitem__("weight", 0.5),
 }
 
 
@@ -407,3 +455,97 @@ class TestCraftedBundles:
         assert text.count("1.2345e+300") == 1
         with pytest.raises(BundleFormatError, match="non-finite real 1e999"):
             loads_model(text.replace("1.2345e+300", "1e999").encode("utf-8"))
+
+
+def _paths(value, prefix: tuple = ()) -> list[tuple]:
+    """The path of every value below ``value`` in a JSON tree."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    found = []
+    for key, item in items:
+        found.append((*prefix, key))
+        found.extend(_paths(item, (*prefix, key)))
+    return found
+
+
+def _perturbed(value):
+    """``value`` changed but of the same JSON type."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return -value if value else 1.0
+    if isinstance(value, str):
+        return value + "x"
+    if isinstance(value, list):
+        return value[1:] if value else [0]
+    if isinstance(value, dict):
+        return {**value, "zz": 0}
+    return 0
+
+
+# Replacement values of a retyped or NaN-ified field.
+RETYPED = [True, "x", [], None, 10**400, float("nan")]
+# A mutant that loads must load and label the probe texts within this time.
+MUTANT_SECONDS = 20.0
+
+
+@pytest.fixture(scope="module")
+def exp3_bundle():
+    """A fitted exp3-hard bundle, its value paths grouped by section, and 100 probe texts."""
+    ds = make_synthetic(3, 8, 12, 0.2, seed=11)
+    text = dumps_model(DialectPipeline(preset("exp3-hard")).fit(ds)).decode("utf-8")
+    sections: dict[tuple, list[tuple]] = {}
+    for path in _paths(json.loads(text)):
+        sections.setdefault(path[:2], []).append(path)
+    return text, list(sections.values()), random_texts(ds, 100, seed=5)
+
+
+def _timeout(signum, frame):
+    raise TimeoutError(f"mutant took longer than {MUTANT_SECONDS} s")
+
+
+class TestMutationFuzz:
+    """One field of a fitted bundle dropped, retyped, perturbed or NaN-ified:
+    the bundle is rejected as a format error, or it loads and labels text."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_mutant_is_rejected_or_predicts(self, exp3_bundle, data):
+        text, sections, probes = exp3_bundle
+        section = data.draw(st.sampled_from(sections), label="section")
+        path = data.draw(st.sampled_from(section), label="path")
+        payload = json.loads(text)
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        mutation = data.draw(st.sampled_from(["drop", "retype", "perturb"]), label="mutation")
+        if mutation == "drop":
+            del parent[path[-1]]
+        elif mutation == "retype":
+            parent[path[-1]] = data.draw(st.sampled_from(RETYPED), label="value")
+        else:
+            parent[path[-1]] = _perturbed(parent[path[-1]])
+        mutant = json.dumps(payload).encode("utf-8")
+
+        previous = signal.signal(signal.SIGALRM, _timeout)
+        signal.setitimer(signal.ITIMER_REAL, MUTANT_SECONDS)
+        start = time.perf_counter()
+        try:
+            try:
+                pipeline = loads_model(mutant)
+            except BundleFormatError:
+                return
+            labels = pipeline.predict(probes)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.perf_counter() - start < MUTANT_SECONDS
+        n_labels = len(pipeline.label_space_)
+        assert len(labels) == len(probes)
+        assert all(found and all(0 <= label < n_labels for label in found) for found in labels)

@@ -1,14 +1,99 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from lahja import (
+    DialectPipeline,
     GridSizeError,
     GridSpec,
     PRESET_NAMES,
+    PipelineConfig,
+    dumps_model,
     enumerate_grid,
+    make_synthetic,
     preset,
+    save_tsv,
 )
+from lahja.cli import main
+
+# Mistyped fields, one (reader, payload) row each. A "grid" row is read as a
+# grid file. A "config" row is read as a config file, which must exit 1 before
+# training, and merged into a fitted bundle's config, which must exit 2.
+MISTYPED = [
+    ("grid", {"n": [2.5]}),
+    ("grid", {"n": [2.0]}),
+    ("grid", {"n": [True]}),
+    ("grid", {"n": ["2"]}),
+    ("grid", {"max_features": [300.0]}),
+    ("grid", {"max_features": [False]}),
+    ("grid", {"k": 3.9}),
+    ("grid", {"k": "3"}),
+    ("grid", {"n_trees": True}),
+    ("grid", {"n_trees": 10.0}),
+    ("grid", {"seed": 1.5}),
+    ("grid", {"balanced": "false"}),
+    ("grid", {"balanced": 0}),
+    ("grid", {"balanced": None}),
+    ("grid", {"C": [True]}),
+    ("grid", {"C": ["1.0"]}),
+    ("grid", {"w1": [False]}),
+    ("grid", {"w2": ["0.5"]}),
+    ("grid", {"w3": [None]}),
+    ("grid", {"v1": [True]}),
+    ("grid", {"v2": ["0.2"]}),
+    ("grid", {"v3": [[0.1]]}),
+    ("grid", {"C": [float("inf")]}),
+    ("grid", {"C": [10**400]}),
+    ("grid", {"classifier": 1}),
+    ("grid", {"policy": {"kind": "argmax", "tau": "0.5"}}),
+    ("config", {"svc": {"balanced": "false"}}),
+    ("config", {"svc": {"balanced": 1}}),
+    ("config", {"svc": {"C": True}}),
+    ("config", {"svc": {"C": "1e999"}}),
+    ("config", {"svc": {"C": float("inf")}}),
+    ("config", {"svc": {"C": 10**400}}),
+    ("config", {"svc": {"tol": True}}),
+    ("config", {"svc": {"max_epochs": 1000.0}}),
+    ("config", {"svc": None}),
+    ("config", {"policy": {"kind": "threshold", "tau": "nan"}}),
+    ("config", {"policy": {"kind": "threshold", "tau": True}}),
+    ("config", {"policy": {"kind": "topk", "k": 1.0}}),
+    ("config", {"word": {"ngram_range": 5}}),
+    ("config", {"word": {"ngram_range": [1, 1, 1]}}),
+    ("config", {"word": {"ngram_range": [1, "2"]}}),
+    ("config", {"word": {"weight": "0.5"}}),
+    ("config", {"word": {"weight": True}}),
+    ("config", {"char": {"max_features": 50.0}}),
+    ("config", {"vote_weights": 5}),
+    ("config", {"vote_weights": [True, 1, 1]}),
+    ("config", {"vote_weights": [1, 1]}),
+    ("config", {"vote_weights": ["0.4", 0.3, 0.3]}),
+    ("config", {"k": "3"}),
+    ("config", {"seed": None}),
+    ("config", {"classifier": ["svc"]}),
+    ("config", {"forest": {"n_trees": True}}),
+]
+
+
+def merged(base: dict, edit: dict) -> dict:
+    """``base`` with ``edit`` written into it, object fields merged recursively."""
+    out = dict(base)
+    for key, value in edit.items():
+        both = isinstance(value, dict) and isinstance(base.get(key), dict)
+        out[key] = merged(base[key], value) if both else value
+    return out
+
+
+@pytest.fixture(scope="module")
+def vote_files(tmp_path_factory):
+    """A training TSV and the bundle of a voting pipeline fitted on it."""
+    root = tmp_path_factory.mktemp("typed")
+    ds = make_synthetic(3, 10, 8, 0.0, seed=2)
+    save_tsv(ds, root / "train.tsv")
+    bundle = json.loads(dumps_model(DialectPipeline(PipelineConfig(classifier="vote")).fit(ds)))
+    return root, bundle
 
 
 class TestPresets:
@@ -120,36 +205,27 @@ class TestEnumerateGrid:
         with pytest.raises(ValueError):
             GridSpec(n=())
 
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            {"n": [2.5]},
-            {"n": [2.0]},
-            {"n": [True]},
-            {"n": ["2"]},
-            {"max_features": [300.0]},
-            {"max_features": [False]},
-            {"k": 3.9},
-            {"k": "3"},
-            {"n_trees": True},
-            {"n_trees": 10.0},
-            {"seed": 1.5},
-            {"balanced": "false"},
-            {"balanced": 0},
-            {"balanced": None},
-            {"C": [True]},
-            {"C": ["1.0"]},
-            {"w1": [False]},
-            {"w2": ["0.5"]},
-            {"w3": [None]},
-            {"v1": [True]},
-            {"v2": ["0.2"]},
-            {"v3": [[0.1]]},
-        ],
-    )
-    def test_from_dict_rejects_wrong_json_types(self, payload):
-        with pytest.raises(ValueError, match="must be"):
-            GridSpec.from_dict(payload)
+    @pytest.mark.parametrize("payload", MISTYPED)
+    def test_from_dict_rejects_wrong_json_types(self, payload, vote_files, capsys):
+        reader, fields = payload
+        if reader == "grid":
+            with pytest.raises(ValueError, match="must be"):
+                GridSpec.from_dict(fields)
+            return
+        root, bundle = vote_files
+        (root / "config.json").write_text(json.dumps(fields), encoding="utf-8")
+        out = root / "never.json"
+        assert main(["train", "--train-file", str(root / "train.tsv"), "--config",
+                     str(root / "config.json"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("lahja: error: config file") and "must be" in err
+        assert not out.exists()
+
+        edited = dict(bundle, config=merged(bundle["config"], fields))
+        (root / "bundle.json").write_text(json.dumps(edited), encoding="utf-8")
+        assert main(["predict", "--model", str(root / "bundle.json"), "--in", str(root / "train.tsv"),
+                     "--out", str(root / "preds.tsv")]) == 2
+        assert capsys.readouterr().err.startswith("lahja: data error:")
 
     def test_from_dict_reads_json_numbers(self):
         spec = GridSpec.from_dict(
