@@ -95,6 +95,12 @@ def check_int(name: str, value: object) -> int:
     return value
 
 
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless ``seed`` can seed numpy's RandomState."""
+    if not 0 <= seed < 2**32:
+        raise ValueError(f"seed must be in [0, 2**32), got {seed}")
+
+
 def check_real(name: str, value: object) -> float:
     """``value`` as a float if it is a finite JSON number; a bool would count
     as 0/1 and a string would parse."""

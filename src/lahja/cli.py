@@ -69,6 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     evaluate_cmd.add_argument("--pred", required=True, help="predictions TSV from `lahja predict`")
     evaluate_cmd.add_argument("--gold", required=True, help="gold dataset TSV")
     evaluate_cmd.add_argument("--json", action="store_true", help="print the report as JSON")
+    evaluate_cmd.add_argument("--has-header", action="store_true", help="skip one header line in the gold TSV")
     evaluate_cmd.set_defaults(func=_cmd_eval)
 
     sweep = sub.add_parser("sweep", help="grid-search configurations against a dev set")
@@ -171,7 +172,7 @@ def _parse_predictions(path: str) -> dict[int, tuple[str, ...]]:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    gold = _load_dataset(args.gold)
+    gold = _load_dataset(args.gold, args.has_header)
     predictions = _parse_predictions(args.pred)
     missing = [doc.id for doc in gold.documents if doc.id not in predictions]
     if missing:

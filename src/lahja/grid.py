@@ -22,7 +22,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .base import JsonObject
+from .base import JsonObject, check_seed
 from .corpus import Dataset
 from .ensemble import DecisionPolicy
 from .metrics import MetricsReport, evaluate
@@ -103,6 +103,7 @@ class GridSpec(JsonObject):
             raise ValueError(
                 f"unknown classifier {self.classifier!r}; expected one of {CLASSIFIER_CHOICES}"
             )
+        check_seed(self.seed)
 
     def size(self) -> int:
         count = 1

@@ -9,8 +9,29 @@ import numpy as np
 from .base import BaseEstimator, check_is_fitted, check_labels
 from .sparse import CsrMatrix
 
-# Bound on the (query, training row) products and scores held at once.
-_CHUNK_BUDGET = 1 << 17
+# Bound on the values ``neighbors`` holds in one array, beyond arrays of one
+# entry per stored value of the queries and the training rows.
+_BUDGET = 1 << 18
+_U = 2.0**-53  # unit roundoff of float64
+
+# How far a fast cosine (``CsrMatrix.dot_rows``) can be from the exact one,
+# for a query with m stored values. Both dot products add the same at most m
+# nonzero products, each in some order (a column absent from either row adds
+# an exact 0.0, and a fused multiply-add rounds once). Any such sum is within
+# γ_m·S of the true dot product, where γ_m = m·u/(1 - m·u), u = 2**-53 and
+# S = Σ|q_i·t_i| ≤ ‖q‖·‖t‖ (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., eq. 3.5), so the two sums differ by at most 2γ_m·S.
+# Both are divided by the same computed denominator d, and the norms and
+# their product are each within a few roundings of the truth, so that
+# ‖q‖·‖t‖/d ≤ ρ = 1/((1 - γ_m)(1 - γ_M)(1 - u)**3) for training rows of M
+# stored values; each division adds u times a cosine of size at most
+# ρ(1 + γ_m). So |fast - exact| ≤ ρ·(2γ_m + 2u(1 + γ_m)), which is below
+# 2.1·(m + 1)·u while m·u and M·u are below 0.01, and δ = 8·(m + 4)·u
+# bounds it with room. This model of rounding holds while no product, square
+# or denominator leaves the normal range, true for stored magnitudes in
+# [2**-480, 2**480] and rows of fewer than 2**40 values; outside that range
+# every training row is scored exactly.
+_RANGE = (2.0**-480, 2.0**480)
 
 
 class KnnClassifier(BaseEstimator):
@@ -43,49 +64,54 @@ class KnnClassifier(BaseEstimator):
     ) -> "KnnClassifier":
         return cls(**params).fit(vectors, labels, n_labels)
 
-    def similarities(self, X: CsrMatrix) -> np.ndarray:
-        """(queries x training rows) cosine similarities.
-
-        Each dot product adds its terms in the query's column order.
-        """
-        check_is_fitted(self, "vectors_")
-        X.check_cols(self.vectors_.n_cols)
-        n_train = len(self.vectors_)
-        columns = self._columns
-        # Every (stored query value, training row sharing its column) pair.
-        starts = columns.indptr[X.indices]
-        count = columns.indptr[X.indices + 1] - starts
-        slots = np.repeat(starts - (np.cumsum(count) - count), count) + np.arange(count.sum())
-        keys = np.repeat(X.row_ids(), count) * n_train + columns.indices[slots]
-        products = columns.values[slots] * np.repeat(X.values, count)
-        scores = np.bincount(keys, weights=products, minlength=len(X) * n_train)
-        scores = scores.reshape(len(X), n_train)
-        denominators = X.row_norms()[:, None] * self.norms_
-        sims = np.zeros(scores.shape, dtype=np.float64)
-        np.divide(scores, denominators, out=sims, where=denominators > 0.0)
-        return sims
-
     def neighbors(self, X: CsrMatrix) -> np.ndarray:
         """(queries x k) training ids of the most similar rows, best first.
 
-        Queries go through ``similarities`` in chunks of bounded size.
+        A similarity is the dot product, summed one of the query's columns
+        after another, over the product of the two row norms (0 where that
+        is 0). ``CsrMatrix.dot_rows`` gives each query its candidates, and
+        only these are scored in that order. Queries go in chunks of at most
+        ``_BUDGET`` similarities.
         """
         check_is_fitted(self, "vectors_")
         X.check_cols(self.vectors_.n_cols)
-        columns = self._columns
-        count = columns.indptr[X.indices + 1] - columns.indptr[X.indices]
-        # Cost of the queries before each: their pairs plus their score rows.
-        before = np.concatenate(([0], np.cumsum(count)))[X.indptr]
-        before += len(self.vectors_) * np.arange(len(X) + 1)
+        rows = max(1, _BUDGET // len(self.vectors_))
+        in_range = _in_range(self.vectors_.values)
         tops = [np.zeros((0, self.k), dtype=np.int64)]
-        lo = 0
-        while lo < len(X):
-            hi = int(np.searchsorted(before, before[lo] + _CHUNK_BUDGET, "right")) - 1
-            hi = min(len(X), max(lo + 1, hi))
-            sims = self.similarities(X.take(np.arange(lo, hi)))
-            tops.append(np.argsort(-sims, axis=1, kind="stable")[:, : self.k])
-            lo = hi
+        for lo in range(0, len(X), rows):
+            tops.append(self._top(X.take(np.arange(lo, min(lo + rows, len(X)))), in_range))
         return np.concatenate(tops)
+
+    def _top(self, X: CsrMatrix, in_range: bool) -> np.ndarray:
+        """``neighbors`` of one chunk; every training row is a candidate
+        unless the stored values of both sides are within ``_RANGE``."""
+        k, n_train = self.k, len(self.vectors_)
+        denominators = X.row_norms()[:, None] * self.norms_
+        if in_range and _in_range(X.values):
+            sims = _cosines(X.dot_rows(self._columns, _BUDGET), denominators)
+            # The k + 1 best fast cosines of each query, best first.
+            top = np.argpartition(-sims, min(k, n_train - 1), axis=1)[:, : k + 1]
+            best = np.take_along_axis(sims, top, axis=1)
+            order = np.argsort(-best, axis=1)
+            top, best = np.take_along_axis(top, order, axis=1), np.take_along_axis(best, order, axis=1)
+            delta = 8.0 * (np.diff(X.indptr) + 4) * _U
+            # Fast cosines more than 2δ apart rank as the exact ones do, so a
+            # query whose k + 1 best are that far apart has its top k.
+            close = np.flatnonzero(np.any(best[:, :-1] - best[:, 1:] <= 2.0 * delta[:, None], axis=1))
+            # Every row of the exact top k is within 2δ of the k-th best fast cosine.
+            candidates = sims[close] >= (best[close, k - 1] - 2.0 * delta[close])[:, None]
+            top = top[:, :k]
+        else:
+            close = np.arange(len(X))
+            candidates = np.ones((len(X), n_train), dtype=bool)
+            top = np.zeros((len(X), k), dtype=np.int64)
+        queries, train = np.nonzero(candidates)
+        queries = close[queries]
+        exact = _cosines(X.dot_pairs(self.vectors_, queries, train, _BUDGET), denominators[queries, train])
+        ranked = np.lexsort((train, -exact, queries))
+        first = np.searchsorted(queries[ranked], close)
+        top[close] = train[ranked][first[:, None] + np.arange(k)]
+        return top
 
     def predict(self, X: CsrMatrix) -> np.ndarray:
         top_labels = self.labels_[self.neighbors(X)]
@@ -99,3 +125,14 @@ class KnnClassifier(BaseEstimator):
         votes = np.take_along_axis(counts, top_labels, axis=1)
         first = np.argmax(votes == votes.max(axis=1, keepdims=True), axis=1)
         return top_labels[np.arange(n), first]
+
+
+def _cosines(dots: np.ndarray, denominators: np.ndarray) -> np.ndarray:
+    sims = np.zeros(dots.shape, dtype=np.float64)
+    np.divide(dots, denominators, out=sims, where=denominators > 0.0)
+    return sims
+
+
+def _in_range(values: np.ndarray) -> bool:
+    magnitudes = np.abs(values)
+    return not magnitudes.size or (_RANGE[0] <= magnitudes.min() and magnitudes.max() <= _RANGE[1])

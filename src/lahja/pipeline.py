@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import BaseEstimator, JsonObject, check_is_fitted
+from .base import BaseEstimator, JsonObject, check_is_fitted, check_seed
 from .corpus import Dataset
 from .ensemble import CLASSIFIER_ORDER, DecisionPolicy, decide_labels, weighted_hard_vote
 from .forest import RandomForest
@@ -86,6 +86,7 @@ class PipelineConfig(JsonObject):
             raise ValueError(f"k must be >= 1, got {self.k}")
         if len(self.vote_weights) != 3 or any(not w > 0 for w in self.vote_weights):
             raise ValueError("vote_weights must be three positive reals")
+        check_seed(self.seed)
         if self.classifier != "svc" and self.policy.kind != "argmax":
             raise ValueError(
                 f"policy {self.policy.kind!r} needs per-label scores; "

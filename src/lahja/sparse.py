@@ -12,6 +12,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+# ``dot_rows`` multiplies a column of B densely when more than this share of
+# B's rows store it.
+DENSE_SHARE = 0.02
+
 
 class CsrMatrix:
     """Immutable CSR matrix with ``n_cols`` columns and ``len(indptr) - 1`` rows."""
@@ -137,3 +141,79 @@ class CsrMatrix:
             values = self.values[self.indptr[r] : self.indptr[r + 1]]
             norms[r] = np.sqrt(values @ values)
         return norms
+
+    def dot_rows(self, columns: "CsrMatrix", budget: int) -> np.ndarray:
+        """A·Bᵀ as a dense (len(A) x len(B)) array, A being this matrix and
+        ``columns`` B's CSC form, ``B.transpose()``.
+
+        Columns stored in more than ``DENSE_SHARE`` of B's rows are multiplied
+        by BLAS, in slabs of columns whose dense blocks of A and B together
+        hold at most ``budget`` values. The other columns are summed pair by
+        pair with np.bincount, at most ``budget`` pairs at a time. The split
+        depends on B alone. The two parts add in different orders, so a
+        product can differ from any one sequential sum in its last bits.
+        """
+        self.check_cols(len(columns))
+        n_rows, n_other = len(self), columns.n_cols
+        counts = np.diff(columns.indptr)
+        frequent = counts > DENSE_SHARE * n_other
+        rows = self.row_ids()
+        out = np.zeros((n_rows, n_other), dtype=np.float64)
+
+        dense_cols = np.flatnonzero(frequent)
+        slot = np.cumsum(frequent) - 1  # a frequent column's place among them
+        at = np.flatnonzero(frequent[self.indices])
+        at_slot = slot[self.indices[at]]
+        width = max(1, budget // max(1, n_rows + n_other))
+        for lo in range(0, dense_cols.size, width):
+            hi = min(lo + width, dense_cols.size)
+            mine = (at_slot >= lo) & (at_slot < hi)
+            block = np.zeros((n_rows, hi - lo), dtype=np.float64)
+            block[rows[at[mine]], at_slot[mine] - lo] = self.values[at[mine]]
+            src, lengths = columns.entries(dense_cols[lo:hi])
+            other = np.zeros((hi - lo, n_other), dtype=np.float64)
+            other[np.repeat(np.arange(hi - lo), lengths), columns.indices[src]] = columns.values[src]
+            out += block @ other
+
+        rare = np.flatnonzero(~frequent[self.indices])
+        flat = out.reshape(-1)
+        for lo, hi in _spans(counts[self.indices[rare]], budget):
+            part = rare[lo:hi]
+            src, lengths = columns.entries(self.indices[part])
+            keys = np.repeat(rows[part] * n_other, lengths) + columns.indices[src]
+            products = columns.values[src] * np.repeat(self.values[part], lengths)
+            flat += np.bincount(keys, weights=products, minlength=flat.size)
+        return out
+
+    def dot_pairs(self, other: "CsrMatrix", rows: np.ndarray, other_rows: np.ndarray, budget: int) -> np.ndarray:
+        """Dot product of row ``rows[i]`` of this matrix with row
+        ``other_rows[i]`` of ``other``, for each i.
+
+        Each sum starts at 0.0 and adds ``other``'s value times this row's
+        value, one of this row's columns after another, as np.bincount adds
+        them. A column ``other`` lacks adds ±0.0, which leaves the sum as it
+        was: a sum that starts at +0.0 never becomes -0.0. At most ``budget``
+        products are held at a time, or one pair's if it alone has more.
+        """
+        self.check_cols(other.n_cols)
+        rows = np.asarray(rows, dtype=np.int64)
+        other_rows = np.asarray(other_rows, dtype=np.int64)
+        out = np.empty(rows.size, dtype=np.float64)
+        for lo, hi in _spans(np.diff(self.indptr)[rows], budget):
+            src, lengths = self.entries(rows[lo:hi])
+            found = other.lookup(np.repeat(other_rows[lo:hi], lengths), self.indices[src])
+            pair = np.repeat(np.arange(hi - lo), lengths)
+            out[lo:hi] = np.bincount(pair, weights=found * self.values[src], minlength=hi - lo)
+        return out
+
+
+def _spans(costs: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
+    """Consecutive [lo, hi) runs of items whose costs add up to at most
+    ``budget``; an item that costs more is a run of its own."""
+    ends = np.cumsum(costs)
+    lo = 0
+    while lo < ends.size:
+        spent = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, spent + budget, "right")))
+        yield lo, hi
+        lo = hi

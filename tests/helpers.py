@@ -33,6 +33,57 @@ def pairs(matrix: CsrMatrix, row: int = 0) -> list[tuple[int, float]]:
     return list(zip(indices.tolist(), values.tolist()))
 
 
+# ``KnnClassifier.neighbors``' bound on the pairs and scores of one chunk.
+_REFERENCE_CHUNK_BUDGET = 1 << 17
+
+
+def reference_similarities(model, X: CsrMatrix) -> np.ndarray:
+    """(queries x training rows) cosine similarities of a fitted
+    ``KnnClassifier``, as ``KnnClassifier.similarities`` computed them before
+    neighbors came from ``CsrMatrix.dot_rows``.
+
+    Each dot product adds its terms in the query's column order.
+    """
+    X.check_cols(model.vectors_.n_cols)
+    n_train = len(model.vectors_)
+    columns = model._columns
+    # Every (stored query value, training row sharing its column) pair.
+    starts = columns.indptr[X.indices]
+    count = columns.indptr[X.indices + 1] - starts
+    slots = np.repeat(starts - (np.cumsum(count) - count), count) + np.arange(count.sum())
+    keys = np.repeat(X.row_ids(), count) * n_train + columns.indices[slots]
+    products = columns.values[slots] * np.repeat(X.values, count)
+    scores = np.bincount(keys, weights=products, minlength=len(X) * n_train)
+    scores = scores.reshape(len(X), n_train)
+    denominators = X.row_norms()[:, None] * model.norms_
+    sims = np.zeros(scores.shape, dtype=np.float64)
+    np.divide(scores, denominators, out=sims, where=denominators > 0.0)
+    return sims
+
+
+def reference_neighbors(model, X: CsrMatrix) -> np.ndarray:
+    """(queries x k) training ids of the most similar rows, best first, as
+    ``KnnClassifier.neighbors`` found them from ``reference_similarities``.
+
+    Queries go through ``reference_similarities`` in chunks of bounded size.
+    """
+    X.check_cols(model.vectors_.n_cols)
+    columns = model._columns
+    count = columns.indptr[X.indices + 1] - columns.indptr[X.indices]
+    # Cost of the queries before each: their pairs plus their score rows.
+    before = np.concatenate(([0], np.cumsum(count)))[X.indptr]
+    before += len(model.vectors_) * np.arange(len(X) + 1)
+    tops = [np.zeros((0, model.k), dtype=np.int64)]
+    lo = 0
+    while lo < len(X):
+        hi = int(np.searchsorted(before, before[lo] + _REFERENCE_CHUNK_BUDGET, "right")) - 1
+        hi = min(len(X), max(lo + 1, hi))
+        sims = reference_similarities(model, X.take(np.arange(lo, hi)))
+        tops.append(np.argsort(-sims, axis=1, kind="stable")[:, : model.k])
+        lo = hi
+    return np.concatenate(tops)
+
+
 def reference_svc_fit(X, y, n_labels, n_features, C=1.0, balanced=False, tol=1e-4,
                       max_epochs=1000, seed=0):
     """Per-sample one-vs-rest fit as ``LinearSvc.fit`` ran before samples were

@@ -55,7 +55,7 @@ class TestNotFitted:
 
     def test_knn_predict_before_fit(self):
         with pytest.raises(NotFittedError):
-            KnnClassifier().similarities(csr([[1.0]]))
+            KnnClassifier().neighbors(csr([[1.0]]))
 
 
 class TestWorkerCount:

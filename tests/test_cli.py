@@ -52,6 +52,23 @@ def test_eval_json_output(data_files, capsys):
     assert set(payload) >= {"precision", "recall", "f1", "macro_f1", "n_samples"}
 
 
+def test_eval_skips_a_gold_header_line(data_files, tmp_path, capsys):
+    root, train_path, dev_path = data_files
+    model_path = tmp_path / "model.json"
+    preds_path = tmp_path / "preds.tsv"
+    main(["train", "--train-file", str(train_path), "--preset", "baseline", "--out", str(model_path)])
+    main(["predict", "--model", str(model_path), "--in", str(dev_path), "--out", str(preds_path)])
+    capsys.readouterr()
+    assert main(["eval", "--pred", str(preds_path), "--gold", str(dev_path), "--json"]) == 0
+    plain = capsys.readouterr().out
+    headed = tmp_path / "dev_header.tsv"
+    headed.write_bytes(b"text\tlabels\n" + dev_path.read_bytes())
+    assert main(["eval", "--pred", str(preds_path), "--gold", str(headed), "--json", "--has-header"]) == 0
+    assert capsys.readouterr().out == plain
+    # Without the flag the header is a document with no prediction.
+    assert main(["eval", "--pred", str(preds_path), "--gold", str(headed), "--json"]) == 2
+
+
 def test_train_with_config_file(data_files):
     root, train_path, _ = data_files
     config_path = root / "config.json"

@@ -391,6 +391,10 @@ CRAFTED = {
     "config ngram_range unlike the block": lambda p: p["config"]["word"].__setitem__("ngram_range", [1, 2]),
     "config block absent from the union": lambda p: p["config"].__setitem__("char_wb", None),
     "block weight unlike the config": lambda p: p["union"]["blocks"][1].__setitem__("weight", 0.5),
+    "config and params seed negative": lambda p: [
+        section.__setitem__("seed", -1)
+        for section in (p["config"], p["models"]["svc"]["params"], p["models"]["forest"]["params"])
+    ],
 }
 
 

@@ -74,6 +74,11 @@ MISTYPED = [
     ("config", {"seed": None}),
     ("config", {"classifier": ["svc"]}),
     ("config", {"forest": {"n_trees": True}}),
+    # A seed numpy's RandomState cannot take used to fail only once training began.
+    ("grid", {"seed": -1}),
+    ("grid", {"seed": 2**40}),
+    ("config", {"seed": -1}),
+    ("config", {"seed": 2**32}),
 ]
 
 

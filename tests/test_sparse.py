@@ -16,10 +16,10 @@ sparse = pytest.importorskip("scipy.sparse")
 
 
 @st.composite
-def dense_matrices(draw, max_rows: int = 6, max_cols: int = 7):
+def dense_matrices(draw, max_rows: int = 6, max_cols: int = 7, n_cols: int | None = None, min_rows: int = 0):
     """Small dense arrays, about half zeros, as lists of rows."""
-    n_rows = draw(st.integers(0, max_rows))
-    n_cols = draw(st.integers(1, max_cols))
+    n_rows = draw(st.integers(min_rows, max_rows))
+    n_cols = draw(st.integers(1, max_cols)) if n_cols is None else n_cols
     cell = st.sampled_from([0.0, 0.0, 0.0, 1.0, -2.5, 0.375, 7.0])
     return draw(st.lists(st.lists(cell, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows)), n_cols
 
@@ -190,3 +190,68 @@ def test_lookup_matches_scipy(case, data):
     r = np.array(data.draw(st.lists(st.integers(0, len(matrix) - 1), min_size=1, max_size=12)))
     c = np.array(data.draw(st.lists(st.integers(0, n_cols - 1), min_size=r.size, max_size=r.size)))
     np.testing.assert_array_equal(matrix.lookup(r, c), as_scipy(matrix).toarray()[r, c])
+
+
+def dot_rows_oracle(a: CsrMatrix, b: CsrMatrix) -> np.ndarray:
+    return (as_scipy(a) @ as_scipy(b).T).toarray()
+
+
+@given(dense_matrices(), st.data(), st.sampled_from([1, 5, 40, 1 << 18]), st.sampled_from([0.0, 0.3, 1.0]))
+def test_dot_rows_matches_scipy(case, data, budget, share):
+    rows, n_cols = case
+    a = csr(rows, n_cols)
+    b = csr(data.draw(dense_matrices(max_rows=8, n_cols=n_cols))[0], n_cols)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("lahja.sparse.DENSE_SHARE", share)
+        got = a.dot_rows(b.transpose(), budget)
+    assert got.shape == (len(a), len(b))
+    np.testing.assert_allclose(got, dot_rows_oracle(a, b), rtol=1e-12, atol=0.0)
+
+
+def _spread(n_rows: int, n_cols: int, per_col: int, seed: int) -> np.ndarray:
+    """n_rows x n_cols array whose every column stores ``per_col`` values."""
+    rng = np.random.RandomState(seed)
+    dense = np.zeros((n_rows, n_cols))
+    for c in range(n_cols):
+        dense[rng.choice(n_rows, per_col, replace=False), c] = rng.rand(per_col) - 0.3
+    return dense
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # every column of B stored in every row: all through BLAS
+        (np.random.RandomState(1).rand(7, 30) - 0.5, np.random.RandomState(2).rand(60, 30) + 0.1),
+        # every column of B stored in 1 of 100 rows: all pair by pair
+        (_spread(9, 40, 5, 3), _spread(100, 40, 1, 4)),
+        # both kinds: 2 of 100 rows is 2%, not more, so those columns go pair by pair
+        (_spread(9, 40, 5, 5), np.hstack([_spread(100, 20, 2, 6), _spread(100, 20, 3, 7)])),
+        # no rows of A, no stored values of A, no stored values of B
+        (np.zeros((0, 4)), np.ones((3, 4))),
+        (np.zeros((5, 4)), np.ones((3, 4))),
+        (np.ones((5, 4)), np.zeros((3, 4))),
+    ],
+    ids=["dense", "sparse", "mixed", "no-rows", "empty-a", "empty-b"],
+)
+@pytest.mark.parametrize("budget", [1, 37, 1 << 18])
+def test_dot_rows_dense_sparse_and_empty(a, b, budget):
+    a, b = csr(a, a.shape[1]), csr(b, b.shape[1])
+    np.testing.assert_allclose(a.dot_rows(b.transpose(), budget), dot_rows_oracle(a, b), rtol=1e-12, atol=0.0)
+
+
+@given(dense_matrices(), st.data(), st.sampled_from([1, 3, 1 << 18]))
+def test_dot_pairs_sum_in_row_column_order(case, data, budget):
+    rows, n_cols = case
+    a = csr(rows, n_cols)
+    b = csr(data.draw(dense_matrices(max_rows=5, n_cols=n_cols, min_rows=1))[0], n_cols)
+    a_rows = np.array(data.draw(st.lists(st.integers(0, len(a) - 1), max_size=12)) if len(a) else [], dtype=np.int64)
+    b_rows = np.array(data.draw(st.lists(st.integers(0, len(b) - 1), min_size=a_rows.size, max_size=a_rows.size)),
+                      dtype=np.int64)
+    got = a.dot_pairs(b, a_rows, b_rows, budget)
+    dense_b = as_scipy(b).toarray()
+    for i, (r, s) in enumerate(zip(a_rows, b_rows)):
+        total = 0.0
+        for column, value in zip(*a.row(r)):
+            if dense_b[s, column] != 0.0:
+                total += float(dense_b[s, column]) * float(value)
+        assert got[i].tobytes() == np.float64(total).tobytes()
