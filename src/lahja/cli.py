@@ -1,7 +1,8 @@
 """Command-line interface: train, predict, eval and sweep over TSV datasets.
 
 Exit codes: 0 on success, 1 for usage errors (bad flags, unknown preset,
-malformed config/grid schema, grid size over the cap), 2 for data errors
+malformed config/grid schema, grid size over the cap, an unwritable
+``--out``), 2 for data errors
 (unreadable or malformed TSV/model files, training sets the classifiers
 cannot fit).
 """
@@ -9,21 +10,25 @@ cannot fit).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TypeVar
 
+from .base import JsonObject
 from .corpus import Dataset, LabelSpace, TsvFormatError, merge_label_spaces, parse_tsv, split_labels, tsv_rows
 from .grid import DEFAULT_MAX_CONFIGS, GridSizeError, GridSpec, run_sweep, write_sweep_tsv
 from .metrics import evaluate
-from .persistence import BundleFormatError, load_model, save_model
+from .persistence import BundleFormatError, dumps_model, loads_model
 from .pipeline import DialectPipeline, PipelineConfig
 from .presets import PRESET_NAMES, preset
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
+
+T = TypeVar("T", bound=JsonObject)
 
 
 class UsageError(Exception):
@@ -94,6 +99,26 @@ def _read_bytes(path: str, what: str) -> bytes:
         raise DataError(f"cannot read {what} {path!r}: {exc}") from exc
 
 
+def _write_bytes(path: str, what: str, data: bytes) -> None:
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise UsageError(f"cannot write {what} {path!r}: {exc}") from exc
+
+
+def _read_json_file(path: str, what: str, cls: type[T]) -> T:
+    """``cls`` read from the JSON file at ``path``; a schema error is a usage error."""
+    raw = _read_bytes(path, what)
+    try:
+        payload = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # also an over-long integer or too deep nesting
+        raise UsageError(f"{what} {path!r} is not valid JSON: {exc}") from exc
+    try:
+        return cls.from_dict(payload)
+    except ValueError as exc:
+        raise UsageError(f"{what} {path!r}: {exc}") from exc
+
+
 def _load_dataset(path: str, has_header: bool = False) -> Dataset:
     data = _read_bytes(path, "TSV file")
     try:
@@ -108,15 +133,7 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
             return preset(args.preset)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-    raw = _read_bytes(args.config, "config file")
-    try:
-        payload = json.loads(raw.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # also an over-long integer or too deep nesting
-        raise UsageError(f"config file {args.config!r} is not valid JSON: {exc}") from exc
-    try:
-        return PipelineConfig.from_dict(payload)
-    except ValueError as exc:
-        raise UsageError(f"config file {args.config!r}: {exc}") from exc
+    return _read_json_file(args.config, "config file", PipelineConfig)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -126,7 +143,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         pipeline = DialectPipeline(config).fit(dataset)
     except ValueError as exc:
         raise DataError(f"training failed: {exc}") from exc
-    save_model(pipeline, args.out)
+    _write_bytes(args.out, "model bundle", dumps_model(pipeline))
     print(
         f"trained {config.classifier} pipeline on {len(dataset)} documents, "
         f"{len(dataset.label_space)} labels, {pipeline.union_.n_features_} features -> {args.out}"
@@ -136,18 +153,16 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     try:
-        pipeline = load_model(args.model)
+        pipeline = loads_model(_read_bytes(args.model, "model"))
     except BundleFormatError as exc:
         raise DataError(f"{args.model}: {exc}") from exc
-    except OSError as exc:
-        raise DataError(f"cannot read model {args.model!r}: {exc}") from exc
     dataset = _load_dataset(args.input, args.has_header)
     names = pipeline.label_space_.names
     lines = [
         f"{doc.id}\t{','.join(names[i] for i in sorted(labels))}\n"
         for doc, labels in zip(dataset.documents, pipeline.predict(dataset.texts()))
     ]
-    Path(args.out).write_text("".join(lines), encoding="utf-8")
+    _write_bytes(args.out, "predictions file", "".join(lines).encode("utf-8"))
     print(f"predicted {len(dataset)} documents -> {args.out}")
     return EXIT_OK
 
@@ -204,15 +219,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    raw = _read_bytes(args.grid, "grid file")
-    try:
-        payload = json.loads(raw.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # also an over-long integer or too deep nesting
-        raise UsageError(f"grid file {args.grid!r} is not valid JSON: {exc}") from exc
-    try:
-        spec = GridSpec.from_dict(payload)
-    except ValueError as exc:
-        raise UsageError(f"grid file {args.grid!r}: {exc}") from exc
+    spec = _read_json_file(args.grid, "grid file", GridSpec)
     train = _load_dataset(args.train_file)
     dev = _load_dataset(args.dev_file)
     train, dev = merge_label_spaces(train, dev)
@@ -222,7 +229,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from exc
     except ValueError as exc:
         raise DataError(f"sweep failed: {exc}") from exc
-    write_sweep_tsv(results, args.out)
+    out = io.StringIO()
+    write_sweep_tsv(results, out)
+    _write_bytes(args.out, "sweep results", out.getvalue().encode("utf-8"))
     best_config, best_report = results[0]
     print(f"swept {len(results)} configurations -> {args.out}")
     print(f"best f1={best_report.f1:.6f} config={best_config.canonical_json()}")

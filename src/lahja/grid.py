@@ -3,9 +3,10 @@
 A :class:`GridSpec` holds one candidate list per tunable field; the sweep
 runs the full Cartesian product with the declared field order (``n`` varies
 slowest, ``v3`` fastest). Classifier choice and other non-swept settings are
-fixed scalar fields. The sweep fits each distinct TF-IDF block and each
-distinct model once and re-votes per vote-weight triple (see
-:func:`run_sweep`). Sweep workers can run in separate processes — the
+fixed scalar fields. The sweep fits each distinct TF-IDF block once, stacks
+each config's union from the block matrices with that config's transformer
+weights, fits each distinct model once and re-votes per vote-weight triple
+(see :func:`run_sweep`). Sweep workers can run in separate processes — the
 ``LAHJA_THREADS`` environment variable caps the worker count (default 1) —
 and results are merged in config order, so output is independent of
 scheduling.
@@ -37,7 +38,7 @@ from .pipeline import (  # noqa: F401  (perfbench/tracing.py wraps lahja.grid.ru
     run_pipeline,
 )
 from .sparse import CsrMatrix
-from .vectorizer import BLOCK_ORDER, BlockSpec, TfidfBlock
+from .vectorizer import BLOCK_ORDER, BlockSpec, TfidfBlock, TfidfUnion
 
 DEFAULT_MAX_CONFIGS = 10_000
 
@@ -157,10 +158,10 @@ def run_sweep(
     """Run every grid configuration and sort results by f1 descending.
 
     Each report equals ``run_pipeline(train, dev, config)``, but the work is
-    shared in three stages. Each distinct TF-IDF block is fitted once at
-    weight 1.0 and transforms dev once; a config's union scales the blocks
-    by its weights, which gives the same bits as fitting at that weight.
-    Each model group (a config with its vote weights set aside) is fitted
+    shared in three stages. Each distinct TF-IDF block (its analyzer, n-gram
+    range and cap) is fitted once and transforms dev once. Each model group
+    (a config with its vote weights set aside) stacks its union from those
+    matrices with ``TfidfUnion.stack``, as ``transform`` does, is fitted
     once and predicts dev once; a voting group keeps its component votes.
     Each config is then scored from its group's output, re-voted with its
     own weights. Ties order by the config's canonical JSON serialization.
@@ -175,7 +176,7 @@ def run_sweep(
             "train and eval label spaces differ; align them first (see corpus.merge_label_spaces)"
         )
     groups = list(dict.fromkeys(_model_group(config) for config in configs))
-    block_keys = list(dict.fromkeys(key for group in groups for key, _ in _block_slots(group)))
+    block_keys = list(dict.fromkeys(key for group in groups for key in _block_keys(group)))
     if workers is None:
         workers = _worker_count()
     workers = min(max(1, workers), max(len(block_keys), len(groups)))
@@ -191,7 +192,7 @@ def run_sweep(
             mapper = stack.enter_context(ProcessPoolExecutor(workers, mp_context=spawn)).map
         fitted = mapper(_fit_block, block_keys, itertools.repeat(train_texts), itertools.repeat(dev_texts))
         blocks = dict(zip(block_keys, fitted))
-        parts = [[blocks[key] for key, _ in _block_slots(group)] for group in groups]
+        parts = [[blocks[key] for key in _block_keys(group)] for group in groups]
         outputs = dict(zip(groups, mapper(_fit_group, groups, parts, itertools.repeat(train))))
     golds = dev.label_sets()
     n_labels = len(train.label_space)
@@ -213,11 +214,11 @@ def _model_group(config: PipelineConfig) -> PipelineConfig:
     return replace(config, vote_weights=(1.0, 1.0, 1.0))
 
 
-def _block_slots(config: PipelineConfig) -> list[tuple[BlockKey, float]]:
-    """(block key, transformer weight) of each enabled block, in union order."""
+def _block_keys(config: PipelineConfig) -> list[BlockKey]:
+    """The key of each enabled block, in union order."""
     specs = (config.word, config.char, config.char_wb)
     return [
-        ((kind, spec.ngram_range, spec.max_features), spec.weight)
+        (kind, spec.ngram_range, spec.max_features)
         for kind, spec in zip(BLOCK_ORDER, specs)
         if spec is not None
     ]
@@ -226,8 +227,8 @@ def _block_slots(config: PipelineConfig) -> list[tuple[BlockKey, float]]:
 def _fit_block(
     key: BlockKey, train_texts: list[str], dev_texts: list[str]
 ) -> tuple[CsrMatrix, CsrMatrix]:
-    """The train and dev matrices of one block fitted on train at weight 1.0."""
-    block = TfidfBlock(*key, weight=1.0)
+    """The train and dev matrices of one block fitted on train."""
+    block = TfidfBlock(*key)
     return block.fit_transform(train_texts), block.transform(dev_texts)
 
 
@@ -236,23 +237,12 @@ def _fit_group(
 ) -> list[frozenset[int]] | np.ndarray:
     """Fit one model group on the train matrices of its blocks and predict the
     dev ones: the dev label sets, or for a voting group its component votes."""
-    weights = [weight for _, weight in _block_slots(group)]
-    train_X, dev_X = (_union([pair[side] for pair in parts], weights) for side in (0, 1))
+    union = TfidfUnion(group.word, group.char, group.char_wb)
+    train_X, dev_X = (union.stack([pair[side] for pair in parts]) for side in (0, 1))
     pipeline = DialectPipeline(group).fit_matrix(train_X, train)
     if group.classifier == "vote":
         return pipeline.component_votes(dev_X)
     return pipeline.predict_matrix(dev_X)
-
-
-def _union(blocks: list[CsrMatrix], weights: list[float]) -> CsrMatrix:
-    """Weight-1.0 block matrices scaled by their weights, side by side. Their
-    values are v / |v|, so v / |v| * w has the bits of fitting at weight w."""
-    offsets = [0, *itertools.accumulate(block.n_cols for block in blocks)]
-    scaled = [
-        CsrMatrix(block.indptr, block.indices, block.values * weight, block.n_cols)
-        for block, weight in zip(blocks, weights)
-    ]
-    return CsrMatrix.hstack(scaled, offsets[:-1], offsets[-1])
 
 
 def write_sweep_tsv(

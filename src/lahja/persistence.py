@@ -111,14 +111,14 @@ def dumps_canonical(payload: dict) -> bytes:
     return "".join(out).encode("utf-8")
 
 
-def _block_payload(block: TfidfBlock | None) -> dict | None:
+def _block_payload(block: TfidfBlock | None, spec: BlockSpec | None) -> dict | None:
     if block is None:
         return None
     return {
         "analyzer": block.analyzer,
-        "ngram_range": [int(block.ngram_range[0]), int(block.ngram_range[1])],
-        "max_features": block.max_features,
-        "weight": float(block.weight),
+        "ngram_range": [int(spec.ngram_range[0]), int(spec.ngram_range[1])],
+        "max_features": spec.max_features,
+        "weight": float(spec.weight),
         "vocabulary": block.feature_names(),
         "idf": block.idf_.tolist(),
     }
@@ -154,8 +154,10 @@ def _knn_payload(model: KnnClassifier, params: dict) -> dict:
 
 
 def bundle_to_dict(pipeline: DialectPipeline) -> dict:
-    if getattr(pipeline, "union_", None) is None:
+    union = getattr(pipeline, "union_", None)
+    if union is None:
         raise ValueError("cannot save an unfitted pipeline")
+    specs = (union.word, union.char, union.char_wb)
     # The models were built from these, and the loader checks them against the config.
     params = pipeline.config.model_params()
     models: dict = {}
@@ -169,7 +171,7 @@ def bundle_to_dict(pipeline: DialectPipeline) -> dict:
         "format_version": FORMAT_VERSION,
         "config": pipeline.config.to_dict(),
         "label_space": list(pipeline.label_space_.names),
-        "union": {"blocks": [_block_payload(block) for block in pipeline.union_.blocks_]},
+        "union": {"blocks": list(map(_block_payload, union.blocks_, specs))},
         "models": models,
     }
 
@@ -188,7 +190,12 @@ def _require(payload: dict, key: str, context: str) -> object:
     return payload[key]
 
 
-def _load_block(payload: dict | None, kind: str) -> TfidfBlock | None:
+def _load_block(payload: dict | None, kind: str, spec: BlockSpec | None) -> TfidfBlock | None:
+    """The fitted block of one union slot, whose payload must repeat the
+    config's ``spec`` of that slot; None for a disabled slot."""
+    if (payload is None) != (spec is None):
+        side = "the config" if payload is None else "the union"
+        raise BundleFormatError(f"{kind} block is enabled in {side} only")
     if payload is None:
         return None
     where = f"{kind} block"
@@ -198,15 +205,16 @@ def _load_block(payload: dict | None, kind: str) -> TfidfBlock | None:
     for name in ("ngram_range", "weight", "vocabulary", "idf"):
         _require(payload, name, where)
     try:
-        spec = BlockSpec.from_dict(
+        found = BlockSpec.from_dict(
             {name: payload[name] for name in ("ngram_range", "max_features", "weight") if name in payload},
             "block",
         )
+        if found != spec:
+            raise ValueError(f"{found} differs from the config's {spec}")
         return TfidfBlock.from_fitted(
             analyzer=kind,
             ngram_range=spec.ngram_range,
             max_features=spec.max_features,
-            weight=spec.weight,
             feature_names=check_list("vocabulary", payload["vocabulary"], str),
             idf=check_reals("idf", payload["idf"]),
         )
@@ -247,10 +255,8 @@ def pipeline_from_dict(payload: dict) -> DialectPipeline:
     blocks_payload = _require(union_payload, "blocks", "union")
     if not isinstance(blocks_payload, list) or len(blocks_payload) != 3:
         raise BundleFormatError("union must hold exactly 3 block slots")
-    blocks = [_load_block(block, kind) for block, kind in zip(blocks_payload, BLOCK_ORDER)]
-    union = TfidfUnion.from_fitted_blocks(blocks)
-    if (union.word, union.char, union.char_wb) != (config.word, config.char, config.char_wb):
-        raise BundleFormatError("union blocks differ from the block specs of the config")
+    specs = (config.word, config.char, config.char_wb)
+    union = TfidfUnion.from_fitted(specs, list(map(_load_block, blocks_payload, BLOCK_ORDER, specs)))
 
     models = _require(payload, "models", "root")
     if not isinstance(models, dict):

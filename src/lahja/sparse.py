@@ -60,22 +60,25 @@ class CsrMatrix:
         return CsrMatrix, (self.indptr, self.indices, self.values, self.n_cols)
 
     @classmethod
-    def hstack(cls, blocks: Sequence["CsrMatrix"], offsets: Sequence[int], n_cols: int) -> "CsrMatrix":
-        """Blocks of equal row count side by side, block b's columns shifted by ``offsets[b]``."""
+    def hstack(
+        cls, blocks: Sequence["CsrMatrix"], offsets: Sequence[int], scales: Sequence[float], n_cols: int
+    ) -> "CsrMatrix":
+        """Blocks of equal row count side by side, block b's columns shifted by
+        ``offsets[b]`` and its values multiplied by ``scales[b]``."""
         n_rows = len(blocks[0])
-        if any(len(block) != n_rows for block in blocks) or len(blocks) != len(offsets):
-            raise ValueError("blocks must have equal row counts and one offset each")
+        if any(len(block) != n_rows for block in blocks) or not len(blocks) == len(offsets) == len(scales):
+            raise ValueError("blocks must have equal row counts and one offset and one scale each")
         indptr = np.zeros(n_rows + 1, dtype=np.int64)
         for block in blocks:
             indptr += block.indptr
         indices = np.empty(int(indptr[-1]), dtype=np.int64)
         values = np.empty(indices.size, dtype=np.float64)
         start = indptr[:-1].copy()
-        for block, offset in zip(blocks, offsets):
+        for block, offset, scale in zip(blocks, offsets, scales):
             lengths = np.diff(block.indptr)
             dest = np.repeat(start - block.indptr[:-1], lengths) + np.arange(block.nnz)
             indices[dest] = block.indices + offset
-            values[dest] = block.values
+            values[dest] = block.values * scale
             start += lengths
         return cls(indptr, indices, values, n_cols)
 

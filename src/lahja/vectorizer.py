@@ -2,13 +2,15 @@
 
 Each block learns a lexicographically ordered vocabulary with smoothed
 inverse document frequencies idf(t) = ln((1 + N) / (1 + df(t))) + 1. A
-document transforms to raw counts * idf, L2-normalized per block, then
-scaled by the block's transformer weight. The union concatenates the three
-blocks (word, char, char_wb) with fixed column offsets.
+document transforms to raw counts * idf, L2-normalized per block. The union
+owns the transformer weights: it concatenates the three blocks (word, char,
+char_wb) with fixed column offsets, each block's values scaled by its
+weight as they are copied.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from collections import defaultdict
@@ -56,17 +58,15 @@ class TfidfBlock(BaseEstimator):
         analyzer: str = WORD,
         ngram_range: tuple[int, int] = (1, 1),
         max_features: int | None = None,
-        weight: float = 1.0,
     ):
         self.analyzer = analyzer
         self.ngram_range = ngram_range
         self.max_features = max_features
-        self.weight = weight
 
     def _check_params(self) -> Callable[[str], list[str]]:
         if self.analyzer not in ANALYZER_KINDS:
             raise ValueError(f"unknown analyzer {self.analyzer!r}; expected one of {ANALYZER_KINDS}")
-        BlockSpec(tuple(self.ngram_range), self.max_features, self.weight)  # validates the rest
+        BlockSpec(tuple(self.ngram_range), self.max_features)  # validates the rest
         return build_analyzer(self.analyzer, tuple(self.ngram_range))
 
     def fit(self, texts: Sequence[str]) -> "TfidfBlock":
@@ -117,7 +117,6 @@ class TfidfBlock(BaseEstimator):
         analyzer: str,
         ngram_range: tuple[int, int],
         max_features: int | None,
-        weight: float,
         feature_names: Sequence[str],
         idf: Sequence[float],
     ) -> "TfidfBlock":
@@ -129,7 +128,7 @@ class TfidfBlock(BaseEstimator):
         idf = np.asarray(idf, dtype=np.float64)
         if not np.all(idf >= 1.0):
             raise ValueError("persisted idf values must be >= 1")
-        block = cls(analyzer, tuple(ngram_range), max_features, weight)
+        block = cls(analyzer, tuple(ngram_range), max_features)
         block._analyze = block._check_params()
         block.vocabulary_ = {name: i for i, name in enumerate(feature_names)}
         block.idf_ = idf
@@ -151,15 +150,14 @@ class TfidfBlock(BaseEstimator):
 
     def _tfidf(self, rows: np.ndarray, columns: np.ndarray, n_rows: int) -> CsrMatrix:
         """Counts of the (row, column) pairs, column -1 dropped, as idf-weighted
-        rows of L2 norm ``weight``."""
+        rows of L2 norm 1."""
         known = columns >= 0
         n = self.n_features_
         keys, counts = np.unique(rows[known] * n + columns[known], return_counts=True)
         row_of, columns = np.divmod(keys, n)
         indptr = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=n_rows))))
         raw = CsrMatrix(indptr, columns, counts.astype(np.float64) * self.idf_[columns], n)
-        values = raw.values / np.repeat(raw.row_norms(), np.diff(indptr)) * self.weight
-        return CsrMatrix(indptr, columns, values, n)
+        return CsrMatrix(indptr, columns, raw.values / np.repeat(raw.row_norms(), np.diff(indptr)), n)
 
 
 def _analyze_all(
@@ -211,37 +209,27 @@ class TfidfUnion(BaseEstimator):
         analyzer call per text per block."""
         texts = list(texts)
         blocks = [
-            None if spec is None else TfidfBlock(kind, spec.ngram_range, spec.max_features, spec.weight)
+            None if spec is None else TfidfBlock(kind, spec.ngram_range, spec.max_features)
             for kind, spec in zip(BLOCK_ORDER, self._specs())
         ]
         parts = [block.fit_transform(texts) for block in blocks if block is not None]
         self._set_fitted(blocks)
-        return self._stack(parts)
+        return self.stack(parts)
 
     def _set_fitted(self, blocks: Sequence[TfidfBlock | None]) -> None:
-        offsets: list[int] = []
-        running = 0
-        for block in blocks:
-            offsets.append(running)
-            if block is not None:
-                running += block.n_features_
+        widths = [0 if block is None else block.n_features_ for block in blocks]
+        *offsets, self.n_features_ = itertools.accumulate(widths, initial=0)
         self.blocks_ = tuple(blocks)
         self.offsets_ = tuple(offsets)
-        self.n_features_ = running
 
     @classmethod
-    def from_fitted_blocks(
-        cls,
-        blocks: Sequence[TfidfBlock | None],
+    def from_fitted(
+        cls, specs: Sequence[BlockSpec | None], blocks: Sequence[TfidfBlock | None]
     ) -> "TfidfUnion":
-        specs = [
-            None
-            if block is None
-            else BlockSpec(tuple(block.ngram_range), block.max_features, block.weight)
-            for block in blocks
-        ]
-        union = cls(word=specs[0], char=specs[1], char_wb=specs[2])
-        union._set_fitted(list(blocks))
+        """Rebuild a fitted union from its block specs and the blocks fitted to
+        them, both in word, char, char_wb order."""
+        union = cls(*specs)
+        union._set_fitted(blocks)
         return union
 
     def transform_one(self, text: str) -> CsrMatrix:
@@ -250,8 +238,11 @@ class TfidfUnion(BaseEstimator):
     def transform(self, texts: Sequence[str]) -> CsrMatrix:
         check_is_fitted(self, "blocks_")
         texts = list(texts)
-        return self._stack([block.transform(texts) for block in self.blocks_ if block is not None])
+        return self.stack([block.transform(texts) for block in self.blocks_ if block is not None])
 
-    def _stack(self, parts: Sequence[CsrMatrix]) -> CsrMatrix:
-        offsets = [offset for block, offset in zip(self.blocks_, self.offsets_) if block is not None]
-        return CsrMatrix.hstack(parts, offsets, self.n_features_)
+    def stack(self, parts: Sequence[CsrMatrix]) -> CsrMatrix:
+        """The union matrix of ``parts``, the unit-norm matrices of the enabled
+        blocks in slot order, each scaled by its spec's weight."""
+        weights = [spec.weight for spec in self._specs() if spec is not None]
+        *offsets, n_cols = itertools.accumulate((part.n_cols for part in parts), initial=0)
+        return CsrMatrix.hstack(parts, offsets, weights, n_cols)

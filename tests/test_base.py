@@ -27,7 +27,7 @@ class TestEstimatorParams:
         assert "analyzer='word'" in repr(TfidfBlock())
 
     def test_clone_by_params(self):
-        original = TfidfBlock("char", (1, 3), max_features=10, weight=0.5)
+        original = TfidfBlock("char", (1, 3), max_features=10)
         clone = TfidfBlock(**original.get_params())
         assert clone.get_params() == original.get_params()
 
@@ -35,7 +35,7 @@ class TestEstimatorParams:
 def test_estimators_survive_sklearn_clone():
     sklearn_base = pytest.importorskip("sklearn.base")
     for estimator in (
-        TfidfBlock("char", (1, 3), max_features=10, weight=0.5),
+        TfidfBlock("char", (1, 3), max_features=10),
         LinearSvc(C=2.0, balanced=True, seed=3),
         RandomForest(n_trees=5, seed=1),
         KnnClassifier(k=4),

@@ -208,6 +208,25 @@ class TestExitCodes:
                      "--out", str(root / "p.tsv")])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["train", "predict", "sweep"])
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_out_is_usage_error(self, data_files, tmp_path, capsys, command, where):
+        root, train_path, dev_path = data_files
+        model = tmp_path / "model.json"
+        assert main(["train", "--train-file", str(train_path), "--preset", "baseline", "--out", str(model)]) == 0
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"n": [1], "C": [1.0]}), encoding="utf-8")
+        capsys.readouterr()
+        out = str(tmp_path / "absent" / "x") if where == "missing directory" else str(tmp_path)
+        argv = {
+            "train": ["train", "--train-file", str(train_path), "--preset", "baseline"],
+            "predict": ["predict", "--model", str(model), "--in", str(dev_path)],
+            "sweep": ["sweep", "--train-file", str(train_path), "--dev-file", str(dev_path), "--grid", str(grid)],
+        }[command]
+        assert main([*argv, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("lahja: error: cannot write ") and f"{out!r}" in err
+
     def test_bad_flags_exit_one(self, data_files, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["train", "--no-such-flag"])

@@ -390,6 +390,7 @@ CRAFTED = {
     # So must the union's blocks.
     "config ngram_range unlike the block": lambda p: p["config"]["word"].__setitem__("ngram_range", [1, 2]),
     "config block absent from the union": lambda p: p["config"].__setitem__("char_wb", None),
+    "union block missing where the config has one": lambda p: p["union"]["blocks"].__setitem__(2, None),
     "block weight unlike the config": lambda p: p["union"]["blocks"][1].__setitem__("weight", 0.5),
     "config and params seed negative": lambda p: [
         section.__setitem__("seed", -1)

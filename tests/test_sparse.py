@@ -90,7 +90,7 @@ def test_concat_keeps_order_and_offsets():
     a = csr([[0.5], [0.0]])
     b = csr([[0.0, 0.3], [0.7, 0.0]])
     c = csr([[0.0], [0.0]])
-    merged = CsrMatrix.hstack([a, b, c], [0, 3, 13], 14)
+    merged = CsrMatrix.hstack([a, b, c], [0, 3, 13], [1.0, 1.0, 1.0], 14)
     assert pairs(merged, 0) == [(0, 0.5), (4, 0.3)]
     assert pairs(merged, 1) == [(3, 0.7)]
 
@@ -168,9 +168,18 @@ def test_hstack_matches_scipy(first, second, gap):
     a = csr(first[0][:n_rows], first[1])
     b = csr(second[0][:n_rows], second[1])
     n_cols = a.n_cols + gap + b.n_cols
-    stacked = CsrMatrix.hstack([a, b], [0, a.n_cols + gap], n_cols)
+    stacked = CsrMatrix.hstack([a, b], [0, a.n_cols + gap], [1.0, 1.0], n_cols)
     padding = sparse.csr_matrix((n_rows, gap))
     assert_same(stacked, sparse.hstack([as_scipy(a), padding, as_scipy(b)]))
+
+
+@given(dense_matrices(min_rows=1), dense_matrices(min_rows=1), st.floats(0.01, 1.0), st.floats(0.01, 1.0))
+def test_hstack_scales_match_scipy(first, second, scale_a, scale_b):
+    n_rows = min(len(first[0]), len(second[0]))
+    a = csr(first[0][:n_rows], first[1])
+    b = csr(second[0][:n_rows], second[1])
+    stacked = CsrMatrix.hstack([a, b], [0, a.n_cols], [scale_a, scale_b], a.n_cols + b.n_cols)
+    assert_same(stacked, sparse.hstack([as_scipy(a) * scale_a, as_scipy(b) * scale_b]))
 
 
 @given(dense_matrices(), st.data())

@@ -45,9 +45,9 @@ class TestFitBlock:
 
     def test_invalid_weight_rejected(self):
         with pytest.raises(ValueError):
-            TfidfBlock("word", (1, 1), weight=0.0).fit(TWO_DOC_CORPUS)
+            BlockSpec((1, 1), weight=0.0)
         with pytest.raises(ValueError):
-            TfidfBlock("word", (1, 1), weight=1.5).fit(TWO_DOC_CORPUS)
+            BlockSpec((1, 1), weight=1.5)
 
     def test_fit_is_corpus_order_invariant(self):
         a = TfidfBlock("word", (1, 2), max_features=4).fit(["a b a", "b c", "c d e"])
@@ -82,11 +82,18 @@ class TestTransformBlock:
         assert block.transform(["zzz qqq"]).nnz == 0
 
     def test_weight_scales_every_value(self):
-        full = TfidfBlock("word", (1, 1), weight=1.0).fit(TWO_DOC_CORPUS)
-        half = TfidfBlock("word", (1, 1), weight=0.5).fit(TWO_DOC_CORPUS)
-        v1 = full.transform(["a b a"])
-        v2 = half.transform(["a b a"])
-        np.testing.assert_array_equal(v2.values, v1.values * 0.5)
+        texts = TWO_DOC_CORPUS + ["b a c", "c c a"]
+        full = TfidfUnion(word=BlockSpec((1, 1)), char=BlockSpec((1, 2)), char_wb=None).fit(TWO_DOC_CORPUS)
+        quarter = TfidfUnion(
+            word=BlockSpec((1, 1)), char=BlockSpec((1, 2), weight=0.25), char_wb=None
+        ).fit(TWO_DOC_CORPUS)
+        v1, v2 = full.transform(texts), quarter.transform(texts)
+        np.testing.assert_array_equal(v2.indptr, v1.indptr)
+        np.testing.assert_array_equal(v2.indices, v1.indices)
+        char = v1.indices >= full.offsets_[1]
+        assert char.any() and not char.all()
+        np.testing.assert_array_equal(v2.values[char], v1.values[char] * 0.25)
+        np.testing.assert_array_equal(v2.values[~char], v1.values[~char])
 
     def test_unit_norm_at_weight_one(self):
         block = TfidfBlock("char", (1, 3)).fit(TWO_DOC_CORPUS)
