@@ -31,7 +31,7 @@ from .corpus import (
     serialize_tsv,
     split_dataset,
 )
-from .ensemble import CLASSIFIER_ORDER, DecisionPolicy, decide_labels, weighted_hard_vote
+from .ensemble import CLASSIFIER_ORDER, DecisionPolicy, decide_labels, weighted_hard_vote, weighted_votes
 from .forest import RandomForest
 from .grid import GridSizeError, GridSpec, enumerate_grid, run_sweep, write_sweep_tsv
 from .knn import KnnClassifier
@@ -107,6 +107,7 @@ __all__ = [
     "split_dataset",
     "tokenize_words",
     "weighted_hard_vote",
+    "weighted_votes",
     "word_ngrams",
     "write_sweep_tsv",
 ]

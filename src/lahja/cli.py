@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 for usage errors (bad flags, unknown preset,
 malformed config/grid schema, grid size over the cap, an unwritable
-``--out``), 2 for data errors
+``--out``, found before any data is read), 2 for data errors
 (unreadable or malformed TSV/model files, training sets the classifiers
 cannot fit).
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Sequence, TypeVar
@@ -99,6 +100,14 @@ def _read_bytes(path: str, what: str) -> bytes:
         raise DataError(f"cannot read {what} {path!r}: {exc}") from exc
 
 
+def _check_out(path: str, what: str) -> None:
+    """Raise a UsageError unless ``path`` is no directory and lies in an
+    existing writable one, so a long fit is not lost; nothing is created."""
+    parent = Path(path).parent
+    if Path(path).is_dir() or not (parent.is_dir() and os.access(parent, os.W_OK)):
+        raise UsageError(f"cannot write {what} {path!r}: not a file in a writable directory")
+
+
 def _write_bytes(path: str, what: str, data: bytes) -> None:
     try:
         Path(path).write_bytes(data)
@@ -138,6 +147,7 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
+    _check_out(args.out, "model bundle")
     dataset = _load_dataset(args.train_file, args.has_header)
     try:
         pipeline = DialectPipeline(config).fit(dataset)
@@ -152,6 +162,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
+    _check_out(args.out, "predictions file")
     try:
         pipeline = loads_model(_read_bytes(args.model, "model"))
     except BundleFormatError as exc:
@@ -220,6 +231,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = _read_json_file(args.grid, "grid file", GridSpec)
+    _check_out(args.out, "sweep results")
     train = _load_dataset(args.train_file)
     dev = _load_dataset(args.dev_file)
     train, dev = merge_label_spaces(train, dev)

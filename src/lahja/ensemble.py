@@ -37,6 +37,11 @@ class DecisionPolicy(JsonObject):
         if self.k < 1:
             raise ValueError(f"top-k policy requires k >= 1, got {self.k}")
 
+    def check_label_count(self, n_labels: int) -> None:
+        """Raise ValueError if the policy picks more labels than there are."""
+        if self.kind == "topk" and self.k > n_labels:
+            raise ValueError(f"top-k policy with k={self.k} exceeds label count {n_labels}")
+
     def to_dict(self) -> dict:
         if self.kind == "threshold":
             return {"kind": self.kind, "tau": self.tau}
@@ -53,30 +58,29 @@ class DecisionPolicy(JsonObject):
 
 def weighted_hard_vote(votes: Sequence[int], weights: Sequence[float]) -> int:
     """Winner of a weighted hard vote; see the module docstring for tie rules."""
-    if len(votes) != len(weights):
-        raise ValueError(f"votes and weights lengths differ: {len(votes)} vs {len(weights)}")
-    if not votes:
-        raise ValueError("at least one vote is required")
-    for vote in votes:
-        if vote < 0:
-            raise ValueError(f"invalid label index {vote}")
-    for weight in weights:
-        if not weight > 0:
-            raise ValueError(f"vote weights must be > 0, got {weight}")
-    scores: dict[int, float] = {}
-    for vote, weight in zip(votes, weights):
-        scores[vote] = scores.get(vote, 0.0) + weight
-    best_score = max(scores.values())
-    tied = {label for label, score in scores.items() if score == best_score}
-    if len(tied) == 1:
-        return next(iter(tied))
-    # Highest-weight classifier among those voting for a tied label; equal
-    # weights fall back to positional priority.
-    best_position = min(
-        (i for i in range(len(votes)) if votes[i] in tied),
-        key=lambda i: (-weights[i], i),
-    )
-    return votes[best_position]
+    return int(weighted_votes(np.array([votes], dtype=np.int64), weights)[0])
+
+
+def weighted_votes(votes: np.ndarray, weights: Sequence[float]) -> np.ndarray:
+    """The winner of the weighted hard vote of each row of the (rows x
+    voters) label array ``votes``, voter j weighing ``weights[j]``: a
+    voter scores the weights of the voters agreeing with it, summed in voter
+    order, and the winner is the vote of the heaviest, then first, voter
+    scoring the row's best (the module docstring's tie rules)."""
+    votes = np.asarray(votes, dtype=np.int64)
+    if votes.ndim != 2 or votes.shape[1] != len(weights) or not len(weights):
+        raise ValueError(f"votes need one column per weight and at least one, got {votes.shape} for {len(weights)}")
+    if votes.size and votes.min() < 0:
+        raise ValueError(f"invalid label index {votes.min()}")
+    if any(not w > 0 for w in weights):
+        raise ValueError(f"vote weights must be > 0, got {list(weights)}")
+    scores = np.zeros(votes.shape, dtype=np.float64)
+    for j in range(votes.shape[1]):
+        for i, weight in enumerate(weights):
+            scores[:, j] += np.where(votes[:, i] == votes[:, j], float(weight), 0.0)
+    rank = np.array(sorted(range(len(weights)), key=lambda j: (-weights[j], j)))
+    leads = scores[:, rank] == scores.max(axis=1)[:, None]
+    return votes[np.arange(len(votes)), rank[np.argmax(leads, axis=1)]]
 
 
 def decide_labels(scores: Sequence[float], policy: DecisionPolicy) -> frozenset[int]:
@@ -96,7 +100,6 @@ def decide_labels(scores: Sequence[float], policy: DecisionPolicy) -> frozenset[
         if not chosen.size:
             return frozenset((int(np.argmax(values)),))
         return frozenset(int(i) for i in chosen)
-    if policy.k > values.size:
-        raise ValueError(f"top-k policy with k={policy.k} exceeds label count {values.size}")
+    policy.check_label_count(values.size)
     order = np.lexsort((np.arange(values.size), -values))
     return frozenset(int(i) for i in order[: policy.k])

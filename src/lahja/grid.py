@@ -5,8 +5,9 @@ runs the full Cartesian product with the declared field order (``n`` varies
 slowest, ``v3`` fastest). Classifier choice and other non-swept settings are
 fixed scalar fields. The sweep fits each distinct TF-IDF block once, stacks
 each config's union from the block matrices with that config's transformer
-weights, fits each distinct model once and re-votes per vote-weight triple
-(see :func:`run_sweep`). Sweep workers can run in separate processes — the
+weights, fits each distinct model group once and re-votes its argmax votes
+per vote-weight triple, a single classifier being a one-voter vote (see
+:func:`run_sweep`). Sweep workers can run in separate processes — the
 ``LAHJA_THREADS`` environment variable caps the worker count (default 1) —
 and results are merged in config order, so output is independent of
 scheduling.
@@ -23,20 +24,12 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .base import JsonObject, check_seed
+from .base import JsonObject
 from .corpus import Dataset
 from .ensemble import DecisionPolicy
 from .metrics import MetricsReport, evaluate
-from .pipeline import (  # noqa: F401  (perfbench/tracing.py wraps lahja.grid.run_pipeline)
-    CLASSIFIER_CHOICES,
-    DialectPipeline,
-    ForestParams,
-    PipelineConfig,
-    SvcParams,
-    _singletons,
-    _vote_all,
-    run_pipeline,
-)
+from .pipeline import DialectPipeline, ForestParams, PipelineConfig, SvcParams
+from .pipeline import run_pipeline  # noqa: F401  (perfbench/tracing.py wraps lahja.grid.run_pipeline)
 from .sparse import CsrMatrix
 from .vectorizer import BLOCK_ORDER, BlockSpec, TfidfBlock, TfidfUnion
 
@@ -100,11 +93,7 @@ class GridSpec(JsonObject):
                 object.__setattr__(self, name, values)
             if not isinstance(values, tuple) or not values:
                 raise ValueError(f"grid field {name!r} must be a non-empty sequence of candidates")
-        if self.classifier not in CLASSIFIER_CHOICES:
-            raise ValueError(
-                f"unknown classifier {self.classifier!r}; expected one of {CLASSIFIER_CHOICES}"
-            )
-        check_seed(self.seed)
+        PipelineConfig(classifier=self.classifier, seed=self.seed)  # checks both as a config does
 
     def size(self) -> int:
         count = 1
@@ -162,9 +151,10 @@ def run_sweep(
     range and cap) is fitted once and transforms dev once. Each model group
     (a config with its vote weights set aside) stacks its union from those
     matrices with ``TfidfUnion.stack``, as ``transform`` does, is fitted
-    once and predicts dev once; a voting group keeps its component votes.
-    Each config is then scored from its group's output, re-voted with its
-    own weights. Ties order by the config's canonical JSON serialization.
+    once and predicts dev once; an argmax group keeps the argmax votes of
+    its models. Each config is then scored from its group's output, an
+    argmax group's votes re-voted with the config's own weights. Ties
+    order by the config's canonical JSON serialization.
     ``workers`` defaults to the LAHJA_THREADS cap; with more than one, the
     blocks and then the model groups are spread over worker processes.
     """
@@ -199,8 +189,8 @@ def run_sweep(
     results = []
     for config in configs:
         output = outputs[_model_group(config)]
-        if config.classifier == "vote":
-            output = _singletons(_vote_all(output, config.vote_weights))
+        if config.policy.kind == "argmax":
+            output = config.vote(output)
         results.append((config, evaluate(output, golds, n_labels=n_labels)))
     results.sort(key=lambda pair: (-pair[1].f1, pair[0].canonical_json()))
     return results
@@ -236,11 +226,12 @@ def _fit_group(
     group: PipelineConfig, parts: list[tuple[CsrMatrix, CsrMatrix]], train: Dataset
 ) -> list[frozenset[int]] | np.ndarray:
     """Fit one model group on the train matrices of its blocks and predict the
-    dev ones: the dev label sets, or for a voting group its component votes."""
+    dev ones: for an argmax group the component votes, otherwise the label
+    sets of its score policy."""
     union = TfidfUnion(group.word, group.char, group.char_wb)
     train_X, dev_X = (union.stack([pair[side] for pair in parts]) for side in (0, 1))
     pipeline = DialectPipeline(group).fit_matrix(train_X, train)
-    if group.classifier == "vote":
+    if group.policy.kind == "argmax":
         return pipeline.component_votes(dev_X)
     return pipeline.predict_matrix(dev_X)
 

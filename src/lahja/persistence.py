@@ -15,6 +15,11 @@ Top-level layout::
       "union": {"blocks": [block-or-null x3]},
       "models": {"svc": {...}?, "forest": {...}?, "knn": {...}?}
     }
+
+``models`` holds exactly the models of ``PipelineConfig.model_params()``,
+written in its order. The loader iterates over the same table and rejects a
+bundle with a model missing, or one the config does not fit: it would join
+the vote.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .base import check_int, check_list, check_reals, read_fields
 from .corpus import LabelSpace
 from .forest import RandomForest
 from .knn import KnnClassifier
-from .pipeline import DialectPipeline, PipelineConfig
+from .pipeline import MODEL_TYPES, DialectPipeline, PipelineConfig
 from .sparse import CsrMatrix
 from .svm import LinearSvc
 from .vectorizer import BLOCK_ORDER, BlockSpec, TfidfBlock, TfidfUnion
@@ -124,26 +129,23 @@ def _block_payload(block: TfidfBlock | None, spec: BlockSpec | None) -> dict | N
     }
 
 
-def _svc_payload(model: LinearSvc, params: dict) -> dict:
+def _svc_payload(model: LinearSvc) -> dict:
     return {
-        "params": params,
         "coef": model.coef_.tolist(),
         "intercept": model.intercept_.tolist(),
     }
 
 
-def _forest_payload(model: RandomForest, params: dict) -> dict:
+def _forest_payload(model: RandomForest) -> dict:
     return {
-        "params": params,
         "n_labels": int(model.n_labels_),
         "n_features": int(model.n_features_),
         "trees": model.tree_payloads(),
     }
 
 
-def _knn_payload(model: KnnClassifier, params: dict) -> dict:
+def _knn_payload(model: KnnClassifier) -> dict:
     return {
-        "params": params,
         "n_labels": int(model.n_labels_),
         "labels": [int(label) for label in model.labels_],
         "vectors": [
@@ -153,20 +155,19 @@ def _knn_payload(model: KnnClassifier, params: dict) -> dict:
     }
 
 
+_PAYLOADS = {"svc": _svc_payload, "forest": _forest_payload, "knn": _knn_payload}
+
+
 def bundle_to_dict(pipeline: DialectPipeline) -> dict:
     union = getattr(pipeline, "union_", None)
     if union is None:
         raise ValueError("cannot save an unfitted pipeline")
     specs = (union.word, union.char, union.char_wb)
     # The models were built from these, and the loader checks them against the config.
-    params = pipeline.config.model_params()
-    models: dict = {}
-    if pipeline.svc_ is not None:
-        models["svc"] = _svc_payload(pipeline.svc_, params["svc"])
-    if pipeline.forest_ is not None:
-        models["forest"] = _forest_payload(pipeline.forest_, params["forest"])
-    if pipeline.knn_ is not None:
-        models["knn"] = _knn_payload(pipeline.knn_, params["knn"])
+    models = {
+        name: {"params": params, **_PAYLOADS[name](pipeline.models_[name])}
+        for name, params in pipeline.config.model_params().items()
+    }
     return {
         "format_version": FORMAT_VERSION,
         "config": pipeline.config.to_dict(),
@@ -222,15 +223,40 @@ def _load_block(payload: dict | None, kind: str, spec: BlockSpec | None) -> Tfid
         raise BundleFormatError(f"invalid {kind} block: {exc}") from exc
 
 
-def _knn_vectors(rows: list, n_cols: int) -> CsrMatrix:
+def _load_svc(entry: dict, params: dict, union: TfidfUnion) -> LinearSvc:
+    coef = check_list("svc coef", _require(entry, "coef", "svc model"), list)
+    return LinearSvc.from_fitted(
+        params,
+        np.array([check_reals("svc coef row", row) for row in coef]),
+        check_reals("svc intercept", _require(entry, "intercept", "svc model")),
+    )
+
+
+def _load_forest(entry: dict, params: dict, union: TfidfUnion) -> RandomForest:
+    return RandomForest.from_fitted(
+        params,
+        n_labels=check_int("forest n_labels", _require(entry, "n_labels", "forest model")),
+        n_features=check_int("forest n_features", _require(entry, "n_features", "forest model")),
+        trees=_require(entry, "trees", "forest model"),
+    )
+
+
+def _load_knn(entry: dict, params: dict, union: TfidfUnion) -> KnnClassifier:
+    labels = check_list("knn labels", _require(entry, "labels", "knn model"), int)
+    rows = _require(entry, "vectors", "knn model")
     if any(len(row["i"]) != len(row["v"]) for row in rows):
         raise ValueError("a knn vector has different numbers of indices and values")
-    return CsrMatrix(
+    vectors = CsrMatrix(
         np.concatenate(([0], np.cumsum([len(row["i"]) for row in rows], dtype=np.int64))),
         check_list("knn vector indices", [i for row in rows for i in row["i"]], int),
         check_reals("knn vector values", [v for row in rows for v in row["v"]]),
-        n_cols,
+        union.n_features_,
     )
+    n_labels = check_int("knn n_labels", _require(entry, "n_labels", "knn model"))
+    return KnnClassifier.from_fitted(params, labels=labels, vectors=vectors, n_labels=n_labels)
+
+
+_LOADERS = {"svc": _load_svc, "forest": _load_forest, "knn": _load_knn}
 
 
 def pipeline_from_dict(payload: dict) -> DialectPipeline:
@@ -248,6 +274,7 @@ def pipeline_from_dict(payload: dict) -> DialectPipeline:
     try:
         names = check_list("label space", _require(payload, "label_space", "root"), str)
         label_space = LabelSpace(tuple(names))
+        config.policy.check_label_count(len(label_space))
     except ValueError as exc:
         raise BundleFormatError(f"invalid label space: {exc}") from exc
 
@@ -262,79 +289,41 @@ def pipeline_from_dict(payload: dict) -> DialectPipeline:
     if not isinstance(models, dict):
         raise BundleFormatError("models must be an object")
     expected = config.model_params()
-
-    def params(name: str, cls: type) -> dict:
-        # Both sides are read by the same type hints, so equal values have
-        # equal types: a k of 3.0 fails as a real before it could match 3.
-        found = read_fields(cls, _require(models[name], "params", f"{name} model"), name)
-        if found != expected[name]:
-            raise ValueError(f"{name} params {found} differ from {expected[name]}, set by the config")
-        return found
-
-    svc = forest = knn = None
+    if models.keys() != expected.keys():  # a missing model could not vote, an extra one would
+        raise BundleFormatError(
+            f"bundle configured for classifier {config.classifier!r} holds the models {sorted(models)}, "
+            f"not {list(expected)}"
+        )
+    fitted = {}
     try:
-        if "svc" in models:
-            entry = models["svc"]
-            coef = check_list("svc coef", _require(entry, "coef", "svc model"), list)
-            svc = LinearSvc.from_fitted(
-                params("svc", LinearSvc),
-                np.array([check_reals("svc coef row", row) for row in coef]),
-                check_reals("svc intercept", _require(entry, "intercept", "svc model")),
-            )
-        if "forest" in models:
-            entry = models["forest"]
-            forest = RandomForest.from_fitted(
-                params("forest", RandomForest),
-                n_labels=check_int("forest n_labels", _require(entry, "n_labels", "forest model")),
-                n_features=check_int("forest n_features", _require(entry, "n_features", "forest model")),
-                trees=_require(entry, "trees", "forest model"),
-            )
-        if "knn" in models:
-            entry = models["knn"]
-            knn = KnnClassifier.from_fitted(
-                params("knn", KnnClassifier),
-                labels=check_list("knn labels", _require(entry, "labels", "knn model"), int),
-                vectors=_knn_vectors(_require(entry, "vectors", "knn model"), union.n_features_),
-                n_labels=check_int("knn n_labels", _require(entry, "n_labels", "knn model")),
-            )
+        for name, params in expected.items():
+            # Both sides are read by the same type hints, so equal values have
+            # equal types: a k of 3.0 fails as a real before it could match 3.
+            found = read_fields(MODEL_TYPES[name], _require(models[name], "params", f"{name} model"), name)
+            if found != params:
+                raise ValueError(f"{name} params {found} differ from {params}, set by the config")
+            fitted[name] = _LOADERS[name](models[name], found, union)
     except (TypeError, ValueError, KeyError, OverflowError) as exc:  # overflow: an int64 index beyond range
         raise BundleFormatError(f"invalid classifier payload: {exc}") from exc
 
-    needed = {"svc": ("svc",), "forest": ("forest",), "knn": ("knn",), "vote": ("svc", "forest", "knn")}
-    fitted = {"svc": svc, "forest": forest, "knn": knn}
-    for name in needed[config.classifier]:
-        if fitted[name] is None:
-            raise BundleFormatError(
-                f"bundle configured for classifier {config.classifier!r} lacks the {name} model"
-            )
+    n_labels, dims = len(label_space), union.n_features_
     for name, model in fitted.items():
-        dims = getattr(model, "n_features_", None)
-        if dims is not None and dims != union.n_features_:
-            raise BundleFormatError(
-                f"{name} model dimension {dims} does not match union dimension {union.n_features_}"
-            )
-    if svc is not None:
-        if svc.n_labels_ != len(label_space):
-            raise BundleFormatError(
-                f"svc coef has {svc.n_labels_} rows for {len(label_space)} labels"
-            )
-        if svc.intercept_.shape != (len(label_space),):
-            raise BundleFormatError(
-                f"svc intercept has shape {svc.intercept_.shape} for {len(label_space)} labels"
-            )
-    for name, model in (("forest", forest), ("knn", knn)):
-        if model is not None and model.n_labels_ != len(label_space):
-            raise BundleFormatError(
-                f"{name} model has n_labels {model.n_labels_} for {len(label_space)} labels"
-            )
+        if getattr(model, "n_features_", dims) != dims:
+            raise BundleFormatError(f"{name} model dimension {model.n_features_} does not match union dimension {dims}")
+    svc = fitted.get("svc")
+    if svc is not None and svc.n_labels_ != n_labels:
+        raise BundleFormatError(f"svc coef has {svc.n_labels_} rows for {n_labels} labels")
+    if svc is not None and svc.intercept_.shape != (n_labels,):
+        raise BundleFormatError(f"svc intercept has shape {svc.intercept_.shape} for {n_labels} labels")
+    for name, model in fitted.items():
+        if model.n_labels_ != n_labels:
+            raise BundleFormatError(f"{name} model has n_labels {model.n_labels_} for {n_labels} labels")
 
     pipeline = DialectPipeline(config)
     pipeline.union_ = union
-    pipeline.svc_ = svc
-    pipeline.forest_ = forest
-    pipeline.knn_ = knn
+    pipeline.models_ = fitted
     pipeline.label_space_ = label_space
-    pipeline.n_labels_ = len(label_space)
+    pipeline.n_labels_ = n_labels
     return pipeline
 
 

@@ -1,11 +1,10 @@
 """End-to-end pipeline: weighted TF-IDF union into a classifier or their vote.
 
 A pipeline fits the feature union on every training text, then trains the
-configured classifier(s) on one sample per (document, gold label) pair;
-documents with empty label sets contribute to the union statistics only.
-Prediction maps each text to a label set through the decision policy (SVC
-margins support threshold/top-k policies; forest, knn and the voting path
-are argmax-only).
+models of ``PipelineConfig.model_params()`` on one sample per (document,
+gold label) pair; documents with empty label sets shape the union only.
+A threshold/top-k policy reads the SVC margins; an argmax policy takes the
+weighted hard vote of the models' argmax labels, one model voting alone.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 
 from .base import BaseEstimator, JsonObject, check_is_fitted, check_seed
 from .corpus import Dataset
-from .ensemble import CLASSIFIER_ORDER, DecisionPolicy, decide_labels, weighted_hard_vote
+from .ensemble import CLASSIFIER_ORDER, DecisionPolicy, decide_labels, weighted_votes
 from .forest import RandomForest
 from .knn import KnnClassifier
 from .metrics import MetricsReport, evaluate
@@ -26,7 +25,8 @@ from .sparse import CsrMatrix
 from .svm import LinearSvc
 from .vectorizer import BlockSpec, TfidfUnion
 
-CLASSIFIER_CHOICES = ("svc", "forest", "knn", "vote")
+CLASSIFIER_CHOICES = (*CLASSIFIER_ORDER, "vote")
+MODEL_TYPES = {"svc": LinearSvc, "forest": RandomForest, "knn": KnnClassifier}
 
 
 @dataclass(frozen=True)
@@ -94,12 +94,24 @@ class PipelineConfig(JsonObject):
             )
 
     def model_params(self) -> dict[str, dict]:
-        """Constructor arguments of the svc, forest and knn models this config fits."""
-        return {
+        """Constructor arguments of the models this config fits, by name in
+        vote order (svc, forest, knn): all three for ``vote``, otherwise the
+        one ``classifier`` names."""
+        params = {
             "svc": {**self.svc.to_dict(), "seed": self.seed},
             "forest": {**self.forest.to_dict(), "seed": self.seed},
             "knn": {"k": self.k},
         }
+        if self.classifier == "vote":
+            return params
+        return {self.classifier: params[self.classifier]}
+
+    def vote(self, votes: np.ndarray) -> list[frozenset[int]]:
+        """The label sets of the weighted hard vote over ``votes``, one column
+        per model of :meth:`model_params`, each weighing its ``vote_weights``
+        entry."""
+        weights = dict(zip(CLASSIFIER_ORDER, self.vote_weights))
+        return _singletons(weighted_votes(votes, [weights[name] for name in self.model_params()]))
 
     def canonical_json(self) -> str:
         """Deterministic serialization used for tie-ordering sweep results."""
@@ -132,28 +144,25 @@ class DialectPipeline(BaseEstimator):
         y = [label for _, label in samples]
 
         n_labels = len(dataset.label_space)
-        params = cfg.model_params()
-        svc = forest = knn = None
-        if cfg.classifier in ("svc", "vote"):
-            svc = LinearSvc(**params["svc"]).fit(X, y, n_labels=n_labels)
-        if cfg.classifier in ("forest", "vote"):
-            forest = RandomForest(**params["forest"]).fit(X, y, n_labels=n_labels)
-        if cfg.classifier in ("knn", "vote"):
-            knn = KnnClassifier(**params["knn"]).fit(X, y, n_labels=n_labels)
-
-        self.svc_ = svc
-        self.forest_ = forest
-        self.knn_ = knn
+        cfg.policy.check_label_count(n_labels)
+        self.models_ = {
+            name: MODEL_TYPES[name](**params).fit(X, y, n_labels=n_labels)
+            for name, params in cfg.model_params().items()
+        }
         self.label_space_ = dataset.label_space
         self.n_labels_ = n_labels
         return self
 
+    # The fitted models by name; None for a model the config does not fit.
+    svc_ = property(lambda self: self.models_.get("svc"))
+    forest_ = property(lambda self: self.models_.get("forest"))
+    knn_ = property(lambda self: self.models_.get("knn"))
+
     def component_votes(self, X: CsrMatrix) -> np.ndarray:
-        """(docs x 3) argmax votes of the svc, forest and knn models, in that order."""
+        """(docs x models) argmax votes of the fitted models, one column per
+        model of ``config.model_params()``, in that order."""
         check_is_fitted(self, "label_space_")
-        if self.config.classifier != "vote":
-            raise ValueError("component votes need a voting configuration")
-        return np.column_stack((self.svc_.predict(X), self.forest_.predict(X), self.knn_.predict(X)))
+        return np.column_stack([model.predict(X) for model in self.models_.values()])
 
     def predict(self, texts: Sequence[str]) -> list[frozenset[int]]:
         """Label sets of ``texts``, featurized together as one matrix."""
@@ -163,14 +172,10 @@ class DialectPipeline(BaseEstimator):
     def predict_matrix(self, X: CsrMatrix) -> list[frozenset[int]]:
         """Label sets of the feature rows of ``X``."""
         check_is_fitted(self, "label_space_")
-        cfg = self.config
-        if cfg.classifier == "svc":
-            return [decide_labels(margins, cfg.policy) for margins in self.svc_.decision_function(X)]
-        if cfg.classifier == "forest":
-            return _singletons(self.forest_.predict(X))
-        if cfg.classifier == "knn":
-            return _singletons(self.knn_.predict(X))
-        return _singletons(_vote_all(self.component_votes(X), cfg.vote_weights))
+        policy = self.config.policy
+        if policy.kind != "argmax":  # the config allows score policies on the svc only
+            return [decide_labels(margins, policy) for margins in self.svc_.decision_function(X)]
+        return self.config.vote(self.component_votes(X))
 
     def predict_text(self, text: str) -> frozenset[int]:
         return self.predict([text])[0]
@@ -216,16 +221,11 @@ def run_component_comparison(
     n_labels = len(train.label_space)
     votes = pipeline.component_votes(pipeline.union_.transform(eval_dataset.texts()))
     reports = {
-        name: evaluate(_singletons(votes[:, i]), golds, n_labels=n_labels)
-        for i, name in enumerate(CLASSIFIER_ORDER)
+        name: evaluate(_singletons(column), golds, n_labels=n_labels)
+        for name, column in zip(config.model_params(), votes.T)
     }
-    reports["vote"] = evaluate(_singletons(_vote_all(votes, config.vote_weights)), golds, n_labels=n_labels)
+    reports["vote"] = evaluate(config.vote(votes), golds, n_labels=n_labels)
     return reports
-
-
-def _vote_all(votes: np.ndarray, weights: Sequence[float]) -> list[int]:
-    """The weighted hard vote of each row of component votes."""
-    return [weighted_hard_vote(row, weights) for row in votes.tolist()]
 
 
 def _singletons(labels: Sequence[int]) -> list[frozenset[int]]:

@@ -208,10 +208,14 @@ class TestExitCodes:
                      "--out", str(root / "p.tsv")])
         assert code == 2
 
-    @pytest.mark.parametrize("command", ["train", "predict", "sweep"])
+    @pytest.mark.parametrize("command", ["train", "predict", "sweep", "train on unfittable data"])
     @pytest.mark.parametrize("where", ["missing directory", "directory"])
     def test_unwritable_out_is_usage_error(self, data_files, tmp_path, capsys, command, where):
+        """``--out`` is checked before any data is read, so a bad path is a
+        usage error even where the data would fail too."""
         root, train_path, dev_path = data_files
+        single = tmp_path / "single.tsv"
+        single.write_bytes(b"aa bb\tX\ncc dd\tX\n")
         model = tmp_path / "model.json"
         assert main(["train", "--train-file", str(train_path), "--preset", "baseline", "--out", str(model)]) == 0
         grid = tmp_path / "grid.json"
@@ -222,10 +226,26 @@ class TestExitCodes:
             "train": ["train", "--train-file", str(train_path), "--preset", "baseline"],
             "predict": ["predict", "--model", str(model), "--in", str(dev_path)],
             "sweep": ["sweep", "--train-file", str(train_path), "--dev-file", str(dev_path), "--grid", str(grid)],
+            "train on unfittable data": ["train", "--train-file", str(single), "--preset", "baseline"],
         }[command]
         assert main([*argv, "--out", out]) == 1
         err = capsys.readouterr().err
         assert err.startswith("lahja: error: cannot write ") and f"{out!r}" in err
+
+    def test_topk_wider_than_the_label_space_is_data_error(self, tmp_path, capsys):
+        train = tmp_path / "train.tsv"
+        save_tsv(make_synthetic(3, 10, 8, 0.0, seed=1), train)
+        config = tmp_path / "topk.json"
+        config.write_text(json.dumps({"policy": {"kind": "topk", "k": 5}}), encoding="utf-8")
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"n": [1], "C": [1.0], "policy": {"kind": "topk", "k": 5}}), encoding="utf-8")
+        model = tmp_path / "model.json"
+        assert main(["train", "--train-file", str(train), "--config", str(config), "--out", str(model)]) == 2
+        assert "top-k policy with k=5 exceeds label count 3" in capsys.readouterr().err
+        assert not model.exists()
+        assert main(["sweep", "--train-file", str(train), "--dev-file", str(train), "--grid", str(grid),
+                     "--out", str(tmp_path / "sweep.tsv")]) == 2
+        assert "top-k policy with k=5 exceeds label count 3" in capsys.readouterr().err
 
     def test_bad_flags_exit_one(self, data_files, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lahja import DecisionPolicy, decide_labels, weighted_hard_vote
+from lahja import DecisionPolicy, decide_labels, weighted_hard_vote, weighted_votes
 
 WEIGHT_GRID = tuple(round(0.1 * i, 1) for i in range(1, 7))
 
@@ -79,6 +80,42 @@ class TestWeightedHardVote:
             weighted_hard_vote((0, 1, -1), (0.5, 0.5, 0.5))
         with pytest.raises(ValueError):
             weighted_hard_vote((0, 1, 1), (0.5, 0.0, 0.5))
+
+
+class TestWeightedVotes:
+    """The batch vote against the naive oracle, row by row."""
+
+    def test_criterion_5_cases_one_call_per_weight_triple(self):
+        patterns = np.array(list(itertools.product(range(4), repeat=3)))
+        checked = 0
+        for triple in itertools.product(WEIGHT_GRID, repeat=3):
+            for weights in (triple, tuple(w * 2.0 for w in triple)):
+                winners = weighted_votes(patterns, weights)
+                assert winners.tolist() == [oracle_vote(row, weights) for row in patterns.tolist()]
+                checked += len(patterns)
+        assert checked == 27_648
+
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda voters: st.tuples(
+                st.lists(st.lists(st.integers(0, 4), min_size=voters, max_size=voters), max_size=12),
+                st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.5, 1.0]), min_size=voters, max_size=voters),
+            )
+        )
+    )
+    def test_random_rows_with_repeated_weights(self, case):
+        rows, weights = case
+        votes = np.array(rows, dtype=np.int64).reshape(len(rows), len(weights))
+        assert weighted_votes(votes, weights).tolist() == [oracle_vote(row, weights) for row in rows]
+        assert [weighted_hard_vote(row, weights) for row in rows] == [oracle_vote(row, weights) for row in rows]
+
+    def test_input_validation(self):
+        with pytest.raises(ValueError):
+            weighted_votes(np.zeros((2, 2), dtype=np.int64), (0.5, 0.5, 0.5))
+        with pytest.raises(ValueError):
+            weighted_votes(np.zeros((2, 0), dtype=np.int64), ())
+        with pytest.raises(ValueError):
+            weighted_votes(np.array([[0, -1]]), (0.5, 0.5))
 
 
 class TestDecisionPolicy:

@@ -392,6 +392,16 @@ CRAFTED = {
     "config block absent from the union": lambda p: p["config"].__setitem__("char_wb", None),
     "union block missing where the config has one": lambda p: p["union"]["blocks"].__setitem__(2, None),
     "block weight unlike the config": lambda p: p["union"]["blocks"][1].__setitem__("weight", 0.5),
+    # The models must be exactly the config's: an extra one would join the vote.
+    "svc config whose bundle also carries a forest": lambda p: [
+        p["config"].__setitem__("classifier", "svc"),
+        p["models"].pop("knn"),
+    ],
+    "top-k policy wider than the label space": lambda p: [
+        p["config"].update(classifier="svc", policy={"kind": "topk", "k": len(p["label_space"]) + 1}),
+        p["models"].pop("forest"),
+        p["models"].pop("knn"),
+    ],
     "config and params seed negative": lambda p: [
         section.__setitem__("seed", -1)
         for section in (p["config"], p["models"]["svc"]["params"], p["models"]["forest"]["params"])
@@ -434,7 +444,12 @@ class TestCraftedBundles:
 
     @pytest.mark.parametrize(
         "case, message",
-        [("knn k a real", "knn k must be an integer"), ("idf of 0", "idf values must be >= 1")],
+        [
+            ("knn k a real", "knn k must be an integer"),
+            ("idf of 0", "idf values must be >= 1"),
+            ("top-k policy wider than the label space", "top-k policy with k=4 exceeds label count 3"),
+            ("svc config whose bundle also carries a forest", "holds the models ['forest', 'svc'], not ['svc']"),
+        ],
     )
     def test_crafted_bundle_is_data_error_on_the_command_line(
         self, fitted_vote_pipeline, tmp_path, capsys, case, message

@@ -161,8 +161,21 @@ class TestComponentComparison:
         assert votes.T.tolist() == [model.predict(X).tolist() for model in components]
         expected = [frozenset((weighted_hard_vote(row, cfg.vote_weights),)) for row in votes.tolist()]
         assert pipeline.predict(out.texts()) == expected
-        with pytest.raises(ValueError, match="voting"):
-            DialectPipeline(preset("baseline")).fit(train).component_votes(X)
+
+    @pytest.mark.parametrize("classifier", ["svc", "forest", "knn"])
+    def test_single_model_is_a_one_voter_vote(self, tiny_corpus, classifier):
+        train, out = split_dataset(tiny_corpus, 0.8, seed=0)
+        cfg = PipelineConfig(
+            word=BlockSpec((1, 1)), char=BlockSpec((1, 3)), char_wb=None,
+            classifier=classifier, forest=preset("exp3-hard").forest,
+        )
+        pipeline = DialectPipeline(cfg).fit(train)
+        X = pipeline.union_.transform(out.texts())
+        model = getattr(pipeline, f"{classifier}_")
+        assert list(pipeline.models_) == [classifier]
+        votes = pipeline.component_votes(X)
+        assert votes.shape == (len(out), 1) and votes[:, 0].tolist() == model.predict(X).tolist()
+        assert pipeline.predict(out.texts()) == [frozenset((int(label),)) for label in votes[:, 0]]
 
     def test_batch_predict_equals_one_text_at_a_time(self):
         ds = make_synthetic(3, 30, 10, 0.5, seed=11)
