@@ -120,6 +120,7 @@ _ITEM_TYPES = {
     float: ({int, float}, "numbers"),
     str: ({str}, "strings"),
     list: ({list}, "lists"),
+    dict: ({dict}, "objects"),
 }
 
 

@@ -1,10 +1,10 @@
 """Command-line interface: train, predict, eval and sweep over TSV datasets.
 
 Exit codes: 0 on success, 1 for usage errors (bad flags, unknown preset,
-malformed config/grid schema, grid size over the cap, an unwritable
-``--out``, found before any data is read), 2 for data errors
-(unreadable or malformed TSV/model files, training sets the classifiers
-cannot fit).
+malformed config/grid schema, a grid value no config could take, grid size
+over the cap, an unwritable ``--out``, found before any data is read), 2
+for data errors (unreadable or malformed TSV/model files, training sets the
+classifiers cannot fit).
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import BaseEstimator, check_is_fitted, check_labels, check_reals
+from .base import BaseEstimator, check_int, check_is_fitted, check_labels, check_reals
 from .sparse import CsrMatrix
 
 _LEAF = -1
@@ -55,9 +55,15 @@ class RandomForest(BaseEstimator):
         return self
 
     @classmethod
-    def from_fitted(cls, params: dict, n_labels: int, n_features: int, trees: Sequence[list]) -> "RandomForest":
+    def from_fitted(cls, params: dict, payload: dict, n_labels: int, n_features: int) -> "RandomForest":
+        """The forest of a :meth:`payload` entry, which must be fitted for
+        ``n_labels`` labels and ``n_features`` feature columns."""
+        if check_int("forest n_labels", payload["n_labels"]) != n_labels:
+            raise ValueError(f"forest model has n_labels {payload['n_labels']} for {n_labels} labels")
+        if check_int("forest n_features", payload["n_features"]) != n_features:
+            raise ValueError(f"forest n_features {payload['n_features']} does not match union dimension {n_features}")
         forest = cls(**params)
-        forest._set_trees(trees, n_labels, n_features)
+        forest._set_trees(payload["trees"], n_labels, n_features)
         return forest
 
     def _set_trees(self, trees: Sequence[list], n_labels: int, n_features: int) -> None:
@@ -106,8 +112,9 @@ class RandomForest(BaseEstimator):
         self.n_labels_ = n_labels
         self.n_features_ = n_features
 
-    def tree_payloads(self) -> list[list[dict]]:
-        """Per tree, its nodes in bundle form with tree-relative child ids."""
+    def payload(self) -> dict:
+        """The forest's bundle entry; ``trees`` holds, per tree, its nodes in
+        bundle form with tree-relative child ids."""
         check_is_fitted(self, "feature_")
         feature, threshold = self.feature_.tolist(), self.threshold_.tolist()
         left, right, dist = self.left_.tolist(), self.right_.tolist(), self.dist_.tolist()
@@ -120,7 +127,7 @@ class RandomForest(BaseEstimator):
                 else {"f": feature[i], "t": threshold[i], "l": left[i] - start, "r": right[i] - start}
                 for i in range(start, end)
             ])
-        return trees
+        return {"n_labels": int(self.n_labels_), "n_features": int(self.n_features_), "trees": trees}
 
     def tree_votes(self, X: CsrMatrix) -> np.ndarray:
         """(docs x trees) label of the leaf each tree routes each doc to.

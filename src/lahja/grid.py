@@ -3,7 +3,8 @@
 A :class:`GridSpec` holds one candidate list per tunable field; the sweep
 runs the full Cartesian product with the declared field order (``n`` varies
 slowest, ``v3`` fastest). Classifier choice and other non-swept settings are
-fixed scalar fields. The sweep fits each distinct TF-IDF block once, stacks
+fixed scalar fields; a candidate or setting no config could take fails
+when the grid is built. The sweep fits each distinct TF-IDF block once, stacks
 each config's union from the block matrices with that config's transformer
 weights, fits each distinct model group once and re-votes its argmax votes
 per vote-weight triple, a single classifier being a one-voter vote (see
@@ -38,9 +39,6 @@ DEFAULT_MAX_CONFIGS = 10_000
 # Documented candidate domains for the tunable fields.
 N_DOMAIN = (1, 2, 3, 4, 5)
 C_DOMAIN = (1.0, 2.0, 3.0, 4.0, 5.0)
-TRANSFORMER_WEIGHT_DOMAIN = tuple(round(0.1 * i, 1) for i in range(1, 11))
-VOTE_WEIGHT_DOMAIN = tuple(round(0.1 * i, 1) for i in range(1, 7))
-MAX_FEATURES_DOMAIN = (300, 1000)  # inclusive bounds, any value in between
 
 _PRODUCT_FIELDS = ("n", "w1", "w2", "w3", "max_features", "C", "v1", "v2", "v3")
 
@@ -93,7 +91,12 @@ class GridSpec(JsonObject):
                 object.__setattr__(self, name, values)
             if not isinstance(values, tuple) or not values:
                 raise ValueError(f"grid field {name!r} must be a non-empty sequence of candidates")
-        PipelineConfig(classifier=self.classifier, seed=self.seed)  # checks both as a config does
+        # Every candidate, and every fixed setting, must make a config; the
+        # other fields stay at their first candidate.
+        first = [getattr(self, name)[0] for name in _PRODUCT_FIELDS]
+        for i, name in enumerate(_PRODUCT_FIELDS):
+            for value in getattr(self, name):
+                self.config(*first[:i], value, *first[i + 1 :])
 
     def size(self) -> int:
         count = 1
@@ -101,31 +104,29 @@ class GridSpec(JsonObject):
             count *= len(getattr(self, name))
         return count
 
+    def config(self, n, w1, w2, w3, max_features, C, v1, v2, v3) -> PipelineConfig:
+        """The config of one candidate per product field, in declared order."""
+        return PipelineConfig(
+            word=BlockSpec((1, n), max_features, w1),
+            char=BlockSpec((1, n), max_features, w2),
+            char_wb=BlockSpec((1, n), max_features, w3),
+            classifier=self.classifier,
+            svc=SvcParams(C=C, balanced=self.balanced),
+            forest=ForestParams(n_trees=self.n_trees),
+            k=self.k,
+            vote_weights=(v1, v2, v3),
+            policy=self.policy,
+            seed=self.seed,
+        )
+
 
 def enumerate_grid(spec: GridSpec, max_configs: int = DEFAULT_MAX_CONFIGS) -> list[PipelineConfig]:
     """Full Cartesian product of the candidate lists, in declared field order."""
     count = spec.size()
     if count > max_configs:
         raise GridSizeError(count, max_configs)
-    configs: list[PipelineConfig] = []
-    for n, w1, w2, w3, max_features, C, v1, v2, v3 in itertools.product(
-        spec.n, spec.w1, spec.w2, spec.w3, spec.max_features, spec.C, spec.v1, spec.v2, spec.v3
-    ):
-        configs.append(
-            PipelineConfig(
-                word=BlockSpec((1, n), max_features, w1),
-                char=BlockSpec((1, n), max_features, w2),
-                char_wb=BlockSpec((1, n), max_features, w3),
-                classifier=spec.classifier,
-                svc=SvcParams(C=C, balanced=spec.balanced),
-                forest=ForestParams(n_trees=spec.n_trees),
-                k=spec.k,
-                vote_weights=(v1, v2, v3),
-                policy=spec.policy,
-                seed=spec.seed,
-            )
-        )
-    return configs
+    fields = (getattr(spec, name) for name in _PRODUCT_FIELDS)
+    return [spec.config(*values) for values in itertools.product(*fields)]
 
 
 def _worker_count() -> int:

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import BaseEstimator, check_is_fitted, check_labels
+from .base import BaseEstimator, check_int, check_is_fitted, check_labels, check_list, check_reals
 from .sparse import CsrMatrix
 
 # Bound on the values ``neighbors`` holds in one array, beyond arrays of one
@@ -58,11 +58,34 @@ class KnnClassifier(BaseEstimator):
         self._columns = X.transpose()
         return self
 
+    def payload(self) -> dict:
+        """The model's bundle entry: its training rows and their labels."""
+        check_is_fitted(self, "vectors_")
+        return {
+            "n_labels": int(self.n_labels_),
+            "labels": self.labels_.tolist(),
+            "vectors": [
+                {"i": idx.tolist(), "v": val.tolist()}
+                for idx, val in map(self.vectors_.row, range(len(self.vectors_)))
+            ],
+        }
+
     @classmethod
-    def from_fitted(
-        cls, params: dict, labels: Sequence[int], vectors: CsrMatrix, n_labels: int
-    ) -> "KnnClassifier":
-        return cls(**params).fit(vectors, labels, n_labels)
+    def from_fitted(cls, params: dict, payload: dict, n_labels: int, n_features: int) -> "KnnClassifier":
+        """The model of a :meth:`payload` entry, fitted on its rows as
+        ``n_features``-wide feature rows labelled in [0, ``n_labels``)."""
+        if check_int("knn n_labels", payload["n_labels"]) != n_labels:
+            raise ValueError(f"knn model has n_labels {payload['n_labels']} for {n_labels} labels")
+        rows = check_list("knn vectors", payload["vectors"], dict)
+        if any(len(row["i"]) != len(row["v"]) for row in rows):
+            raise ValueError("a knn vector has different numbers of indices and values")
+        vectors = CsrMatrix(
+            np.concatenate(([0], np.cumsum([len(row["i"]) for row in rows], dtype=np.int64))),
+            check_list("knn vector indices", [i for row in rows for i in row["i"]], int),
+            check_reals("knn vector values", [v for row in rows for v in row["v"]]),
+            n_features,
+        )
+        return cls(**params).fit(vectors, check_list("knn labels", payload["labels"], int), n_labels)
 
     def neighbors(self, X: CsrMatrix) -> np.ndarray:
         """(queries x k) training ids of the most similar rows, best first.

@@ -20,6 +20,12 @@ Top-level layout::
 written in its order. The loader iterates over the same table and rejects a
 bundle with a model missing, or one the config does not fit: it would join
 the vote.
+
+Each model writes and reads its own entry: ``payload()`` gives everything
+but ``params``, and ``from_fitted(params, entry, n_labels, n_features)``
+reads it back, checked once against the label space and the union width.
+This module keeps the union's block slots, which pair the config's block
+spec with the fitted block.
 """
 
 from __future__ import annotations
@@ -28,15 +34,9 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
-
-from .base import check_int, check_list, check_reals, read_fields
+from .base import check_list, check_reals, read_fields
 from .corpus import LabelSpace
-from .forest import RandomForest
-from .knn import KnnClassifier
 from .pipeline import MODEL_TYPES, DialectPipeline, PipelineConfig
-from .sparse import CsrMatrix
-from .svm import LinearSvc
 from .vectorizer import BLOCK_ORDER, BlockSpec, TfidfBlock, TfidfUnion
 
 FORMAT_VERSION = 1
@@ -129,35 +129,6 @@ def _block_payload(block: TfidfBlock | None, spec: BlockSpec | None) -> dict | N
     }
 
 
-def _svc_payload(model: LinearSvc) -> dict:
-    return {
-        "coef": model.coef_.tolist(),
-        "intercept": model.intercept_.tolist(),
-    }
-
-
-def _forest_payload(model: RandomForest) -> dict:
-    return {
-        "n_labels": int(model.n_labels_),
-        "n_features": int(model.n_features_),
-        "trees": model.tree_payloads(),
-    }
-
-
-def _knn_payload(model: KnnClassifier) -> dict:
-    return {
-        "n_labels": int(model.n_labels_),
-        "labels": [int(label) for label in model.labels_],
-        "vectors": [
-            {"i": idx.tolist(), "v": val.tolist()}
-            for idx, val in map(model.vectors_.row, range(len(model.vectors_)))
-        ],
-    }
-
-
-_PAYLOADS = {"svc": _svc_payload, "forest": _forest_payload, "knn": _knn_payload}
-
-
 def bundle_to_dict(pipeline: DialectPipeline) -> dict:
     union = getattr(pipeline, "union_", None)
     if union is None:
@@ -165,7 +136,7 @@ def bundle_to_dict(pipeline: DialectPipeline) -> dict:
     specs = (union.word, union.char, union.char_wb)
     # The models were built from these, and the loader checks them against the config.
     models = {
-        name: {"params": params, **_PAYLOADS[name](pipeline.models_[name])}
+        name: {"params": params, **pipeline.models_[name].payload()}
         for name, params in pipeline.config.model_params().items()
     }
     return {
@@ -223,42 +194,6 @@ def _load_block(payload: dict | None, kind: str, spec: BlockSpec | None) -> Tfid
         raise BundleFormatError(f"invalid {kind} block: {exc}") from exc
 
 
-def _load_svc(entry: dict, params: dict, union: TfidfUnion) -> LinearSvc:
-    coef = check_list("svc coef", _require(entry, "coef", "svc model"), list)
-    return LinearSvc.from_fitted(
-        params,
-        np.array([check_reals("svc coef row", row) for row in coef]),
-        check_reals("svc intercept", _require(entry, "intercept", "svc model")),
-    )
-
-
-def _load_forest(entry: dict, params: dict, union: TfidfUnion) -> RandomForest:
-    return RandomForest.from_fitted(
-        params,
-        n_labels=check_int("forest n_labels", _require(entry, "n_labels", "forest model")),
-        n_features=check_int("forest n_features", _require(entry, "n_features", "forest model")),
-        trees=_require(entry, "trees", "forest model"),
-    )
-
-
-def _load_knn(entry: dict, params: dict, union: TfidfUnion) -> KnnClassifier:
-    labels = check_list("knn labels", _require(entry, "labels", "knn model"), int)
-    rows = _require(entry, "vectors", "knn model")
-    if any(len(row["i"]) != len(row["v"]) for row in rows):
-        raise ValueError("a knn vector has different numbers of indices and values")
-    vectors = CsrMatrix(
-        np.concatenate(([0], np.cumsum([len(row["i"]) for row in rows], dtype=np.int64))),
-        check_list("knn vector indices", [i for row in rows for i in row["i"]], int),
-        check_reals("knn vector values", [v for row in rows for v in row["v"]]),
-        union.n_features_,
-    )
-    n_labels = check_int("knn n_labels", _require(entry, "n_labels", "knn model"))
-    return KnnClassifier.from_fitted(params, labels=labels, vectors=vectors, n_labels=n_labels)
-
-
-_LOADERS = {"svc": _load_svc, "forest": _load_forest, "knn": _load_knn}
-
-
 def pipeline_from_dict(payload: dict) -> DialectPipeline:
     if not isinstance(payload, dict):
         raise BundleFormatError("bundle root must be a JSON object")
@@ -295,6 +230,7 @@ def pipeline_from_dict(payload: dict) -> DialectPipeline:
             f"not {list(expected)}"
         )
     fitted = {}
+    n_labels = len(label_space)
     try:
         for name, params in expected.items():
             # Both sides are read by the same type hints, so equal values have
@@ -302,22 +238,11 @@ def pipeline_from_dict(payload: dict) -> DialectPipeline:
             found = read_fields(MODEL_TYPES[name], _require(models[name], "params", f"{name} model"), name)
             if found != params:
                 raise ValueError(f"{name} params {found} differ from {params}, set by the config")
-            fitted[name] = _LOADERS[name](models[name], found, union)
-    except (TypeError, ValueError, KeyError, OverflowError) as exc:  # overflow: an int64 index beyond range
+            fitted[name] = MODEL_TYPES[name].from_fitted(found, models[name], n_labels, union.n_features_)
+    except KeyError as exc:
+        raise BundleFormatError(f"bundle {name} model is missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:  # overflow: an int64 index beyond range
         raise BundleFormatError(f"invalid classifier payload: {exc}") from exc
-
-    n_labels, dims = len(label_space), union.n_features_
-    for name, model in fitted.items():
-        if getattr(model, "n_features_", dims) != dims:
-            raise BundleFormatError(f"{name} model dimension {model.n_features_} does not match union dimension {dims}")
-    svc = fitted.get("svc")
-    if svc is not None and svc.n_labels_ != n_labels:
-        raise BundleFormatError(f"svc coef has {svc.n_labels_} rows for {n_labels} labels")
-    if svc is not None and svc.intercept_.shape != (n_labels,):
-        raise BundleFormatError(f"svc intercept has shape {svc.intercept_.shape} for {n_labels} labels")
-    for name, model in fitted.items():
-        if model.n_labels_ != n_labels:
-            raise BundleFormatError(f"{name} model has n_labels {model.n_labels_} for {n_labels} labels")
 
     pipeline = DialectPipeline(config)
     pipeline.union_ = union

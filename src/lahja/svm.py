@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import BaseEstimator, check_is_fitted, check_labels, check_positive
+from .base import BaseEstimator, check_is_fitted, check_labels, check_list, check_positive, check_reals
 from .sparse import CsrMatrix
 
 # Spreads per-label RNG streams apart so one-vs-rest problems stay
@@ -141,17 +141,26 @@ class LinearSvc(BaseEstimator):
         self.dual_objective_history_ = history
         return self
 
+    def payload(self) -> dict:
+        """The model's bundle entry: its weights, one row per label."""
+        check_is_fitted(self, "coef_")
+        return {"coef": self.coef_.tolist(), "intercept": self.intercept_.tolist()}
+
     @classmethod
-    def from_fitted(
-        cls,
-        params: dict,
-        coef: np.ndarray,
-        intercept: np.ndarray,
-    ) -> "LinearSvc":
+    def from_fitted(cls, params: dict, payload: dict, n_labels: int, n_features: int) -> "LinearSvc":
+        """The model of a :meth:`payload` entry, which must hold ``n_labels``
+        weight rows of ``n_features`` reals and ``n_labels`` intercepts."""
+        coef = np.array([check_reals("svc coef row", row) for row in check_list("svc coef", payload["coef"], list)])
+        intercept = check_reals("svc intercept", payload["intercept"])
+        if len(coef) != n_labels:
+            raise ValueError(f"svc coef has {len(coef)} rows for {n_labels} labels")
+        if coef.shape != (n_labels, n_features):
+            raise ValueError(f"svc model dimension {coef.shape[-1]} does not match union dimension {n_features}")
+        if intercept.shape != (n_labels,):
+            raise ValueError(f"svc intercept has shape {intercept.shape} for {n_labels} labels")
         model = cls(**params)
-        model.coef_ = np.asarray(coef, dtype=np.float64)
-        model.intercept_ = np.asarray(intercept, dtype=np.float64)
-        model.n_labels_, model.n_features_ = model.coef_.shape
+        model.coef_, model.intercept_ = coef, intercept
+        model.n_labels_, model.n_features_ = n_labels, n_features
         model.dual_objective_history_ = []
         return model
 

@@ -147,6 +147,31 @@ class TestExitCodes:
         assert "must be" in capsys.readouterr().err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"n": [1], "C": [1.0], "k": 0},
+            {"classifier": "forest", "policy": {"kind": "threshold"}},
+            {"n": [0]},
+            {"n": [11]},
+            {"C": [-1.0]},
+            {"w1": [1.5]},
+            {"max_features": [0]},
+            {"v1": [0.0], "classifier": "vote"},
+            {"n_trees": 0},
+        ],
+    )
+    def test_grid_value_no_config_could_take_is_usage_error(self, data_files, capsys, grid):
+        root, train_path, dev_path = data_files
+        grid_path = root / "grid_range.json"
+        grid_path.write_text(json.dumps(grid), encoding="utf-8")
+        out_path = root / "range.tsv"
+        code = main(["sweep", "--train-file", str(train_path), "--dev-file", str(dev_path),
+                     "--grid", str(grid_path), "--out", str(out_path)])
+        assert code == 1
+        assert "lahja: error: grid file" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_overflowing_config_real_is_usage_error(self, data_files, capsys):
         root, train_path, _ = data_files
         config_path = root / "config_inf.json"

@@ -41,7 +41,7 @@ def naive_tree_walk(nodes: list[dict], dense_x) -> int:
 
 def naive_forest_predict(forest: RandomForest, dense_x) -> int:
     counts = [0] * forest.n_labels_
-    for nodes in forest.tree_payloads():
+    for nodes in forest.payload()["trees"]:
         counts[naive_tree_walk(nodes, dense_x)] += 1
     best = max(counts)
     for label, c in enumerate(counts):
@@ -54,7 +54,7 @@ class TestRandomForest:
     def test_single_label_gives_single_leaf_trees(self):
         X = csr([[1.0, 0.0], [0.0, 2.0], [3.0, 1.0]])
         forest = RandomForest(n_trees=7, seed=1).fit(X, [1, 1, 1], n_labels=2)
-        assert all(len(nodes) == 1 for nodes in forest.tree_payloads())
+        assert all(len(nodes) == 1 for nodes in forest.payload()["trees"])
         assert forest.predict(csr([[5.0, 5.0]]))[0] == 1
 
     def test_xor_parity_fits_training_set(self):
@@ -68,14 +68,14 @@ class TestRandomForest:
         X, y = random_instance(rng, 30, 6, 3)
         a = RandomForest(n_trees=12, seed=5).fit(X, y)
         b = RandomForest(n_trees=12, seed=5).fit(X, y)
-        assert a.tree_payloads() == b.tree_payloads()
+        assert a.payload()["trees"] == b.payload()["trees"]
 
     def test_different_seed_differs(self):
         rng = np.random.RandomState(2)
         X, y = random_instance(rng, 30, 6, 3)
         a = RandomForest(n_trees=12, seed=5).fit(X, y)
         b = RandomForest(n_trees=12, seed=6).fit(X, y)
-        assert a.tree_payloads() != b.tree_payloads()
+        assert a.payload()["trees"] != b.payload()["trees"]
 
     def test_leaf_distributions_sum_to_one(self):
         rng = np.random.RandomState(3)
@@ -204,4 +204,4 @@ class TestSplitSearch:
                 reference_build_tree(X.transpose(), y, n_candidates, len(dataset.label_space), int(s))
                 for s in tree_seeds
             ]
-            assert json.dumps(forest.tree_payloads()) == json.dumps(reference)
+            assert json.dumps(forest.payload()["trees"]) == json.dumps(reference)

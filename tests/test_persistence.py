@@ -90,6 +90,36 @@ class TestRoundTrip:
             assert loaded.predict_text(doc.text) == pipeline.predict_text(doc.text)
 
 
+class TestModelEntries:
+    """Each model's ``payload`` and ``from_fitted``, without the rest of the bundle."""
+
+    @staticmethod
+    def entry(fitted_vote_pipeline, name):
+        pipeline, ds = fitted_vote_pipeline
+        model = pipeline.models_[name]
+        shape = (pipeline.n_labels_, pipeline.union_.n_features_)
+        return model, shape, pipeline.union_.transform(random_texts(ds, 60, seed=2))
+
+    @pytest.mark.parametrize("name", ["svc", "forest", "knn"])
+    def test_from_fitted_predicts_bit_for_bit(self, fitted_vote_pipeline, name):
+        model, shape, X = self.entry(fitted_vote_pipeline, name)
+        loaded = type(model).from_fitted(model.get_params(), model.payload(), *shape)
+        assert loaded.predict(X).tobytes() == model.predict(X).tobytes()
+        assert loaded.payload() == model.payload()
+        if name == "svc":
+            assert loaded.decision_function(X).tobytes() == model.decision_function(X).tobytes()
+
+    @pytest.mark.parametrize("name", ["svc", "forest", "knn"])
+    def test_other_label_count_or_width_rejected(self, fitted_vote_pipeline, name):
+        model, (n_labels, n_features), _ = self.entry(fitted_vote_pipeline, name)
+        payload = model.payload()
+        # A KNN entry records no width: a union too narrow for a column it stores.
+        width = max(i for row in payload["vectors"] for i in row["i"]) if name == "knn" else n_features - 1
+        for shape in [(n_labels + 1, n_features), (n_labels - 1, n_features), (n_labels, width)]:
+            with pytest.raises(ValueError):
+                type(model).from_fitted(model.get_params(), payload, *shape)
+
+
 def written(write, value) -> str:
     out: list[str] = []
     write(value, out)
@@ -327,6 +357,9 @@ CRAFTED = {
     "forest child past the node count": lambda p: _set_first_split(p, "r", lambda n, i: len(n)),
     "forest leaf distribution too short": _set_first_leaf_dist,
     "forest n_labels unlike the label space": lambda p: p["models"]["forest"].__setitem__("n_labels", 2),
+    "forest n_features unlike the union": lambda p: p["models"]["forest"].__setitem__(
+        "n_features", p["models"]["forest"]["n_features"] + 1
+    ),
     "forest with an empty tree": lambda p: p["models"]["forest"]["trees"].__setitem__(0, []),
     "forest without trees": lambda p: p["models"]["forest"].__setitem__("trees", []),
     # Integer fields holding reals or booleans used to load truncated, or to fail at predict.
@@ -449,6 +482,7 @@ class TestCraftedBundles:
             ("idf of 0", "idf values must be >= 1"),
             ("top-k policy wider than the label space", "top-k policy with k=4 exceeds label count 3"),
             ("svc config whose bundle also carries a forest", "holds the models ['forest', 'svc'], not ['svc']"),
+            ("forest n_features unlike the union", "does not match union dimension"),
         ],
     )
     def test_crafted_bundle_is_data_error_on_the_command_line(

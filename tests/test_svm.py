@@ -279,16 +279,18 @@ class TestMargins:
     def test_dot_product(self):
         model = LinearSvc.from_fitted(
             {"C": 1.0, "balanced": False, "tol": 1e-4, "max_epochs": 1000, "seed": 0},
-            coef=np.array([[1.0, -1.0]]),
-            intercept=np.array([0.0]),
+            {"coef": [[1.0, -1.0]], "intercept": [0.0]},
+            n_labels=1,
+            n_features=2,
         )
         assert model.decision_function(csr([[1.0, 0.0]]))[0, 0] == pytest.approx(1.0)
 
     def test_empty_vector_scores_bias(self):
         model = LinearSvc.from_fitted(
             {"C": 1.0, "balanced": False, "tol": 1e-4, "max_epochs": 1000, "seed": 0},
-            coef=np.array([[1.0, -1.0], [0.5, 0.5]]),
-            intercept=np.array([0.25, -0.75]),
+            {"coef": [[1.0, -1.0], [0.5, 0.5]], "intercept": [0.25, -0.75]},
+            n_labels=2,
+            n_features=2,
         )
         np.testing.assert_allclose(model.decision_function(csr([[0.0, 0.0]])), [[0.25, -0.75]])
 
@@ -305,8 +307,9 @@ class TestMargins:
     def test_dimension_mismatch_rejected(self):
         model = LinearSvc.from_fitted(
             {"C": 1.0, "balanced": False, "tol": 1e-4, "max_epochs": 1000, "seed": 0},
-            coef=np.array([[1.0, -1.0]]),
-            intercept=np.array([0.0]),
+            {"coef": [[1.0, -1.0]], "intercept": [0.0]},
+            n_labels=1,
+            n_features=2,
         )
         with pytest.raises(ValueError, match="dimension"):
             model.decision_function(csr([[0.0] * 5 + [1.0]]))
