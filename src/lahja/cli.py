@@ -21,7 +21,8 @@ from .base import JsonObject
 from .corpus import Dataset, LabelSpace, TsvFormatError, merge_label_spaces, parse_tsv, split_labels, tsv_rows
 from .grid import DEFAULT_MAX_CONFIGS, GridSizeError, GridSpec, run_sweep, write_sweep_tsv
 from .metrics import evaluate
-from .persistence import BundleFormatError, dumps_model, loads_model
+from . import persistence
+from .persistence import BundleFormatError
 from .pipeline import DialectPipeline, PipelineConfig
 from .presets import PRESET_NAMES, preset
 
@@ -153,7 +154,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         pipeline = DialectPipeline(config).fit(dataset)
     except ValueError as exc:
         raise DataError(f"training failed: {exc}") from exc
-    _write_bytes(args.out, "model bundle", dumps_model(pipeline))
+    _write_bytes(args.out, "model bundle", persistence.dumps_model(pipeline))
     print(
         f"trained {config.classifier} pipeline on {len(dataset)} documents, "
         f"{len(dataset.label_space)} labels, {pipeline.union_.n_features_} features -> {args.out}"
@@ -164,7 +165,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     _check_out(args.out, "predictions file")
     try:
-        pipeline = loads_model(_read_bytes(args.model, "model"))
+        pipeline = persistence.loads_model(_read_bytes(args.model, "model"))
     except BundleFormatError as exc:
         raise DataError(f"{args.model}: {exc}") from exc
     dataset = _load_dataset(args.input, args.has_header)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -91,12 +91,17 @@ class GridSpec(JsonObject):
                 object.__setattr__(self, name, values)
             if not isinstance(values, tuple) or not values:
                 raise ValueError(f"grid field {name!r} must be a non-empty sequence of candidates")
-        # Every candidate, and every fixed setting, must make a config; the
-        # other fields stay at their first candidate.
-        first = [getattr(self, name)[0] for name in _PRODUCT_FIELDS]
+        # The fixed settings must make a config with the default candidates,
+        # and so must every candidate with the other fields at their defaults.
+        defaults = {f.name: f.default for f in fields(self)}
+        base = [defaults[name][0] for name in _PRODUCT_FIELDS]
+        self.config(*base)
         for i, name in enumerate(_PRODUCT_FIELDS):
             for value in getattr(self, name):
-                self.config(*first[:i], value, *first[i + 1 :])
+                try:
+                    self.config(*base[:i], value, *base[i + 1 :])
+                except ValueError as exc:
+                    raise ValueError(f"grid field {name!r} candidate {value!r}: {exc}") from exc
 
     def size(self) -> int:
         count = 1

@@ -12,9 +12,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-# ``dot_rows`` multiplies a column of B densely when more than this share of
-# B's rows store it.
+# ``dot_rows`` and ``gram`` multiply a column of B densely when more than this
+# share of B's rows store it.
 DENSE_SHARE = 0.02
+
+# Rows per chunk of the Gram's dense slab products.
+_GRAM_CHUNK = 64
 
 
 class CsrMatrix:
@@ -154,39 +157,16 @@ class CsrMatrix:
         hold at most ``budget`` values. The other columns are summed pair by
         pair with np.bincount, at most ``budget`` pairs at a time. The split
         depends on B alone. The two parts add in different orders, so a
-        product can differ from any one sequential sum in its last bits.
+        product can differ from any one sequential sum in its last bits, and
+        BLAS may add a slab in an order that depends on its thread count.
         """
-        self.check_cols(len(columns))
-        n_rows, n_other = len(self), columns.n_cols
-        counts = np.diff(columns.indptr)
-        frequent = counts > DENSE_SHARE * n_other
-        rows = self.row_ids()
-        out = np.zeros((n_rows, n_other), dtype=np.float64)
+        return _row_products(self, columns, budget, np.matmul)
 
-        dense_cols = np.flatnonzero(frequent)
-        slot = np.cumsum(frequent) - 1  # a frequent column's place among them
-        at = np.flatnonzero(frequent[self.indices])
-        at_slot = slot[self.indices[at]]
-        width = max(1, budget // max(1, n_rows + n_other))
-        for lo in range(0, dense_cols.size, width):
-            hi = min(lo + width, dense_cols.size)
-            mine = (at_slot >= lo) & (at_slot < hi)
-            block = np.zeros((n_rows, hi - lo), dtype=np.float64)
-            block[rows[at[mine]], at_slot[mine] - lo] = self.values[at[mine]]
-            src, lengths = columns.entries(dense_cols[lo:hi])
-            other = np.zeros((hi - lo, n_other), dtype=np.float64)
-            other[np.repeat(np.arange(hi - lo), lengths), columns.indices[src]] = columns.values[src]
-            out += block @ other
-
-        rare = np.flatnonzero(~frequent[self.indices])
-        flat = out.reshape(-1)
-        for lo, hi in _spans(counts[self.indices[rare]], budget):
-            part = rare[lo:hi]
-            src, lengths = columns.entries(self.indices[part])
-            keys = np.repeat(rows[part] * n_other, lengths) + columns.indices[src]
-            products = columns.values[src] * np.repeat(self.values[part], lengths)
-            flat += np.bincount(keys, weights=products, minlength=flat.size)
-        return out
+    def gram(self, budget: int) -> np.ndarray:
+        """A·Aᵀ as ``dot_rows`` splits it, but with the dense slabs multiplied
+        by np.einsum, which adds in a fixed order: its bits do not depend on
+        the BLAS library or its thread count."""
+        return _row_products(self, self.transpose(), budget, _gram_slab)
 
     def dot_pairs(self, other: "CsrMatrix", rows: np.ndarray, other_rows: np.ndarray, budget: int) -> np.ndarray:
         """Dot product of row ``rows[i]`` of this matrix with row
@@ -208,6 +188,59 @@ class CsrMatrix:
             pair = np.repeat(np.arange(hi - lo), lengths)
             out[lo:hi] = np.bincount(pair, weights=found * self.values[src], minlength=hi - lo)
         return out
+
+
+def _gram_slab(block: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """``block @ other`` for ``other`` equal to ``block.T``, by np.einsum.
+
+    Each output adds its products in column order, so entry (i, j) has the
+    bits of entry (j, i): only the chunks of rows on and above the diagonal
+    are multiplied, and the rest is mirrored from them.
+    """
+    n = len(block)
+    out = np.empty((n, other.shape[1]), dtype=np.float64)
+    for lo in range(0, n, _GRAM_CHUNK):
+        hi = lo + _GRAM_CHUNK
+        part = np.einsum("ik,kj->ij", block[lo:hi], other[:, lo:])
+        out[lo:hi, lo:] = part
+        out[hi:, lo:hi] = part[:, hi - lo :].T
+    return out
+
+
+def _row_products(a: CsrMatrix, columns: CsrMatrix, budget: int, slab) -> np.ndarray:
+    """The kernel of ``dot_rows`` and ``gram``: A·Bᵀ with ``slab`` multiplying
+    the dense blocks of the frequent columns."""
+    a.check_cols(len(columns))
+    n_rows, n_other = len(a), columns.n_cols
+    counts = np.diff(columns.indptr)
+    frequent = counts > DENSE_SHARE * n_other
+    rows = a.row_ids()
+    out = np.zeros((n_rows, n_other), dtype=np.float64)
+
+    dense_cols = np.flatnonzero(frequent)
+    slot = np.cumsum(frequent) - 1  # a frequent column's place among them
+    at = np.flatnonzero(frequent[a.indices])
+    at_slot = slot[a.indices[at]]
+    width = max(1, budget // max(1, n_rows + n_other))
+    for lo in range(0, dense_cols.size, width):
+        hi = min(lo + width, dense_cols.size)
+        mine = (at_slot >= lo) & (at_slot < hi)
+        block = np.zeros((n_rows, hi - lo), dtype=np.float64)
+        block[rows[at[mine]], at_slot[mine] - lo] = a.values[at[mine]]
+        src, lengths = columns.entries(dense_cols[lo:hi])
+        other = np.zeros((hi - lo, n_other), dtype=np.float64)
+        other[np.repeat(np.arange(hi - lo), lengths), columns.indices[src]] = columns.values[src]
+        out += slab(block, other)
+
+    rare = np.flatnonzero(~frequent[a.indices])
+    flat = out.reshape(-1)
+    for lo, hi in _spans(counts[a.indices[rare]], budget):
+        part = rare[lo:hi]
+        src, lengths = columns.entries(a.indices[part])
+        keys = np.repeat(rows[part] * n_other, lengths) + columns.indices[src]
+        products = columns.values[src] * np.repeat(a.values[part], lengths)
+        flat += np.bincount(keys, weights=products, minlength=flat.size)
+    return out
 
 
 def _spans(costs: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:

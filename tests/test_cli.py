@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lahja import make_synthetic, save_tsv, split_dataset
+from lahja import make_synthetic, persistence, save_tsv, split_dataset
 from lahja.cli import main
 
 
@@ -83,6 +83,27 @@ def test_train_with_config_file(data_files):
     model_path = root / "model_cfg.json"
     assert main(["train", "--train-file", str(train_path), "--config", str(config_path),
                  "--out", str(model_path)]) == 0
+
+
+def test_bundle_io_goes_through_the_persistence_module(data_files, tmp_path, monkeypatch):
+    root, train_path, dev_path = data_files
+    calls = []
+
+    def spy(name):
+        real = getattr(persistence, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(persistence, name, wrapper)
+
+    spy("dumps_model")
+    spy("loads_model")
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--train-file", str(train_path), "--preset", "baseline", "--out", str(model_path)]) == 0
+    assert main(["predict", "--model", str(model_path), "--in", str(dev_path), "--out", str(tmp_path / "p.tsv")]) == 0
+    assert calls == ["dumps_model", "loads_model"]
 
 
 def test_repeated_train_byte_identical(data_files):
@@ -171,6 +192,24 @@ class TestExitCodes:
         assert code == 1
         assert "lahja: error: grid file" in capsys.readouterr().err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ({"n": [0]}, "grid field 'n' candidate 0: ngram_range must satisfy 1 <= lo <= hi <= 10, got (1, 0)"),
+            ({"n": [2], "C": [1.0, -1.0]}, "grid field 'C' candidate -1.0: C must be > 0, got -1.0"),
+            ({"v1": [0.0], "classifier": "vote"}, "grid field 'v1' candidate 0.0: vote_weights must be three positive reals"),
+            ({"k": 0}, "grid.json': k must be >= 1, got 0"),
+        ],
+    )
+    def test_grid_error_names_the_field_and_candidate(self, data_files, capsys, grid, message):
+        root, train_path, dev_path = data_files
+        grid_path = root / "grid.json"
+        grid_path.write_text(json.dumps(grid), encoding="utf-8")
+        code = main(["sweep", "--train-file", str(train_path), "--dev-file", str(dev_path),
+                     "--grid", str(grid_path), "--out", str(root / "named.tsv")])
+        assert code == 1
+        assert capsys.readouterr().err.strip().endswith(message)
 
     def test_overflowing_config_real_is_usage_error(self, data_files, capsys):
         root, train_path, _ = data_files

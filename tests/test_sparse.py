@@ -264,3 +264,27 @@ def test_dot_pairs_sum_in_row_column_order(case, data, budget):
             if dense_b[s, column] != 0.0:
                 total += float(dense_b[s, column]) * float(value)
         assert got[i].tobytes() == np.float64(total).tobytes()
+
+
+@given(dense_matrices(), st.sampled_from([1, 5, 40, 1 << 18]), st.sampled_from([0.0, 0.3, 1.0]))
+def test_gram_matches_scipy(case, budget, share):
+    rows, n_cols = case
+    a = csr(rows, n_cols)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("lahja.sparse.DENSE_SHARE", share)
+        got = a.gram(budget)
+    assert got.shape == (len(a), len(a))
+    np.testing.assert_allclose(got, dot_rows_oracle(a, a), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 18])
+def test_gram_bits_do_not_depend_on_the_row_chunk(monkeypatch, budget):
+    # Entry (i, j) adds its products in column order, as entry (j, i) does,
+    # so mirroring the chunks above the diagonal changes no bit.
+    a = csr(np.hstack([_spread(150, 30, 2, 8), _spread(150, 30, 40, 9)]), 60)
+    grams = []
+    for chunk in (1, 7, 64, 1000):
+        monkeypatch.setattr("lahja.sparse._GRAM_CHUNK", chunk)
+        grams.append(a.gram(budget).tobytes())
+    assert len(set(grams)) == 1
+    np.testing.assert_allclose(np.frombuffer(grams[0]).reshape(150, 150), dot_rows_oracle(a, a), rtol=1e-12)

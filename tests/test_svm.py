@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,9 @@ from lahja import (
     make_synthetic,
     preset,
 )
-from lahja.svm import _group_samples, _group_step, _solve_binary
+from lahja import svm
+from lahja.svm import _cholesky_solve, _group_samples, _group_step, _line_search, _solve_binary
+from lahja.vectorizer import TfidfUnion
 
 from helpers import csr, reference_svc_fit
 
@@ -182,7 +188,8 @@ class TestGroupedSolver:
     """Samples sharing one feature vector are solved as one block."""
 
     @pytest.mark.parametrize("balanced", [False, True])
-    def test_duplicate_free_fit_bit_identical_to_per_sample_solver(self, balanced):
+    def test_duplicate_free_fit_bit_identical_to_per_sample_solver(self, balanced, monkeypatch):
+        monkeypatch.setattr(svm, "NEWTON_MAX_SAMPLES", 0)  # the dual coordinate descent
         rng = np.random.RandomState(11)
         for trial in range(4):
             rows = rng.randn(24, 6) * (rng.rand(24, 6) < 0.6)
@@ -259,6 +266,163 @@ class TestGroupedSolver:
         b = LinearSvc(seed=3).fit(X, y)
         assert a.coef_.tobytes() == b.coef_.tobytes()
         assert a.intercept_.tobytes() == b.intercept_.tobytes()
+
+
+def overlap_problem():
+    """exp2-2 training samples of a small corpus with two-label documents."""
+    ds = make_synthetic(4, 15, 30, 0.2, seed=7)
+    config = preset("exp2-2")
+    vectors = TfidfUnion(config.word, config.char, config.char_wb).fit_transform(ds.texts())
+    samples = [(doc.id, label) for doc in ds.documents for label in sorted(doc.labels)]
+    return vectors.take([doc_id for doc_id, _ in samples]), [label for _, label in samples]
+
+
+class TestNewtonSolver:
+    """Fits of at most ``NEWTON_MAX_SAMPLES`` samples: working-set Newton."""
+
+    @pytest.mark.parametrize("balanced", [False, True])
+    def test_reaches_squared_hinge_minimum_on_separable_sets(self, balanced):
+        rng = np.random.RandomState(21)
+        for _ in range(5):
+            X, y = separable_instance(rng, rng.randint(6, 30), rng.randint(2, 6))
+            model = LinearSvc(C=1.5, balanced=balanced, tol=1e-10).fit(X, y)
+            per_sample_c = np.full(len(y), 1.5)
+            if balanced:
+                per_sample_c *= compute_class_weights(y, 2)[y]
+            for label in range(2):
+                w, b = squared_hinge_minimum(X, y, label, model.n_features_, per_sample_c)
+                np.testing.assert_allclose(model.coef_[label], w, atol=1e-6)
+                assert model.intercept_[label] == pytest.approx(b, abs=1e-6)
+
+    @pytest.mark.parametrize("balanced", [False, True])
+    def test_reaches_squared_hinge_minimum_with_duplicates(self, balanced):
+        X, y, bases = grouped_instance(np.random.RandomState(12))
+        model = LinearSvc(C=1.5, balanced=balanced, tol=1e-10).fit(X, y)
+        per_sample_c = np.full(len(y), 1.5)
+        if balanced:
+            per_sample_c *= compute_class_weights(y, 3)[y]
+        for label in range(3):
+            w, b = squared_hinge_minimum(X, y, label, model.n_features_, per_sample_c)
+            margins = model.decision_function(csr(bases))[:, label]
+            np.testing.assert_allclose(margins, bases @ w + b, atol=1e-6)
+
+    def test_matches_descent_at_tight_tol(self, monkeypatch):
+        X, y = overlap_problem()
+        tight = dict(C=4.0, balanced=True, tol=1e-10, max_epochs=100_000)
+        newton = LinearSvc(**tight).fit(X, y)
+        monkeypatch.setattr(svm, "NEWTON_MAX_SAMPLES", 0)
+        descent = LinearSvc(**tight).fit(X, y)
+        np.testing.assert_allclose(newton.coef_, descent.coef_, atol=1e-8)
+        np.testing.assert_allclose(newton.intercept_, descent.intercept_, atol=1e-8)
+
+    def test_label_without_samples_matches_descent(self, monkeypatch):
+        rng = np.random.RandomState(22)
+        X, y = csr(rng.randn(20, 4)), [i % 2 for i in range(20)]
+        newton = LinearSvc(tol=1e-10).fit(X, y, n_labels=3)
+        monkeypatch.setattr(svm, "NEWTON_MAX_SAMPLES", 0)
+        descent = LinearSvc(tol=1e-10, max_epochs=100_000).fit(X, y, n_labels=3)
+        np.testing.assert_allclose(newton.decision_function(X), descent.decision_function(X), atol=1e-8)
+
+    def test_rounds_non_decreasing_and_final_gap_within_tol(self):
+        X, y = overlap_problem()
+        model = LinearSvc(C=4.0, balanced=True).fit(X, y)
+        per_sample_c = 4.0 * compute_class_weights(y, 4)[y]
+        margins = model.decision_function(X)
+        assert max(len(h) for h in model.dual_objective_history_) >= 2  # the working set grew
+        for label, history in enumerate(model.dual_objective_history_):
+            assert (np.diff(history) >= -1e-9).all()
+            s = np.where(np.asarray(y) == label, 1.0, -1.0)
+            slack = np.maximum(0.0, 1.0 - s * margins[:, label])
+            w, b = model.coef_[label], model.intercept_[label]
+            primal = 0.5 * (w @ w + b * b) + per_sample_c @ (slack * slack)
+            assert -1e-9 <= primal - history[-1] <= model.tol
+
+    def test_step_cap_warns(self):
+        X, y = overlap_problem()
+        with pytest.warns(ConvergenceWarning, match=r"max_epochs=1 .*\(1 epochs"):
+            model = LinearSvc(C=4.0, balanced=True, max_epochs=1).fit(X, y)
+        assert all(len(h) == 1 for h in model.dual_objective_history_)
+
+    def test_same_inputs_bit_identical(self):
+        X, y = overlap_problem()
+        a = LinearSvc(C=4.0, balanced=True).fit(X, y)
+        b = LinearSvc(C=4.0, balanced=True).fit(X, y)
+        assert a.coef_.tobytes() == b.coef_.tobytes()
+        assert a.intercept_.tobytes() == b.intercept_.tobytes()
+        assert a.dual_objective_history_ == b.dual_objective_history_
+
+    def test_size_constant_picks_the_solver(self, monkeypatch):
+        rng = np.random.RandomState(11)
+        rows = rng.randn(24, 6) * (rng.rand(24, 6) < 0.6)
+        _, first = np.unique(rows, axis=0, return_index=True)
+        X = csr(rows[np.sort(first)])
+        y = [i % 3 for i in range(len(X))]
+        calls = []
+        for name in ("_newton_binary", "_solve_binary"):
+            real = getattr(svm, name)
+            monkeypatch.setattr(svm, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
+        monkeypatch.setattr(svm, "NEWTON_MAX_SAMPLES", len(X))
+        LinearSvc(C=2.0).fit(X, y)
+        assert calls == ["_newton_binary"] * 3
+        calls.clear()
+        monkeypatch.setattr(svm, "NEWTON_MAX_SAMPLES", len(X) - 1)
+        model = LinearSvc(C=2.0).fit(X, y)
+        assert calls == ["_solve_binary"] * 3
+        coef, intercept, _ = reference_svc_fit(X, y, 3, 6, C=2.0)
+        assert model.coef_.tobytes() == coef.tobytes()
+        assert model.intercept_.tobytes() == intercept.tobytes()
+
+    def test_line_search_minimizes_the_primal_on_the_segment(self):
+        rng = np.random.RandomState(32)
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            A = rng.randn(n, 3)
+            gram = A @ A.T + 1.0
+            signs = rng.choice([-1.0, 1.0], n)
+            diag = rng.uniform(0.1, 2.0, n)
+            coef = rng.randn(n) * (rng.rand(n) < 0.6)
+            newton = rng.randn(n)
+
+            def primal(steps):
+                u = coef + np.multiply.outer(steps, newton - coef)
+                margins = u @ gram
+                slack = np.maximum(0.0, 1.0 - signs * margins)
+                return 0.5 * (u * margins).sum(axis=1) + (slack * slack / (2.0 * diag)).sum(axis=1)
+
+            t = _line_search(coef, gram @ coef, newton, gram @ newton, signs, diag)
+            assert t >= 0.0
+            grid = np.linspace(0.0, max(2.0, 2.0 * t), 4001)
+            assert primal(np.array([t]))[0] <= primal(grid).min() + 1e-9
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 40])
+    def test_cholesky_solve_matches_lapack(self, n):
+        rng = np.random.RandomState(n)
+        A = rng.randn(n, n)
+        a = A @ A.T + n * np.eye(n)
+        rhs = rng.randn(n)
+        np.testing.assert_allclose(_cholesky_solve(a, rhs), np.linalg.solve(a, rhs), rtol=1e-10)
+
+
+def test_bundle_bytes_do_not_depend_on_the_blas_thread_count():
+    script = (
+        "import sys\n"
+        "from lahja import DialectPipeline, dumps_model, make_synthetic, preset\n"
+        "dataset = make_synthetic(10, 30, 60, 0.15, seed=1009)\n"
+        "sys.stdout.buffer.write(dumps_model(DialectPipeline(preset('exp2-2')).fit(dataset)))\n"
+    )
+    src = str(Path(svm.__file__).resolve().parents[1])
+    bundles = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+            "MKL_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True)
+        bundles.append(run.stdout)
+    assert bundles[0] == bundles[1]
 
 
 class TestConvergenceWarning:
