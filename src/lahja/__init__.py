@@ -1,9 +1,10 @@
 """Multi-label country-level dialect identification.
 
 Weighted unions of word/char/char_wb TF-IDF n-gram blocks feeding a linear
-SVM (dual coordinate descent), a random forest and a cosine KNN, combined by
-weighted hard majority voting, with sample-averaged multi-label scoring, a
-hyperparameter sweep harness and a TSV-based CLI.
+SVM, a random forest and a cosine KNN, combined by weighted hard majority
+voting, with sample-averaged multi-label scoring, a hyperparameter sweep
+harness and a TSV-based CLI. The SVM is fitted by working-set finite Newton
+up to ``svm.NEWTON_MAX_SAMPLES`` (1,024) samples, by dual coordinate descent above.
 """
 
 from .analyzers import (
@@ -23,7 +24,6 @@ from .corpus import (
     Document,
     LabelSpace,
     TsvFormatError,
-    load_tsv,
     make_synthetic,
     merge_label_spaces,
     parse_tsv,
@@ -92,7 +92,6 @@ __all__ = [
     "enumerate_grid",
     "evaluate",
     "load_model",
-    "load_tsv",
     "loads_model",
     "make_synthetic",
     "merge_label_spaces",

@@ -169,10 +169,6 @@ def serialize_tsv(dataset: Dataset) -> bytes:
     return "".join(lines).encode("utf-8")
 
 
-def load_tsv(path: str | Path, has_header: bool = False) -> Dataset:
-    return parse_tsv(Path(path).read_bytes(), has_header=has_header)
-
-
 def save_tsv(dataset: Dataset, path: str | Path) -> None:
     Path(path).write_bytes(serialize_tsv(dataset))
 

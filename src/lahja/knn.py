@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import BaseEstimator, check_int, check_is_fitted, check_labels, check_list, check_reals
+from .base import BaseEstimator, check_int, check_is_fitted, check_labels, check_list
 from .sparse import CsrMatrix
 
 # Bound on the values ``neighbors`` holds in one array, beyond arrays of one
@@ -79,10 +79,11 @@ class KnnClassifier(BaseEstimator):
         rows = check_list("knn vectors", payload["vectors"], dict)
         if any(len(row["i"]) != len(row["v"]) for row in rows):
             raise ValueError("a knn vector has different numbers of indices and values")
+        # The values are checked finite once, by the CsrMatrix.
         vectors = CsrMatrix(
             np.concatenate(([0], np.cumsum([len(row["i"]) for row in rows], dtype=np.int64))),
             check_list("knn vector indices", [i for row in rows for i in row["i"]], int),
-            check_reals("knn vector values", [v for row in rows for v in row["v"]]),
+            check_list("knn vector values", [v for row in rows for v in row["v"]], float),
             n_features,
         )
         return cls(**params).fit(vectors, check_list("knn labels", payload["labels"], int), n_labels)

@@ -256,18 +256,10 @@ def _reject_constant(name: str) -> None:
     raise BundleFormatError(f"bundle holds the non-finite real {name}")
 
 
-def _parse_finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise BundleFormatError(f"bundle holds the non-finite real {text} (overflows to {value})")
-    return value
-
-
 def loads_model(data: bytes) -> DialectPipeline:
+    # A literal like 1e999 parses to infinity; the typed reader of each real rejects it.
     try:
-        payload = json.loads(
-            data.decode("utf-8"), parse_float=_parse_finite, parse_constant=_reject_constant
-        )
+        payload = json.loads(data.decode("utf-8"), parse_constant=_reject_constant)
     except (ValueError, RecursionError) as exc:  # also an over-long integer or too deep nesting
         raise BundleFormatError(f"bundle is not valid JSON (truncated or corrupt?): {exc}") from exc
     return pipeline_from_dict(payload)
