@@ -12,7 +12,7 @@ import inspect
 import math
 import types
 import typing
-from typing import Any, Sequence
+from typing import Any, Collection, Sequence
 
 import numpy as np
 
@@ -160,10 +160,16 @@ def read_fields(cls: type, payload: object, what: str) -> dict[str, Any]:
     if type(payload) is not dict:
         raise ValueError(f"{what} must be an object, got {type(payload).__name__}")
     hints = _init_hints(cls)
-    unknown = payload.keys() - hints.keys()
+    check_fields(what, payload, hints.keys())
+    return {name: _read_value(f"{what} {name}", hints[name], value) for name, value in payload.items()}
+
+
+def check_fields(what: str, payload: dict, names: Collection[str]) -> None:
+    """Reject a field of the JSON object ``payload`` that is not in ``names``:
+    a reader would drop it, and the next save would lose it."""
+    unknown = payload.keys() - names
     if unknown:
         raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
-    return {name: _read_value(f"{what} {name}", hints[name], value) for name, value in payload.items()}
 
 
 def _read_value(name: str, hint: Any, value: object) -> Any:

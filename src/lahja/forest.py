@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import BaseEstimator, check_int, check_is_fitted, check_labels, check_reals
+from .base import BaseEstimator, check_fields, check_int, check_is_fitted, check_labels, check_reals
 from .sparse import CsrMatrix
 
 _LEAF = -1
@@ -58,6 +58,7 @@ class RandomForest(BaseEstimator):
     def from_fitted(cls, params: dict, payload: dict, n_labels: int, n_features: int) -> "RandomForest":
         """The forest of a :meth:`payload` entry, which must be fitted for
         ``n_labels`` labels and ``n_features`` feature columns."""
+        check_fields("forest model", payload, ("n_labels", "n_features", "trees"))
         if check_int("forest n_labels", payload["n_labels"]) != n_labels:
             raise ValueError(f"forest model has n_labels {payload['n_labels']} for {n_labels} labels")
         if check_int("forest n_features", payload["n_features"]) != n_features:
@@ -86,6 +87,8 @@ class RandomForest(BaseEstimator):
                 raise ValueError(f"tree {t} has no nodes")
             for i, node in enumerate(nodes):
                 where = f"tree {t} node {i}"
+                if len(node) != (1 if "d" in node else 4):
+                    raise ValueError(f"{where}: a leaf holds only d, a split only f, t, l and r; got {sorted(node)}")
                 if "d" in node:
                     if len(node["d"]) != n_labels:
                         raise ValueError(f"{where}: leaf distribution is not of length {n_labels}")

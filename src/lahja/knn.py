@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import BaseEstimator, check_int, check_is_fitted, check_labels, check_list
+from .base import BaseEstimator, check_fields, check_int, check_is_fitted, check_labels, check_list
 from .sparse import CsrMatrix
 
 # Bound on the values ``neighbors`` holds in one array, beyond arrays of one
@@ -32,6 +32,9 @@ _U = 2.0**-53  # unit roundoff of float64
 # [2**-480, 2**480] and rows of fewer than 2**40 values; outside that range
 # every training row is scored exactly.
 _RANGE = (2.0**-480, 2.0**480)
+
+# The fields of one training row in the bundle entry: its indices and values.
+_ROW_FIELDS = {"i", "v"}
 
 
 class KnnClassifier(BaseEstimator):
@@ -74,9 +77,13 @@ class KnnClassifier(BaseEstimator):
     def from_fitted(cls, params: dict, payload: dict, n_labels: int, n_features: int) -> "KnnClassifier":
         """The model of a :meth:`payload` entry, fitted on its rows as
         ``n_features``-wide feature rows labelled in [0, ``n_labels``)."""
+        check_fields("knn model", payload, ("n_labels", "labels", "vectors"))
         if check_int("knn n_labels", payload["n_labels"]) != n_labels:
             raise ValueError(f"knn model has n_labels {payload['n_labels']} for {n_labels} labels")
         rows = check_list("knn vectors", payload["vectors"], dict)
+        if any(row.keys() - _ROW_FIELDS for row in rows):
+            unknown = set().union(*(row.keys() for row in rows)) - _ROW_FIELDS
+            raise ValueError(f"unknown knn vector fields: {sorted(unknown)}")
         if any(len(row["i"]) != len(row["v"]) for row in rows):
             raise ValueError("a knn vector has different numbers of indices and values")
         # The values are checked finite once, by the CsrMatrix.

@@ -24,6 +24,7 @@ the vote.
 Each model writes and reads its own entry: ``payload()`` gives everything
 but ``params``, and ``from_fitted(params, entry, n_labels, n_features)``
 reads it back, checked once against the label space and the union width.
+Every reader rejects a field it does not read, which a save would drop.
 This module keeps the union's block slots, which pair the config's block
 spec with the fitted block.
 """
@@ -34,7 +35,7 @@ import json
 import math
 from pathlib import Path
 
-from .base import check_list, check_reals, read_fields
+from .base import check_fields, check_list, check_reals, read_fields
 from .corpus import LabelSpace
 from .pipeline import MODEL_TYPES, DialectPipeline, PipelineConfig
 from .vectorizer import BLOCK_ORDER, BlockSpec, TfidfBlock, TfidfUnion
@@ -156,6 +157,19 @@ def save_model(pipeline: DialectPipeline, path: str | Path) -> None:
     Path(path).write_bytes(dumps_model(pipeline))
 
 
+# The fields of the bundle root, of the union and of an enabled block.
+_ROOT_FIELDS = ("format_version", "config", "label_space", "union", "models")
+_UNION_FIELDS = ("blocks",)
+_BLOCK_FIELDS = ("analyzer", "ngram_range", "max_features", "weight", "vocabulary", "idf")
+
+
+def _only(payload: dict, names: tuple[str, ...], context: str) -> None:
+    try:
+        check_fields(f"bundle {context}", payload, names)
+    except ValueError as exc:
+        raise BundleFormatError(str(exc)) from exc
+
+
 def _require(payload: dict, key: str, context: str) -> object:
     if not isinstance(payload, dict) or key not in payload:
         raise BundleFormatError(f"bundle {context} is missing field {key!r}")
@@ -172,6 +186,7 @@ def _load_block(payload: dict | None, kind: str, spec: BlockSpec | None) -> Tfid
         return None
     where = f"{kind} block"
     analyzer = _require(payload, "analyzer", where)
+    _only(payload, _BLOCK_FIELDS, where)
     if analyzer != kind:
         raise BundleFormatError(f"block analyzer {analyzer!r} does not match slot {kind!r}")
     for name in ("ngram_range", "weight", "vocabulary", "idf"):
@@ -197,6 +212,7 @@ def _load_block(payload: dict | None, kind: str, spec: BlockSpec | None) -> Tfid
 def pipeline_from_dict(payload: dict) -> DialectPipeline:
     if not isinstance(payload, dict):
         raise BundleFormatError("bundle root must be a JSON object")
+    _only(payload, _ROOT_FIELDS, "root")
     version = _require(payload, "format_version", "root")
     if type(version) is not int or version != FORMAT_VERSION:
         raise BundleFormatError(
@@ -215,6 +231,7 @@ def pipeline_from_dict(payload: dict) -> DialectPipeline:
 
     union_payload = _require(payload, "union", "root")
     blocks_payload = _require(union_payload, "blocks", "union")
+    _only(union_payload, _UNION_FIELDS, "union")
     if not isinstance(blocks_payload, list) or len(blocks_payload) != 3:
         raise BundleFormatError("union must hold exactly 3 block slots")
     specs = (config.word, config.char, config.char_wb)
@@ -238,7 +255,8 @@ def pipeline_from_dict(payload: dict) -> DialectPipeline:
             found = read_fields(MODEL_TYPES[name], _require(models[name], "params", f"{name} model"), name)
             if found != params:
                 raise ValueError(f"{name} params {found} differ from {params}, set by the config")
-            fitted[name] = MODEL_TYPES[name].from_fitted(found, models[name], n_labels, union.n_features_)
+            entry = {key: value for key, value in models[name].items() if key != "params"}
+            fitted[name] = MODEL_TYPES[name].from_fitted(found, entry, n_labels, union.n_features_)
     except KeyError as exc:
         raise BundleFormatError(f"bundle {name} model is missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:  # overflow: an int64 index beyond range

@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import BaseEstimator, check_is_fitted, check_labels, check_list, check_positive, check_reals
+from .base import BaseEstimator, check_fields, check_is_fitted, check_labels, check_list, check_positive, check_reals
 from .sparse import CsrMatrix
 
 # Spreads per-label RNG streams apart so one-vs-rest problems stay
@@ -169,6 +169,7 @@ class LinearSvc(BaseEstimator):
     def from_fitted(cls, params: dict, payload: dict, n_labels: int, n_features: int) -> "LinearSvc":
         """The model of a :meth:`payload` entry, which must hold ``n_labels``
         weight rows of ``n_features`` reals and ``n_labels`` intercepts."""
+        check_fields("svc model", payload, ("coef", "intercept"))
         coef = np.array([check_reals("svc coef row", row) for row in check_list("svc coef", payload["coef"], list)])
         intercept = check_reals("svc intercept", payload["intercept"])
         if len(coef) != n_labels:

@@ -6,6 +6,12 @@ document transforms to raw counts * idf, L2-normalized per block. The union
 owns the transformer weights: it concatenates the three blocks (word, char,
 char_wb) with fixed column offsets, each block's values scaled by its
 weight as they are copied.
+
+A word block counts the strings the word analyzer gives each text. A char
+or char_wb block featurizes a whole batch with numpy, each n-gram an
+integer code rather than a string, in chunks of at most ``_BUDGET`` code
+points; its vocabulary, idf and matrices are bit for bit those of counting
+the strings of ``char_ngrams`` / ``char_wb_ngrams``.
 """
 
 from __future__ import annotations
@@ -17,15 +23,26 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .analyzers import ANALYZER_KINDS, CHAR, CHAR_WB, WORD, build_analyzer
+from .analyzers import ANALYZER_KINDS, CHAR, CHAR_WB, WORD, CodeStream, build_analyzer, code_stream
 from .base import BaseEstimator, JsonObject, check_int, check_is_fitted, check_ngram_range
 from .sparse import CsrMatrix
 
 BLOCK_ORDER = (WORD, CHAR, CHAR_WB)
+
+# Code points of the texts a char block featurizes at once. The arrays of a
+# chunk take about 0.1 kB per code point at n up to 5, so 2**14 bounds them
+# near 2 MB whatever the batch size; larger chunks were no faster.
+_BUDGET = 1 << 14
+# One more than the largest code point: the key of a char n-gram is its
+# prefix's node * _BASE + its last code point. Nodes number the distinct
+# n-grams of one length, fewer than the batch's code points, so keys stay
+# below 2**63 for batches of up to 8e12 code points.
+_BASE = 0x110000
+_NO_KEY = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -51,6 +68,15 @@ class TfidfBlock(BaseEstimator):
 
     Fitted attributes: ``vocabulary_`` (feature -> column, lexicographic),
     ``idf_`` (float array), ``n_features_``.
+
+    Word blocks analyze one text at a time with the word analyzer. Char and
+    char_wb blocks read a batch as a :class:`~lahja.analyzers.CodeStream`, in
+    chunks of at most ``_BUDGET`` code points, and code every window as an
+    integer, one n-gram length after another: an n-gram is the pair (node
+    of its (n-1)-prefix, its last code point) in a :class:`_Trie`. Fitting
+    grows the trie over the batch and decodes only its distinct n-grams to
+    strings; a fitted block walks the trie of its vocabulary's prefixes, so
+    a window whose prefix is not in it is out of vocabulary.
     """
 
     def __init__(
@@ -63,36 +89,27 @@ class TfidfBlock(BaseEstimator):
         self.ngram_range = ngram_range
         self.max_features = max_features
 
-    def _check_params(self) -> Callable[[str], list[str]]:
+    def _check_params(self) -> None:
         if self.analyzer not in ANALYZER_KINDS:
             raise ValueError(f"unknown analyzer {self.analyzer!r}; expected one of {ANALYZER_KINDS}")
         BlockSpec(tuple(self.ngram_range), self.max_features)  # validates the rest
-        return build_analyzer(self.analyzer, tuple(self.ngram_range))
 
     def fit(self, texts: Sequence[str]) -> "TfidfBlock":
         self.fit_transform(texts)
         return self
 
     def fit_transform(self, texts: Sequence[str]) -> CsrMatrix:
-        """Fit on ``texts`` and return their matrix, analyzing each text once.
-
-        Each new n-gram gets a provisional id in first-seen order; once the
-        vocabulary is fixed the ids map to lexicographic columns.
-        """
-        analyze = self._check_params()
+        """Fit on ``texts`` and return their matrix, featurizing each text once."""
+        self._check_params()
         texts = list(texts)
         if not texts:
             raise ValueError("cannot fit a TF-IDF block on an empty corpus")
-        ids: defaultdict[str, int] = defaultdict()
-        ids.default_factory = ids.__len__
-        rows, stream = _analyze_all(texts, analyze, partial(map, ids.__getitem__))
-        names = list(ids)
+        count = self._count_words if self.analyzer == WORD else self._count_chars
+        names, docs, grams, counts = count(texts)
         if not names:
             raise ValueError("no features survived fitting; corpus produced no analyzer output")
-        totals = np.bincount(stream, minlength=len(names)).tolist()
-        document_frequency = np.bincount(
-            np.unique(rows * len(names) + stream) % len(names), minlength=len(names)
-        ).tolist()
+        totals = np.bincount(grams, weights=counts, minlength=len(names)).tolist()
+        document_frequency = np.bincount(grams, minlength=len(names)).tolist()
         kept = range(len(names))
         if self.max_features is not None and len(names) > self.max_features:
             # Keep the features with the highest total corpus count; ties go
@@ -100,16 +117,79 @@ class TfidfBlock(BaseEstimator):
             kept = sorted(kept, key=lambda i: (-totals[i], names[i]))[: self.max_features]
         kept = sorted(kept, key=names.__getitem__)
         n_docs = len(texts)
-        self.vocabulary_ = {names[i]: column for column, i in enumerate(kept)}
         self.idf_ = np.array(
             [math.log((1.0 + n_docs) / (1.0 + document_frequency[i])) + 1.0 for i in kept],
             dtype=np.float64,
         )
-        self.n_features_ = len(kept)
-        self._analyze = analyze
+        self._set_vocabulary([names[i] for i in kept])
         columns = np.full(len(names), -1, dtype=np.int64)
         columns[kept] = np.arange(len(kept))
-        return self._tfidf(rows, columns[stream], n_docs)
+        columns = columns[grams]
+        known = columns >= 0
+        keys = docs[known] * self.n_features_ + columns[known]
+        order = np.argsort(keys)
+        return self._tfidf(keys[order], counts[known][order], n_docs)
+
+    def _count_words(self, texts: list[str]) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct word n-grams of ``texts`` in first-seen order, and the
+        (text, n-gram index, count) of every distinct pair."""
+        ids: defaultdict[str, int] = defaultdict()
+        ids.default_factory = ids.__len__
+        analyze = build_analyzer(WORD, tuple(self.ngram_range))
+        rows, stream = _analyze_all(texts, analyze, partial(map, ids.__getitem__))
+        n = max(len(ids), 1)
+        keys, counts = np.unique(rows * n + stream, return_counts=True)
+        return list(ids), keys // n, keys % n, counts
+
+    def _count_chars(self, texts: list[str]) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct char or char_wb n-grams of ``texts``, length by length,
+        and the (text, n-gram index, count) of every distinct pair."""
+        hi = self.ngram_range[1]
+        trie = _Trie(hi)
+        found: list[list[tuple[np.ndarray, ...]]] = [[] for _ in range(hi)]
+        for first, chunk in _chunks(texts):
+            stream = code_stream(chunk, self.analyzer)
+            for level, positions, nodes in self._windows(stream, trie.grow):
+                size = len(trie.ids[level])
+                keys, counts = np.unique(stream.doc[positions] * size + nodes, return_counts=True)
+                found[level].append((keys // size + first, keys % size, counts))
+        names: list[str] = []
+        pairs = [(np.zeros(0, dtype=np.int64),) * 3]
+        for level, codes in enumerate(trie.codes()):
+            if not found[level]:
+                continue
+            docs, nodes, counts = map(np.concatenate, zip(*found[level]))
+            emitted = np.unique(nodes)
+            pairs.append((docs, len(names) + np.searchsorted(emitted, nodes), counts))
+            names.extend(_decode(codes[emitted]))
+        docs, grams, counts = map(np.concatenate, zip(*pairs))
+        return names, docs, grams, counts
+
+    def _windows(self, stream: CodeStream, lookup: Callable[[int, np.ndarray], np.ndarray]):
+        """(level, positions, nodes) of the n-grams of ``stream`` that are
+        ``level + 1`` chars long, in increasing length. ``lookup(level, keys)``
+        gives the trie nodes of keys at a level, or -1 where it has none; a
+        window with no node has no longer windows either.
+
+        The string analyzers' windows, as sizes per segment of length L: char
+        takes n in [lo, min(hi, L)], char_wb n in [min(lo, L), min(hi, L)],
+        so a padded word shorter than ``lo`` is taken whole.
+        """
+        lo, hi = self.ngram_range
+        whole = self.analyzer == CHAR_WB
+        positions = np.arange(len(stream.codes))
+        nodes = np.zeros(len(positions), dtype=np.int64)
+        for level in range(hi):
+            nodes = lookup(level, nodes * _BASE + stream.codes[positions + level])
+            found = nodes >= 0
+            room = stream.room[positions]
+            if level + 1 >= lo:
+                yield level, positions[found], nodes[found]
+            elif whole:
+                taken = found & stream.start[positions] & (room == level + 1)
+                yield level, positions[taken], nodes[taken]
+            longer = found & (room > level + 1)
+            positions, nodes = positions[longer], nodes[longer]
 
     @classmethod
     def from_fitted(
@@ -129,11 +209,26 @@ class TfidfBlock(BaseEstimator):
         if not np.all(idf >= 1.0):
             raise ValueError("persisted idf values must be >= 1")
         block = cls(analyzer, tuple(ngram_range), max_features)
-        block._analyze = block._check_params()
-        block.vocabulary_ = {name: i for i, name in enumerate(feature_names)}
+        block._check_params()
+        if analyzer != WORD and feature_names:
+            lengths = list(map(len, feature_names))
+            if min(lengths) < 1 or max(lengths) > block.ngram_range[1]:
+                raise ValueError(
+                    f"every {analyzer} vocabulary entry must be 1 to {block.ngram_range[1]} chars long"
+                )
         block.idf_ = idf
-        block.n_features_ = len(feature_names)
+        block._set_vocabulary(list(feature_names))
         return block
+
+    def _set_vocabulary(self, names: list[str]) -> None:
+        """Fix the vocabulary to ``names``, in column order; a char block also
+        builds the trie of their prefixes that ``transform`` walks."""
+        self.vocabulary_ = {name: column for column, name in enumerate(names)}
+        self.n_features_ = len(names)
+        if self.analyzer == WORD:
+            self._analyze = build_analyzer(WORD, tuple(self.ngram_range))
+        else:
+            self._trie = _Trie.of(names, self.ngram_range[1])
 
     def feature_names(self) -> list[str]:
         check_is_fitted(self, "vocabulary_")
@@ -142,18 +237,35 @@ class TfidfBlock(BaseEstimator):
     def transform(self, texts: Sequence[str]) -> CsrMatrix:
         check_is_fitted(self, "vocabulary_")
         texts = list(texts)
-        vocabulary = self.vocabulary_
-        rows, columns = _analyze_all(
-            texts, self._analyze, lambda features: map(vocabulary.get, features, repeat(-1))
-        )
-        return self._tfidf(rows, columns, len(texts))
-
-    def _tfidf(self, rows: np.ndarray, columns: np.ndarray, n_rows: int) -> CsrMatrix:
-        """Counts of the (row, column) pairs, column -1 dropped, as idf-weighted
-        rows of L2 norm 1."""
-        known = columns >= 0
         n = self.n_features_
-        keys, counts = np.unique(rows[known] * n + columns[known], return_counts=True)
+        if self.analyzer == WORD:
+            vocabulary = self.vocabulary_
+            rows, columns = _analyze_all(
+                texts, self._analyze, lambda features: map(vocabulary.get, features, repeat(-1))
+            )
+            known = columns >= 0
+            keys, counts = np.unique(rows[known] * n + columns[known], return_counts=True)
+            return self._tfidf(keys, counts, len(texts))
+        trie = self._trie
+        keys, counts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        for first, chunk in _chunks(texts):
+            stream = code_stream(chunk, self.analyzer)
+            row_keys = (stream.doc + first) * n
+            pairs = []
+            for level, positions, nodes in self._windows(stream, trie.find):
+                columns = trie.columns[level][nodes]
+                known = columns >= 0
+                pairs.append(row_keys[positions[known]] + columns[known])
+            chunk_keys, chunk_counts = np.unique(np.concatenate(pairs), return_counts=True)
+            keys.append(chunk_keys)
+            counts.append(chunk_counts)
+        return self._tfidf(np.concatenate(keys), np.concatenate(counts), len(texts))
+
+    def _tfidf(self, keys: np.ndarray, counts: np.ndarray, n_rows: int) -> CsrMatrix:
+        """Rows of L2 norm 1 from the increasing keys row * n_features_ +
+        column of the stored (row, column) pairs and their counts, each count
+        weighted by its column's idf."""
+        n = self.n_features_
         row_of, columns = np.divmod(keys, n)
         indptr = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=n_rows))))
         raw = CsrMatrix(indptr, columns, counts.astype(np.float64) * self.idf_[columns], n)
@@ -175,6 +287,91 @@ def _analyze_all(
         lengths[i] = len(stream) - before
     rows = np.repeat(np.arange(len(texts), dtype=np.int64), lengths)
     return rows, np.frombuffer(stream, dtype=np.int64)
+
+
+def _chunks(texts: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """(index of the first, texts) of consecutive runs of ``texts`` with at
+    most ``_BUDGET`` code points between them, or one longer text."""
+    ends = np.cumsum([len(text) for text in texts])
+    first = 0
+    while first < len(texts):
+        before = ends[first - 1] if first else 0
+        last = max(first + 1, int(np.searchsorted(ends, before + _BUDGET, "right")))
+        yield first, texts[first:last]
+        first = last
+
+
+class _Trie:
+    """Sets of char n-grams by length, each n-gram a node numbered within
+    its length.
+
+    An n-gram's key is its (n-1)-prefix's node * ``_BASE`` + its last code
+    point (the empty prefix is node 0). ``keys[level]`` holds the keys of
+    the (level + 1)-grams in increasing order and ``ids[level]`` their
+    nodes, each array closed by a sentinel that matches no key. The trie of
+    a vocabulary, made by :meth:`of`, also maps its nodes to columns.
+    """
+
+    def __init__(self, depth: int):
+        self.keys = [np.array([_NO_KEY], dtype=np.int64) for _ in range(depth)]
+        self.ids = [np.array([-1], dtype=np.int64) for _ in range(depth)]
+
+    @classmethod
+    def of(cls, names: list[str], depth: int) -> "_Trie":
+        """The trie of every prefix of ``names``, each at most ``depth`` chars
+        long, with ``columns[level][node]`` the index in ``names`` of a node
+        that is a whole name, -1 for a proper prefix only."""
+        trie = cls(depth)
+        codes = np.frombuffer("".join(names).encode("utf-32-le", "surrogatepass"), dtype="<u4").astype(np.int64)
+        lengths = np.fromiter(map(len, names), dtype=np.int64, count=len(names))
+        starts = np.cumsum(lengths) - lengths
+        nodes = np.zeros(len(names), dtype=np.int64)
+        alive = np.arange(len(names))
+        trie.columns = []
+        for level in range(depth):
+            alive = alive[lengths[alive] > level]
+            nodes[alive] = trie.grow(level, nodes[alive] * _BASE + codes[starts[alive] + level])
+            columns = np.full(len(trie.ids[level]) - 1, -1, dtype=np.int64)
+            ends = alive[lengths[alive] == level + 1]
+            columns[nodes[ends]] = ends
+            trie.columns.append(columns)
+        return trie
+
+    def find(self, level: int, keys: np.ndarray) -> np.ndarray:
+        """The node of each key at ``level``, -1 where there is none."""
+        table = self.keys[level]
+        at = np.searchsorted(table, keys)
+        return np.where(table[at] == keys, self.ids[level][at], -1)
+
+    def grow(self, level: int, keys: np.ndarray) -> np.ndarray:
+        """The node of each key at ``level``, adding the keys not yet there
+        under new nodes."""
+        table, ids = self.keys[level], self.ids[level]
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        at = np.searchsorted(table, distinct)
+        new = table[at] != distinct
+        nodes = ids[at]
+        nodes[new] = len(table) - 1 + np.arange(np.count_nonzero(new))
+        self.keys[level] = np.insert(table, at[new], distinct[new])
+        self.ids[level] = np.insert(ids, at[new], nodes[new])
+        return nodes[inverse]
+
+    def codes(self) -> Iterator[np.ndarray]:
+        """Per level, the (nodes x level + 1) code points of its n-grams."""
+        codes = np.zeros((1, 0), dtype=np.uint32)
+        for keys, ids in zip(self.keys, self.ids):
+            by_node = np.empty(len(ids) - 1, dtype=np.int64)
+            by_node[ids[:-1]] = keys[:-1]
+            parents, last = np.divmod(by_node, _BASE)
+            codes = np.column_stack((codes[parents], last.astype(np.uint32)))
+            yield codes
+
+
+def _decode(codes: np.ndarray) -> list[str]:
+    """The strings of the rows of a (strings x length) code point array."""
+    length = codes.shape[1]
+    text = codes.astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")
+    return [text[i : i + length] for i in range(0, len(text), length)]
 
 
 class TfidfUnion(BaseEstimator):
@@ -205,8 +402,8 @@ class TfidfUnion(BaseEstimator):
         return self
 
     def fit_transform(self, texts: Sequence[str]) -> CsrMatrix:
-        """Fit every block and return the union matrix of ``texts``; one
-        analyzer call per text per block."""
+        """Fit every block and return the union matrix of ``texts``,
+        featurizing each text once per block."""
         texts = list(texts)
         blocks = [
             None if spec is None else TfidfBlock(kind, spec.ngram_range, spec.max_features)

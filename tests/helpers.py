@@ -3,11 +3,13 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from lahja import CsrMatrix, compute_class_weights, enumerate_grid, run_pipeline
+import lahja.vectorizer
+from lahja import CsrMatrix, TfidfBlock, build_analyzer, compute_class_weights, enumerate_grid, run_pipeline
 from lahja.forest import _sample_without_replacement
 from lahja.svm import _LABEL_SEED_STRIDE
 
@@ -31,6 +33,88 @@ def pairs(matrix: CsrMatrix, row: int = 0) -> list[tuple[int, float]]:
     """(column, value) of one row."""
     indices, values = matrix.row(row)
     return list(zip(indices.tolist(), values.tolist()))
+
+
+def reference_ngram_counts(kind: str, ngram_range: tuple[int, int], texts: list[str]) -> list[Counter]:
+    """Each text's n-gram counts by the string analyzer of ``kind``."""
+    analyze = build_analyzer(kind, ngram_range)
+    return [Counter(analyze(text)) for text in texts]
+
+
+def reference_vocabulary(
+    kind: str, ngram_range: tuple[int, int], max_features: int | None, texts: list[str]
+) -> tuple[list[str], np.ndarray]:
+    """(feature names, idf) of a block fitted on ``texts`` through the string
+    analyzer: the most frequent ``max_features`` n-grams, ties to the smaller
+    string, in lexicographic order."""
+    totals: Counter = Counter()
+    document_frequency: Counter = Counter()
+    for counts in reference_ngram_counts(kind, ngram_range, texts):
+        totals.update(counts)
+        document_frequency.update(counts.keys())
+    names = sorted(totals)
+    if max_features is not None:
+        names = sorted(sorted(names, key=lambda name: (-totals[name], name))[:max_features])
+    n = len(texts)
+    idf = [math.log((1.0 + n) / (1.0 + document_frequency[name])) + 1.0 for name in names]
+    return names, np.array(idf, dtype=np.float64)
+
+
+def reference_tfidf(
+    kind: str, ngram_range: tuple[int, int], names: list[str], idf: np.ndarray, texts: list[str]
+) -> CsrMatrix:
+    """The unit-norm TF-IDF rows of ``texts`` over the vocabulary ``names``,
+    through the string analyzer; n-grams outside it are dropped."""
+    column = {name: i for i, name in enumerate(names)}
+    indptr, indices, counts = [0], [], []
+    for found in reference_ngram_counts(kind, ngram_range, texts):
+        known = sorted((column[name], count) for name, count in found.items() if name in column)
+        indices.extend(c for c, _ in known)
+        counts.extend(count for _, count in known)
+        indptr.append(len(indices))
+    raw = CsrMatrix(indptr, indices, np.array(counts, dtype=np.float64) * idf[indices], len(names))
+    return CsrMatrix(indptr, indices, raw.values / np.repeat(raw.row_norms(), np.diff(indptr)), len(names))
+
+
+def count_featurized(monkeypatch) -> dict[tuple[str, tuple[int, int]], int]:
+    """Texts featurized per (analyzer, n-gram range) block from now on:
+    calls of the word analyzer that ``build_analyzer`` returns, and texts
+    that a char or char_wb block reads through ``code_stream``."""
+    counts: dict[tuple[str, tuple[int, int]], int] = {}
+    blocks: list[TfidfBlock] = []  # the block whose method runs, innermost last
+
+    def add(key: tuple[str, tuple[int, int]], n: int) -> None:
+        counts[key] = counts.get(key, 0) + n
+
+    build = lahja.vectorizer.build_analyzer
+
+    def counting_build(kind, ngram_range):
+        analyze = build(kind, ngram_range)
+        return lambda text: add((kind, tuple(ngram_range)), 1) or analyze(text)
+
+    stream = lahja.vectorizer.code_stream
+
+    def counting_stream(texts, kind):
+        block = blocks[-1]
+        assert kind == block.analyzer
+        add((kind, tuple(block.ngram_range)), len(texts))
+        return stream(texts, kind)
+
+    def tracked(method):
+        def run(self, *args, **kwargs):
+            blocks.append(self)
+            try:
+                return method(self, *args, **kwargs)
+            finally:
+                blocks.pop()
+
+        return run
+
+    monkeypatch.setattr(lahja.vectorizer, "build_analyzer", counting_build)
+    monkeypatch.setattr(lahja.vectorizer, "code_stream", counting_stream)
+    for name in ("fit_transform", "transform"):
+        monkeypatch.setattr(TfidfBlock, name, tracked(getattr(TfidfBlock, name)))
+    return counts
 
 
 # ``KnnClassifier.neighbors``' bound on the pairs and scores of one chunk.

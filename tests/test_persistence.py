@@ -442,6 +442,38 @@ CRAFTED = {
 }
 
 
+# Every JSON object of a bundle that the loader reads field by field.
+UNKNOWN_FIELDS = {
+    "root": lambda p: p,
+    "config": lambda p: p["config"],
+    "union": lambda p: p["union"],
+    "word block": lambda p: p["union"]["blocks"][0],
+    "char block": lambda p: p["union"]["blocks"][1],
+    "char_wb block": lambda p: p["union"]["blocks"][2],
+    "svc model": lambda p: p["models"]["svc"],
+    "svc params": lambda p: p["models"]["svc"]["params"],
+    "forest model": lambda p: p["models"]["forest"],
+    "forest leaf": lambda p: next(n for n in p["models"]["forest"]["trees"][0] if "d" in n),
+    "forest split": lambda p: next(n for n in p["models"]["forest"]["trees"][0] if "d" not in n),
+    "knn model": lambda p: p["models"]["knn"],
+    "knn vector row": lambda p: p["models"]["knn"]["vectors"][0],
+}
+
+
+def _set_vocabulary_entry(payload: dict, slot: int, index: int, value) -> None:
+    vocabulary = payload["union"]["blocks"][slot]["vocabulary"]
+    vocabulary[index] = value(vocabulary[index])
+
+
+# Char vocabulary entries no char analyzer emits; the blocks are (1, 3)-grams.
+UNEMITTABLE_ENTRIES = {
+    "char entry empty": lambda p: _set_vocabulary_entry(p, 1, 0, lambda v: ""),
+    "char entry longer than n": lambda p: _set_vocabulary_entry(p, 1, -1, lambda v: v + "x" * 14),
+    "char_wb entry empty": lambda p: _set_vocabulary_entry(p, 2, 0, lambda v: ""),
+    "char_wb entry longer than n": lambda p: _set_vocabulary_entry(p, 2, -1, lambda v: v + "x"),
+}
+
+
 # Where each real the loader reads sits in a bundle, as (container, key).
 OVERFLOW_FIELDS = {
     "svc intercept": lambda p: (p["models"]["svc"]["intercept"], 0),
@@ -511,6 +543,37 @@ class TestCraftedBundles:
     ):
         assert self.predict_with(fitted_vote_pipeline, tmp_path, case) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", UNKNOWN_FIELDS.values(), ids=UNKNOWN_FIELDS.keys())
+    def test_unknown_field_rejected(self, fitted_vote_pipeline, where):
+        pipeline, _ = fitted_vote_pipeline
+        payload = json.loads(dumps_model(pipeline))
+        where(payload)["zz"] = 0
+        with pytest.raises(BundleFormatError, match="zz"):
+            pipeline_from_dict(payload)
+
+    def test_unknown_root_field_is_data_error_on_the_command_line(self, fitted_vote_pipeline, tmp_path, capsys):
+        from lahja.cli import main
+
+        pipeline, ds = fitted_vote_pipeline
+        payload = json.loads(dumps_model(pipeline))
+        payload["zz"] = 0
+        bundle = tmp_path / "unknown.json"
+        bundle.write_text(json.dumps(payload), encoding="utf-8")
+        texts = tmp_path / "in.tsv"
+        texts.write_text(f"{ds.documents[0].text}\t\n", encoding="utf-8")
+        out = tmp_path / "out.tsv"
+        assert main(["predict", "--model", str(bundle), "--in", str(texts), "--out", str(out)]) == 2
+        assert "unknown bundle root fields: ['zz']" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit", UNEMITTABLE_ENTRIES.values(), ids=UNEMITTABLE_ENTRIES.keys())
+    def test_unemittable_char_vocabulary_entry_rejected(self, fitted_vote_pipeline, edit):
+        pipeline, _ = fitted_vote_pipeline
+        payload = json.loads(dumps_model(pipeline))
+        edit(payload)
+        with pytest.raises(BundleFormatError, match="vocabulary entry must be 1 to 3 chars long"):
+            pipeline_from_dict(payload)
 
     @pytest.mark.parametrize("where", OVERFLOW_FIELDS.values(), ids=OVERFLOW_FIELDS.keys())
     def test_overflowing_literal_rejected(self, fitted_vote_pipeline, where):

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-import lahja.vectorizer
 from lahja import (
     BlockSpec,
     DecisionPolicy,
@@ -26,7 +25,7 @@ from lahja.forest import RandomForest
 from lahja.knn import KnnClassifier
 from lahja.svm import LinearSvc
 
-from helpers import reference_run_sweep
+from helpers import count_featurized, reference_run_sweep
 
 
 class TestConfig:
@@ -270,20 +269,8 @@ class TestSharedSweep:
     def test_each_block_and_model_group_fitted_once(self, split, monkeypatch):
         train, dev = split
         texts = len(train) + len(dev)
-        analyzed: dict[tuple, int] = {}
+        analyzed = count_featurized(monkeypatch)
         fits: dict[str, int] = {}
-        build = lahja.vectorizer.build_analyzer
-
-        def counting_build(kind, ngram_range):
-            analyze = build(kind, ngram_range)
-
-            def counted(text):
-                analyzed[kind, ngram_range] = analyzed.get((kind, ngram_range), 0) + 1
-                return analyze(text)
-
-            return counted
-
-        monkeypatch.setattr(lahja.vectorizer, "build_analyzer", counting_build)
         for cls in (LinearSvc, RandomForest, KnnClassifier):
             fit = cls.fit
 

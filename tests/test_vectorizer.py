@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import lahja.vectorizer
 from lahja import BlockSpec, NotFittedError, TfidfBlock, TfidfUnion
 
-from helpers import pairs, same
+from helpers import count_featurized, pairs, same
 
 TWO_DOC_CORPUS = ["a b a", "b c"]
 
@@ -105,6 +106,23 @@ class TestTransformBlock:
     def test_transform_before_fit_raises(self):
         with pytest.raises(NotFittedError):
             TfidfBlock().transform(["a"])
+
+
+class TestCharVocabularyOnLoad:
+    def test_padded_words_shorter_than_lo_load(self):
+        block = TfidfBlock("char_wb", (5, 7)).fit(["a bb", "a"])
+        assert block.feature_names() == [" a ", " bb "]
+        loaded = TfidfBlock.from_fitted("char_wb", (5, 7), None, block.feature_names(), block.idf_)
+        assert same(loaded.transform(["bb a a"]), block.transform(["bb a a"]))
+
+    @pytest.mark.parametrize("kind", ["char", "char_wb"])
+    @pytest.mark.parametrize("names", [["", "a"], ["a", "abcdefgh"]])
+    def test_entries_no_analyzer_emits_rejected(self, kind, names):
+        with pytest.raises(ValueError, match="must be 1 to 7 chars long"):
+            TfidfBlock.from_fitted(kind, (5, 7), None, names, [1.0, 1.0])
+
+    def test_word_entries_unchecked(self):
+        assert TfidfBlock.from_fitted("word", (1, 1), None, ["", "a b c"], [1.0, 1.0]).n_features_ == 2
 
 
 class TestUnion:
@@ -205,19 +223,14 @@ class TestUnion:
         assert all(same(batch.take([r]), union.transform_one(t)) for r, t in enumerate(texts))
 
     def test_one_analyzer_call_per_text_per_block(self, monkeypatch):
-        import lahja.vectorizer
-
-        calls = []
-        build = lahja.vectorizer.build_analyzer
-
-        def counting(kind, ngram_range):
-            analyze = build(kind, ngram_range)
-            return lambda text: calls.append(kind) or analyze(text)
-
-        monkeypatch.setattr(lahja.vectorizer, "build_analyzer", counting)
-        texts = ["a b a", "b c", "c d e"]
-        TfidfUnion(word=BlockSpec((1, 1)), char=BlockSpec((1, 2)), char_wb=None).fit_transform(texts)
-        assert sorted(calls) == ["char"] * 3 + ["word"] * 3
+        featurized = count_featurized(monkeypatch)
+        texts = ["a b a", "b c", "", "c d e"]
+        # A budget of 1 code point puts each text in a chunk of its own.
+        for budget in (1, 1 << 14):
+            monkeypatch.setattr(lahja.vectorizer, "_BUDGET", budget)
+            featurized.clear()
+            TfidfUnion(word=BlockSpec((1, 1)), char=BlockSpec((1, 2)), char_wb=BlockSpec((2, 3))).fit_transform(texts)
+            assert featurized == {("word", (1, 1)): 4, ("char", (1, 2)): 4, ("char_wb", (2, 3)): 4}
 
     def test_get_params_round_trip(self):
         spec = BlockSpec((1, 3), 100, 0.5)
