@@ -182,7 +182,7 @@ class CsrMatrix:
         rows = np.asarray(rows, dtype=np.int64)
         other_rows = np.asarray(other_rows, dtype=np.int64)
         out = np.empty(rows.size, dtype=np.float64)
-        for lo, hi in _spans(np.diff(self.indptr)[rows], budget):
+        for lo, hi in spans(np.diff(self.indptr)[rows], budget):
             src, lengths = self.entries(rows[lo:hi])
             found = other.lookup(np.repeat(other_rows[lo:hi], lengths), self.indices[src])
             pair = np.repeat(np.arange(hi - lo), lengths)
@@ -234,7 +234,7 @@ def _row_products(a: CsrMatrix, columns: CsrMatrix, budget: int, slab) -> np.nda
 
     rare = np.flatnonzero(~frequent[a.indices])
     flat = out.reshape(-1)
-    for lo, hi in _spans(counts[a.indices[rare]], budget):
+    for lo, hi in spans(counts[a.indices[rare]], budget):
         part = rare[lo:hi]
         src, lengths = columns.entries(a.indices[part])
         keys = np.repeat(rows[part] * n_other, lengths) + columns.indices[src]
@@ -243,7 +243,7 @@ def _row_products(a: CsrMatrix, columns: CsrMatrix, budget: int, slab) -> np.nda
     return out
 
 
-def _spans(costs: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
+def spans(costs: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
     """Consecutive [lo, hi) runs of items whose costs add up to at most
     ``budget``; an item that costs more is a run of its own."""
     ends = np.cumsum(costs)

@@ -7,41 +7,39 @@ owns the transformer weights: it concatenates the three blocks (word, char,
 char_wb) with fixed column offsets, each block's values scaled by its
 weight as they are copied.
 
-A word block counts the strings the word analyzer gives each text. A char
-or char_wb block featurizes a whole batch with numpy, each n-gram an
-integer code rather than a string, in chunks of at most ``_BUDGET`` code
-points; its vocabulary, idf and matrices are bit for bit those of counting
-the strings of ``char_ngrams`` / ``char_wb_ngrams``.
+Every block featurizes a whole batch with numpy, in chunks of at most
+``_BUDGET`` code points: an n-gram is a row of integer symbols (token ids
+for word, code points for char and char_wb, see
+:class:`~lahja.analyzers.Symbols`) rather than a string. Its vocabulary,
+idf and matrices are bit for bit those of counting the strings of
+``word_ngrams``, ``char_ngrams`` and ``char_wb_ngrams``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from array import array
-from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
-from itertools import repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .analyzers import ANALYZER_KINDS, CHAR, CHAR_WB, WORD, CodeStream, build_analyzer, code_stream
+from .analyzers import ANALYZER_KINDS, CHAR, CHAR_WB, MAX_IDS, WORD, CodeStream, Symbols
+from .analyzers import build_analyzer  # noqa: F401  (perfbench/tracing.py wraps it; no block calls it)
 from .base import BaseEstimator, JsonObject, check_int, check_is_fitted, check_ngram_range
-from .sparse import CsrMatrix
+from .sparse import CsrMatrix, spans
 
 BLOCK_ORDER = (WORD, CHAR, CHAR_WB)
 
-# Code points of the texts a char block featurizes at once. The arrays of a
+# Code points of the texts a block featurizes at once, or one longer text. The arrays of a
 # chunk take about 0.1 kB per code point at n up to 5, so 2**14 bounds them
 # near 2 MB whatever the batch size; larger chunks were no faster.
 _BUDGET = 1 << 14
-# One more than the largest code point: the key of a char n-gram is its
-# prefix's node * _BASE + its last code point. Nodes number the distinct
-# n-grams of one length, fewer than the batch's code points, so keys stay
-# below 2**63 for batches of up to 8e12 code points.
-_BASE = 0x110000
+# An n-gram's key is its prefix's node * _BASE + its last symbol. Nodes and
+# token ids stay below MAX_IDS = 2**31 (the id of an unseen token is at most
+# MAX_IDS) and code points below 0x110000, so every key is at most
+# (MAX_IDS - 1) * _BASE + MAX_IDS < 2**63 - 1 = _NO_KEY.
+_BASE = 1 << 32
 _NO_KEY = np.iinfo(np.int64).max
 
 
@@ -69,14 +67,14 @@ class TfidfBlock(BaseEstimator):
     Fitted attributes: ``vocabulary_`` (feature -> column, lexicographic),
     ``idf_`` (float array), ``n_features_``.
 
-    Word blocks analyze one text at a time with the word analyzer. Char and
-    char_wb blocks read a batch as a :class:`~lahja.analyzers.CodeStream`, in
-    chunks of at most ``_BUDGET`` code points, and code every window as an
-    integer, one n-gram length after another: an n-gram is the pair (node
-    of its (n-1)-prefix, its last code point) in a :class:`_Trie`. Fitting
-    grows the trie over the batch and decodes only its distinct n-grams to
-    strings; a fitted block walks the trie of its vocabulary's prefixes, so
-    a window whose prefix is not in it is out of vocabulary.
+    A block reads a batch as a :class:`~lahja.analyzers.CodeStream` of
+    symbols (token ids or code points), in chunks of at most ``_BUDGET``
+    code points, and codes every window as an integer, one n-gram length
+    after another: an n-gram is the pair (node of its (n-1)-prefix, its last
+    symbol) in a :class:`_Trie`. Fitting grows the trie over the batch and
+    decodes only its distinct n-grams to names; a fitted block walks the
+    trie of its vocabulary's prefixes, so a window whose prefix is not in
+    it, or that holds a token or char absent from it, is out of vocabulary.
     """
 
     def __init__(
@@ -104,8 +102,7 @@ class TfidfBlock(BaseEstimator):
         texts = list(texts)
         if not texts:
             raise ValueError("cannot fit a TF-IDF block on an empty corpus")
-        count = self._count_words if self.analyzer == WORD else self._count_chars
-        names, docs, grams, counts = count(texts)
+        names, docs, grams, counts = self._count(texts)
         if not names:
             raise ValueError("no features survived fitting; corpus produced no analyzer output")
         totals = np.bincount(grams, weights=counts, minlength=len(names)).tolist()
@@ -130,25 +127,15 @@ class TfidfBlock(BaseEstimator):
         order = np.argsort(keys)
         return self._tfidf(keys[order], counts[known][order], n_docs)
 
-    def _count_words(self, texts: list[str]) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-        """The distinct word n-grams of ``texts`` in first-seen order, and the
+    def _count(self, texts: list[str]) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct n-grams of ``texts``, length by length, and the
         (text, n-gram index, count) of every distinct pair."""
-        ids: defaultdict[str, int] = defaultdict()
-        ids.default_factory = ids.__len__
-        analyze = build_analyzer(WORD, tuple(self.ngram_range))
-        rows, stream = _analyze_all(texts, analyze, partial(map, ids.__getitem__))
-        n = max(len(ids), 1)
-        keys, counts = np.unique(rows * n + stream, return_counts=True)
-        return list(ids), keys // n, keys % n, counts
-
-    def _count_chars(self, texts: list[str]) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-        """The distinct char or char_wb n-grams of ``texts``, length by length,
-        and the (text, n-gram index, count) of every distinct pair."""
         hi = self.ngram_range[1]
+        symbols = Symbols(self.analyzer)
         trie = _Trie(hi)
         found: list[list[tuple[np.ndarray, ...]]] = [[] for _ in range(hi)]
-        for first, chunk in _chunks(texts):
-            stream = code_stream(chunk, self.analyzer)
+        for first, last in spans(list(map(len, texts)), _BUDGET):
+            stream = symbols.stream(texts[first:last], grow=True)
             for level, positions, nodes in self._windows(stream, trie.grow):
                 size = len(trie.ids[level])
                 keys, counts = np.unique(stream.doc[positions] * size + nodes, return_counts=True)
@@ -161,19 +148,20 @@ class TfidfBlock(BaseEstimator):
             docs, nodes, counts = map(np.concatenate, zip(*found[level]))
             emitted = np.unique(nodes)
             pairs.append((docs, len(names) + np.searchsorted(emitted, nodes), counts))
-            names.extend(_decode(codes[emitted]))
+            names.extend(symbols.names(codes[emitted]))
         docs, grams, counts = map(np.concatenate, zip(*pairs))
         return names, docs, grams, counts
 
     def _windows(self, stream: CodeStream, lookup: Callable[[int, np.ndarray], np.ndarray]):
         """(level, positions, nodes) of the n-grams of ``stream`` that are
-        ``level + 1`` chars long, in increasing length. ``lookup(level, keys)``
+        ``level + 1`` symbols long, in increasing length. ``lookup(level, keys)``
         gives the trie nodes of keys at a level, or -1 where it has none; a
         window with no node has no longer windows either.
 
-        The string analyzers' windows, as sizes per segment of length L: char
-        takes n in [lo, min(hi, L)], char_wb n in [min(lo, L), min(hi, L)],
-        so a padded word shorter than ``lo`` is taken whole.
+        The string analyzers' windows, as sizes per segment of length L: word
+        and char take n in [lo, min(hi, L)]; char_wb, the one analyzer that
+        takes a padded word shorter than ``lo`` whole, n in
+        [min(lo, L), min(hi, L)].
         """
         lo, hi = self.ngram_range
         whole = self.analyzer == CHAR_WB
@@ -210,25 +198,17 @@ class TfidfBlock(BaseEstimator):
             raise ValueError("persisted idf values must be >= 1")
         block = cls(analyzer, tuple(ngram_range), max_features)
         block._check_params()
-        if analyzer != WORD and feature_names:
-            lengths = list(map(len, feature_names))
-            if min(lengths) < 1 or max(lengths) > block.ngram_range[1]:
-                raise ValueError(
-                    f"every {analyzer} vocabulary entry must be 1 to {block.ngram_range[1]} chars long"
-                )
         block.idf_ = idf
         block._set_vocabulary(list(feature_names))
         return block
 
     def _set_vocabulary(self, names: list[str]) -> None:
-        """Fix the vocabulary to ``names``, in column order; a char block also
-        builds the trie of their prefixes that ``transform`` walks."""
+        """Fix the vocabulary to ``names``, in column order, with the trie of
+        their prefixes that ``transform`` walks."""
+        self._symbols, codes, lengths = Symbols.of(self.analyzer, names, self.ngram_range[1])
+        self._trie = _Trie.of(codes, lengths, self.ngram_range[1])
         self.vocabulary_ = {name: column for column, name in enumerate(names)}
         self.n_features_ = len(names)
-        if self.analyzer == WORD:
-            self._analyze = build_analyzer(WORD, tuple(self.ngram_range))
-        else:
-            self._trie = _Trie.of(names, self.ngram_range[1])
 
     def feature_names(self) -> list[str]:
         check_is_fitted(self, "vocabulary_")
@@ -237,29 +217,18 @@ class TfidfBlock(BaseEstimator):
     def transform(self, texts: Sequence[str]) -> CsrMatrix:
         check_is_fitted(self, "vocabulary_")
         texts = list(texts)
-        n = self.n_features_
-        if self.analyzer == WORD:
-            vocabulary = self.vocabulary_
-            rows, columns = _analyze_all(
-                texts, self._analyze, lambda features: map(vocabulary.get, features, repeat(-1))
-            )
-            known = columns >= 0
-            keys, counts = np.unique(rows[known] * n + columns[known], return_counts=True)
-            return self._tfidf(keys, counts, len(texts))
-        trie = self._trie
-        keys, counts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-        for first, chunk in _chunks(texts):
-            stream = code_stream(chunk, self.analyzer)
-            row_keys = (stream.doc + first) * n
+        found = [(np.zeros(0, dtype=np.int64),) * 2]
+        for first, last in spans(list(map(len, texts)), _BUDGET):
+            stream = self._symbols.stream(texts[first:last])
+            row_keys = (stream.doc + first) * self.n_features_
             pairs = []
-            for level, positions, nodes in self._windows(stream, trie.find):
-                columns = trie.columns[level][nodes]
+            for level, positions, nodes in self._windows(stream, self._trie.find):
+                columns = self._trie.columns[level][nodes]
                 known = columns >= 0
                 pairs.append(row_keys[positions[known]] + columns[known])
-            chunk_keys, chunk_counts = np.unique(np.concatenate(pairs), return_counts=True)
-            keys.append(chunk_keys)
-            counts.append(chunk_counts)
-        return self._tfidf(np.concatenate(keys), np.concatenate(counts), len(texts))
+            found.append(np.unique(np.concatenate(pairs), return_counts=True))
+        keys, counts = map(np.concatenate, zip(*found))
+        return self._tfidf(keys, counts, len(texts))
 
     def _tfidf(self, keys: np.ndarray, counts: np.ndarray, n_rows: int) -> CsrMatrix:
         """Rows of L2 norm 1 from the increasing keys row * n_features_ +
@@ -268,45 +237,18 @@ class TfidfBlock(BaseEstimator):
         n = self.n_features_
         row_of, columns = np.divmod(keys, n)
         indptr = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=n_rows))))
-        raw = CsrMatrix(indptr, columns, counts.astype(np.float64) * self.idf_[columns], n)
-        return CsrMatrix(indptr, columns, raw.values / np.repeat(raw.row_norms(), np.diff(indptr)), n)
-
-
-def _analyze_all(
-    texts: Sequence[str],
-    analyze: Callable[[str], list[str]],
-    lookup: Callable[[list[str]], Iterable[int]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """(text index, id) of every n-gram of every text, in text order; ``lookup``
-    maps one text's n-grams to their ids."""
-    stream = array("q")
-    lengths = np.empty(len(texts), dtype=np.int64)
-    for i, text in enumerate(texts):
-        before = len(stream)
-        stream.extend(lookup(analyze(text)))
-        lengths[i] = len(stream) - before
-    rows = np.repeat(np.arange(len(texts), dtype=np.int64), lengths)
-    return rows, np.frombuffer(stream, dtype=np.int64)
-
-
-def _chunks(texts: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """(index of the first, texts) of consecutive runs of ``texts`` with at
-    most ``_BUDGET`` code points between them, or one longer text."""
-    ends = np.cumsum([len(text) for text in texts])
-    first = 0
-    while first < len(texts):
-        before = ends[first - 1] if first else 0
-        last = max(first + 1, int(np.searchsorted(ends, before + _BUDGET, "right")))
-        yield first, texts[first:last]
-        first = last
+        values = counts.astype(np.float64) * self.idf_[columns]
+        # Each row's own dot product, summed as CsrMatrix.row_norms sums it.
+        norms = [np.sqrt(values[a:b] @ values[a:b]) for a, b in zip(indptr[:-1], indptr[1:])]
+        return CsrMatrix(indptr, columns, values / np.repeat(norms, np.diff(indptr)), n)
 
 
 class _Trie:
-    """Sets of char n-grams by length, each n-gram a node numbered within
-    its length.
+    """Sets of n-grams by length, each n-gram a node numbered within its
+    length.
 
-    An n-gram's key is its (n-1)-prefix's node * ``_BASE`` + its last code
-    point (the empty prefix is node 0). ``keys[level]`` holds the keys of
+    An n-gram's key is its (n-1)-prefix's node * ``_BASE`` + its last symbol
+    (the empty prefix is node 0). ``keys[level]`` holds the keys of
     the (level + 1)-grams in increasing order and ``ids[level]`` their
     nodes, each array closed by a sentinel that matches no key. The trie of
     a vocabulary, made by :meth:`of`, also maps its nodes to columns.
@@ -317,16 +259,15 @@ class _Trie:
         self.ids = [np.array([-1], dtype=np.int64) for _ in range(depth)]
 
     @classmethod
-    def of(cls, names: list[str], depth: int) -> "_Trie":
-        """The trie of every prefix of ``names``, each at most ``depth`` chars
-        long, with ``columns[level][node]`` the index in ``names`` of a node
-        that is a whole name, -1 for a proper prefix only."""
+    def of(cls, codes: np.ndarray, lengths: np.ndarray, depth: int) -> "_Trie":
+        """The trie of every prefix of the n-grams whose symbols are ``codes``,
+        one after another, ``lengths`` of them each and each at most ``depth``,
+        with ``columns[level][node]`` the index of a node that is a whole
+        n-gram, -1 for a proper prefix only."""
         trie = cls(depth)
-        codes = np.frombuffer("".join(names).encode("utf-32-le", "surrogatepass"), dtype="<u4").astype(np.int64)
-        lengths = np.fromiter(map(len, names), dtype=np.int64, count=len(names))
         starts = np.cumsum(lengths) - lengths
-        nodes = np.zeros(len(names), dtype=np.int64)
-        alive = np.arange(len(names))
+        nodes = np.zeros(len(lengths), dtype=np.int64)
+        alive = np.arange(len(lengths))
         trie.columns = []
         for level in range(depth):
             alive = alive[lengths[alive] > level]
@@ -350,14 +291,17 @@ class _Trie:
         distinct, inverse = np.unique(keys, return_inverse=True)
         at = np.searchsorted(table, distinct)
         new = table[at] != distinct
+        added = np.count_nonzero(new)
+        if len(table) - 1 + added > MAX_IDS:
+            raise ValueError(f"more than {MAX_IDS} distinct n-grams of one length")
         nodes = ids[at]
-        nodes[new] = len(table) - 1 + np.arange(np.count_nonzero(new))
+        nodes[new] = len(table) - 1 + np.arange(added)
         self.keys[level] = np.insert(table, at[new], distinct[new])
         self.ids[level] = np.insert(ids, at[new], nodes[new])
         return nodes[inverse]
 
     def codes(self) -> Iterator[np.ndarray]:
-        """Per level, the (nodes x level + 1) code points of its n-grams."""
+        """Per level, the (nodes x level + 1) symbols of its n-grams."""
         codes = np.zeros((1, 0), dtype=np.uint32)
         for keys, ids in zip(self.keys, self.ids):
             by_node = np.empty(len(ids) - 1, dtype=np.int64)
@@ -365,13 +309,6 @@ class _Trie:
             parents, last = np.divmod(by_node, _BASE)
             codes = np.column_stack((codes[parents], last.astype(np.uint32)))
             yield codes
-
-
-def _decode(codes: np.ndarray) -> list[str]:
-    """The strings of the rows of a (strings x length) code point array."""
-    length = codes.shape[1]
-    text = codes.astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")
-    return [text[i : i + length] for i in range(0, len(text), length)]
 
 
 class TfidfUnion(BaseEstimator):

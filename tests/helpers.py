@@ -8,8 +8,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-import lahja.vectorizer
 from lahja import CsrMatrix, TfidfBlock, build_analyzer, compute_class_weights, enumerate_grid, run_pipeline
+from lahja.analyzers import Symbols
 from lahja.forest import _sample_without_replacement
 from lahja.svm import _LABEL_SEED_STRIDE
 
@@ -77,28 +77,18 @@ def reference_tfidf(
 
 
 def count_featurized(monkeypatch) -> dict[tuple[str, tuple[int, int]], int]:
-    """Texts featurized per (analyzer, n-gram range) block from now on:
-    calls of the word analyzer that ``build_analyzer`` returns, and texts
-    that a char or char_wb block reads through ``code_stream``."""
+    """Texts featurized per (analyzer, n-gram range) block from now on: the
+    texts each block reads through ``Symbols.stream``."""
     counts: dict[tuple[str, tuple[int, int]], int] = {}
     blocks: list[TfidfBlock] = []  # the block whose method runs, innermost last
+    stream = Symbols.stream
 
-    def add(key: tuple[str, tuple[int, int]], n: int) -> None:
-        counts[key] = counts.get(key, 0) + n
-
-    build = lahja.vectorizer.build_analyzer
-
-    def counting_build(kind, ngram_range):
-        analyze = build(kind, ngram_range)
-        return lambda text: add((kind, tuple(ngram_range)), 1) or analyze(text)
-
-    stream = lahja.vectorizer.code_stream
-
-    def counting_stream(texts, kind):
+    def counting_stream(self, texts, grow=False):
         block = blocks[-1]
-        assert kind == block.analyzer
-        add((kind, tuple(block.ngram_range)), len(texts))
-        return stream(texts, kind)
+        assert self.kind == block.analyzer
+        key = (self.kind, tuple(block.ngram_range))
+        counts[key] = counts.get(key, 0) + len(texts)
+        return stream(self, texts, grow)
 
     def tracked(method):
         def run(self, *args, **kwargs):
@@ -110,8 +100,7 @@ def count_featurized(monkeypatch) -> dict[tuple[str, tuple[int, int]], int]:
 
         return run
 
-    monkeypatch.setattr(lahja.vectorizer, "build_analyzer", counting_build)
-    monkeypatch.setattr(lahja.vectorizer, "code_stream", counting_stream)
+    monkeypatch.setattr(Symbols, "stream", counting_stream)
     for name in ("fit_transform", "transform"):
         monkeypatch.setattr(TfidfBlock, name, tracked(getattr(TfidfBlock, name)))
     return counts

@@ -1,8 +1,9 @@
-"""Integer-coded char and char_wb n-grams against the string analyzers.
+"""Integer-coded word, char and char_wb n-grams against the string analyzers.
 
-A char block featurizes a batch as code points and never builds its
-n-grams as strings; these tests hold it to ``char_ngrams`` and
-``char_wb_ngrams`` n-gram by n-gram and TF-IDF bit by bit.
+A block featurizes a batch as symbols (token ids or code points) and never
+builds its n-grams as strings; these tests hold it to ``word_ngrams``,
+``char_ngrams`` and ``char_wb_ngrams`` n-gram by n-gram and TF-IDF bit by
+bit.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lahja.analyzers
 import lahja.vectorizer
 from lahja import TfidfBlock
-from lahja.analyzers import code_stream
+from lahja.analyzers import Symbols
 
 from helpers import reference_ngram_counts, reference_tfidf, reference_vocabulary, same
 
-KINDS = ("char", "char_wb")
+KINDS = ("word", "char", "char_wb")
 
 # Characters the analyzers treat unlike plain letters: Arabic letters with
 # diacritics and tatweel, combining marks, astral emoji joined by ZWJ, lone
@@ -35,15 +37,24 @@ SPECIAL = [
     "a", "b", "_", "1", "-", ".",
 ]
 chars = st.one_of(st.sampled_from(SPECIAL), st.characters())
-texts = st.lists(st.text(chars, max_size=30), min_size=1, max_size=8)
+# Texts of a few tokens, so that word n-grams repeat within and across texts:
+# Arabic, a letter before a combining mark (which ends the token), astral
+# letters, digits and underscore, between whitespace and non-word separators.
+TOKENS = ["a", "b", "ab", "\u0645\u0631", "e\u0301", "x_1", "\U0001D400", "7"]
+SEPARATORS = [" ", "  ", "\t", "\n ", "-", ".", "\u00a0", "\u3000", "\u200b", "\U0001F600"]
+token_text = st.lists(st.tuples(st.sampled_from(TOKENS), st.sampled_from(SEPARATORS)), max_size=12).map(
+    lambda pairs: "".join(token + separator for token, separator in pairs)
+)
+text = st.one_of(st.text(chars, max_size=30), token_text)
+texts = st.lists(text, min_size=1, max_size=8)
 ranges = st.tuples(st.integers(1, 10), st.integers(1, 10)).map(lambda p: (min(p), max(p)))
 # A budget of 1 code point gives every text a chunk of its own.
 budgets = st.sampled_from([1, 7, 1 << 14])
 
 
 def coded_counts(kind: str, ngram_range: tuple[int, int], batch: list[str]) -> list[Counter]:
-    """Each text's n-gram counts as a char block fit counts them."""
-    names, docs, grams, counts = TfidfBlock(kind, ngram_range)._count_chars(batch)
+    """Each text's n-gram counts as a block fit counts them."""
+    names, docs, grams, counts = TfidfBlock(kind, ngram_range)._count(batch)
     found = [Counter() for _ in batch]
     for doc, gram, count in zip(docs.tolist(), grams.tolist(), counts.tolist()):
         found[doc][names[gram]] += count
@@ -79,7 +90,7 @@ def test_ngram_counts_match_string_analyzer(kind, ngram_range, batch, budget):
     ngram_range=ranges,
     max_features=st.sampled_from([None, 1, 2, 5, 40]),
     train=texts,
-    test=st.lists(st.text(chars, max_size=30), max_size=6),
+    test=st.lists(text, max_size=6),
     budget=budgets,
 )
 @settings(max_examples=150, deadline=None)
@@ -109,8 +120,8 @@ def test_chars_absent_at_fit_are_out_of_vocabulary(kind):
     block = TfidfBlock(kind, (1, 3)).fit(["ab ba", "abc"])
     found = block.transform(["zzz\U0001F600\ud800"]).indices
     assert {block.feature_names()[c] for c in found} <= {" "}  # char_wb pads zzz with spaces
-    # A window is out of vocabulary once any of its chars is.
-    assert_matches_string_path(kind, (1, 3), None, ["ab ba", "abc"], ["azb", "q", "ab\u0301"])
+    # A window is out of vocabulary once any of its chars, or tokens, is.
+    assert_matches_string_path(kind, (1, 3), None, ["ab ba", "abc"], ["azb", "q", "ab\u0301", "ab q ba ab ba"])
 
 
 def test_char_wb_takes_a_padded_word_shorter_than_lo_whole():
@@ -139,11 +150,25 @@ def test_documents_with_no_ngrams(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_code_stream_segments_hold_every_window(kind):
     text = " a  b\t\nc--dd \ud800\U0001F600 "
-    stream = code_stream([text, "", "x"], kind)
+    symbols = Symbols(kind)
+    stream = symbols.stream([text, "", "x"], grow=True)
     segments = np.split(stream.codes, np.flatnonzero(stream.start)[1:])
-    strings = ["".join(map(chr, segment.tolist())) for segment in segments]
-    if kind == "char":
+    strings = [symbols.names(segment[None, :])[0] for segment in segments]
+    if kind == "word":
+        assert strings == ["a b c dd", "x"]
+    elif kind == "char":
         assert strings == [" a b c--dd \ud800\U0001F600 ", "x"]
     else:
         assert strings == [" a ", " b ", " c ", " dd ", " x "]
-    assert stream.doc.tolist() == [0] * (len(stream.codes) - len(strings[-1])) + [2] * len(strings[-1])
+    assert stream.doc.tolist() == [0] * (len(stream.codes) - len(segments[-1])) + [2] * len(segments[-1])
+
+
+def test_ids_and_nodes_past_the_key_bound_rejected(monkeypatch):
+    # Keys stay below 2**63 because token ids and trie nodes stay below MAX_IDS.
+    monkeypatch.setattr(lahja.analyzers, "MAX_IDS", 3)
+    with pytest.raises(ValueError, match="more than 3 distinct tokens"):
+        TfidfBlock("word", (1, 1)).fit(["a b c d"])
+    monkeypatch.setattr(lahja.vectorizer, "MAX_IDS", 3)
+    with pytest.raises(ValueError, match="more than 3 distinct n-grams of one length"):
+        TfidfBlock("char", (1, 1)).fit(["abcd"])
+    assert TfidfBlock("char", (1, 2)).fit(["abc", "cab"]).n_features_ == 6  # 3 nodes a level

@@ -465,12 +465,18 @@ def _set_vocabulary_entry(payload: dict, slot: int, index: int, value) -> None:
     vocabulary[index] = value(vocabulary[index])
 
 
-# Char vocabulary entries no char analyzer emits; the blocks are (1, 3)-grams.
+# Vocabulary entries no analyzer emits, each kept in sorted order; the word
+# block holds 1-grams, the char blocks (1, 3)-grams.
 UNEMITTABLE_ENTRIES = {
     "char entry empty": lambda p: _set_vocabulary_entry(p, 1, 0, lambda v: ""),
     "char entry longer than n": lambda p: _set_vocabulary_entry(p, 1, -1, lambda v: v + "x" * 14),
     "char_wb entry empty": lambda p: _set_vocabulary_entry(p, 2, 0, lambda v: ""),
     "char_wb entry longer than n": lambda p: _set_vocabulary_entry(p, 2, -1, lambda v: v + "x"),
+    "word entry empty": lambda p: _set_vocabulary_entry(p, 0, 0, lambda v: ""),
+    "word entry longer than n": lambda p: _set_vocabulary_entry(p, 0, -1, lambda v: v + " x"),
+    "word entry leading space": lambda p: _set_vocabulary_entry(p, 0, 0, lambda v: " " + v),
+    "word entry trailing space": lambda p: _set_vocabulary_entry(p, 0, -1, lambda v: v + " "),
+    "word entry doubled space": lambda p: _set_vocabulary_entry(p, 0, -1, lambda v: v + "  x"),
 }
 
 
@@ -567,12 +573,16 @@ class TestCraftedBundles:
         assert "unknown bundle root fields: ['zz']" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("edit", UNEMITTABLE_ENTRIES.values(), ids=UNEMITTABLE_ENTRIES.keys())
-    def test_unemittable_char_vocabulary_entry_rejected(self, fitted_vote_pipeline, edit):
+    @pytest.mark.parametrize("entry", UNEMITTABLE_ENTRIES, ids=UNEMITTABLE_ENTRIES.keys())
+    def test_unemittable_char_vocabulary_entry_rejected(self, fitted_vote_pipeline, entry):
         pipeline, _ = fitted_vote_pipeline
         payload = json.loads(dumps_model(pipeline))
-        edit(payload)
-        with pytest.raises(BundleFormatError, match="vocabulary entry must be 1 to 3 chars long"):
+        UNEMITTABLE_ENTRIES[entry](payload)
+        if entry.startswith("word"):
+            message = "vocabulary entry must be 1 to 1 tokens joined by single spaces"
+        else:
+            message = "vocabulary entry must be 1 to 3 chars long"
+        with pytest.raises(BundleFormatError, match=message):
             pipeline_from_dict(payload)
 
     @pytest.mark.parametrize("where", OVERFLOW_FIELDS.values(), ids=OVERFLOW_FIELDS.keys())

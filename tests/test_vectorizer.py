@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -108,6 +109,13 @@ class TestTransformBlock:
             TfidfBlock().transform(["a"])
 
 
+@pytest.mark.parametrize("kind", ["word", "char", "char_wb"])
+def test_fitted_block_pickles(kind):
+    block = TfidfBlock(kind, (1, 3)).fit(["a b a", "b c"])
+    copy = pickle.loads(pickle.dumps(block))
+    assert same(copy.transform(["a b c d", "c b"]), block.transform(["a b c d", "c b"]))
+
+
 class TestCharVocabularyOnLoad:
     def test_padded_words_shorter_than_lo_load(self):
         block = TfidfBlock("char_wb", (5, 7)).fit(["a bb", "a"])
@@ -121,8 +129,18 @@ class TestCharVocabularyOnLoad:
         with pytest.raises(ValueError, match="must be 1 to 7 chars long"):
             TfidfBlock.from_fitted(kind, (5, 7), None, names, [1.0, 1.0])
 
-    def test_word_entries_unchecked(self):
-        assert TfidfBlock.from_fitted("word", (1, 1), None, ["", "a b c"], [1.0, 1.0]).n_features_ == 2
+    @pytest.mark.parametrize(
+        "names", [["", "a"], ["a", "a b c d e f g h"], [" a", "b"], ["a ", "b"], ["a  b", "b"]]
+    )
+    def test_word_entries_no_analyzer_emits_rejected(self, names):
+        # Empty, more than 7 tokens, or an empty token: a leading, trailing or doubled space.
+        with pytest.raises(ValueError, match="must be 1 to 7 tokens joined by single spaces"):
+            TfidfBlock.from_fitted("word", (5, 7), None, names, [1.0, 1.0])
+
+    def test_word_entries_of_1_to_hi_tokens_load(self):
+        names = ["a", "a b c d e f g", "b_1 \u0645\u0631"]
+        block = TfidfBlock.from_fitted("word", (5, 7), None, names, [1.0, 1.0, 1.0])
+        assert block.transform(["a b c d e f g", "b_1 \u0645\u0631"]).indices.tolist() == [1]
 
 
 class TestUnion:
