@@ -1,17 +1,23 @@
 """Random forest over sparse feature rows: Gini decision trees on bootstrap resamples.
 
 Each tree trains on a bootstrap resample of size N (with replacement). At
-every node ceil(sqrt(F)) candidate features are sampled without replacement;
-the best split minimizes the weighted child Gini impurity over midpoints of
-consecutive distinct observed values. A node becomes a leaf when it is pure
-or no candidate feature varies on its samples; absent sparse entries read as
-0.0 everywhere.
+every node ceil(sqrt(F)) candidate features are sampled without replacement,
+all in one draw; the best split minimizes the weighted child Gini impurity
+over midpoints of consecutive distinct observed values. A node becomes a leaf
+when it is pure or no candidate feature varies on its samples; absent sparse
+entries read as 0.0 everywhere.
+
+A fit sorts each feature column by value once, so no node sorts: a node
+reads its candidates' stored entries in (candidate, value) order and places
+each candidate's absent 0.0 after its negative values. Prediction reads a
+chunk of docs' values of the split features into one dense block and walks
+every tree level from it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,6 +25,10 @@ from .base import BaseEstimator, check_fields, check_int, check_is_fitted, check
 from .sparse import CsrMatrix
 
 _LEAF = -1
+
+# Bound on the values of one chunk's dense block of split-feature values in
+# ``tree_votes``.
+_BUDGET = 1 << 18
 
 
 class RandomForest(BaseEstimator):
@@ -44,13 +54,13 @@ class RandomForest(BaseEstimator):
         if X.n_cols < 1:
             raise ValueError("training requires at least one feature column")
 
-        columns = X.transpose()
+        columns = _Columns.of(X)
         n_candidates = min(X.n_cols, math.ceil(math.sqrt(X.n_cols)))
-        master = np.random.RandomState(self.seed)
-        tree_seeds = master.randint(0, 2**31 - 1, size=self.n_trees)
-        trees = [
-            _build_tree(columns, labels, n_candidates, n_labels, int(s)) for s in tree_seeds
-        ]
+        rng = np.random.RandomState(self.seed)
+        trees = []
+        for tree_seed in rng.randint(0, 2**31 - 1, size=self.n_trees).tolist():
+            rng.seed(tree_seed)  # the stream of RandomState(tree_seed), without a new generator
+            trees.append(_build_tree(columns, labels, n_candidates, n_labels, rng))
         self._set_trees(trees, n_labels, X.n_cols)
         return self
 
@@ -112,6 +122,11 @@ class RandomForest(BaseEstimator):
         self.right_ = np.array(right, dtype=np.int64)
         self.dist_ = check_reals("forest leaf distributions", dist).reshape(len(rows), n_labels)
         self.tree_starts_ = np.array(starts, dtype=np.int64)
+        # The distinct split features, ascending, and each node's place among them (0 at a leaf).
+        is_split = self.feature_ != _LEAF
+        self.split_features_, places = np.unique(self.feature_[is_split], return_inverse=True)
+        self.split_slot_ = np.zeros(len(rows), dtype=np.int64)
+        self.split_slot_[is_split] = places
         self.n_labels_ = n_labels
         self.n_features_ = n_features
 
@@ -135,20 +150,37 @@ class RandomForest(BaseEstimator):
     def tree_votes(self, X: CsrMatrix) -> np.ndarray:
         """(docs x trees) label of the leaf each tree routes each doc to.
 
-        All (doc, tree) pairs descend together, one tree level per step.
+        Docs go in chunks. A chunk's values of the forest's split features,
+        absent ones 0.0, fill one dense (docs x split features) block of at
+        most ``_BUDGET`` values, or one doc's row. Then all (doc, tree) pairs
+        of the chunk descend together, one tree level per step.
         """
         check_is_fitted(self, "feature_")
         X.check_cols(self.n_features_)
-        n_trees = self.tree_starts_.size - 1
-        node = np.tile(self.tree_starts_[:-1], len(X))
-        doc = np.repeat(np.arange(len(X), dtype=np.int64), n_trees)
-        active = np.flatnonzero(self.feature_[node] != _LEAF)
-        while active.size:
-            at = node[active]
-            go_left = X.lookup(doc[active], self.feature_[at]) <= self.threshold_[at]
-            node[active] = np.where(go_left, self.left_[at], self.right_[at])
-            active = active[self.feature_[node[active]] != _LEAF]
-        return np.argmax(self.dist_, axis=1)[node].reshape(len(X), n_trees)
+        n_trees, width = self.tree_starts_.size - 1, self.split_features_.size
+        slot = np.full(self.n_features_, -1, dtype=np.int64)
+        slot[self.split_features_] = np.arange(width)
+        leaf_label = np.argmax(self.dist_, axis=1)
+        votes = np.empty((len(X), n_trees), dtype=np.int64)
+        step = max(1, _BUDGET // max(1, width))
+        for lo in range(0, len(X), step):
+            hi = min(lo + step, len(X))
+            entries = slice(X.indptr[lo], X.indptr[hi])
+            cell = slot[X.indices[entries]]
+            known = np.flatnonzero(cell >= 0)
+            cell += np.repeat(np.arange(hi - lo) * width, np.diff(X.indptr[lo : hi + 1]))
+            block = np.zeros((hi - lo) * width, dtype=np.float64)
+            block[cell[known]] = X.values[entries][known]
+            node = np.tile(self.tree_starts_[:-1], hi - lo)
+            row_start = np.repeat(np.arange(hi - lo) * width, n_trees)
+            active = np.flatnonzero(self.feature_[node] != _LEAF)
+            while active.size:
+                at = node[active]
+                go_left = block[row_start[active] + self.split_slot_[at]] <= self.threshold_[at]
+                node[active] = np.where(go_left, self.left_[at], self.right_[at])
+                active = active[self.feature_[node[active]] != _LEAF]
+            votes[lo:hi] = leaf_label[node].reshape(hi - lo, n_trees)
+        return votes
 
     def predict(self, X: CsrMatrix) -> np.ndarray:
         """Per doc, the label most trees vote for; ties go to the lowest label."""
@@ -158,22 +190,48 @@ class RandomForest(BaseEstimator):
         return np.argmax(counts.reshape(len(X), self.n_labels_), axis=1)
 
 
+class _Columns(NamedTuple):
+    """The samples' feature columns, each column's entries in value order.
+
+    Column c stores samples ``rows[indptr[c]:indptr[c + 1]]`` with the
+    values at the same positions, ascending, equal values by sample.
+    """
+
+    indptr: np.ndarray
+    rows: np.ndarray
+    values: np.ndarray
+    n_samples: int
+
+    @classmethod
+    def of(cls, X: CsrMatrix) -> "_Columns":
+        columns = X.transpose()
+        order = np.lexsort((columns.values, columns.row_ids()))
+        return cls(columns.indptr, columns.indices[order], columns.values[order], len(X))
+
+
 def _build_tree(
-    columns: CsrMatrix,
+    columns: _Columns,
     y: np.ndarray,
     n_candidates: int,
     n_labels: int,
-    seed: int,
+    rng: np.random.RandomState,
 ) -> list[dict]:
-    """One tree's nodes in bundle form; ``columns`` is the CSC form of the samples.
+    """One tree's nodes in bundle form, grown from the stream of ``rng``.
 
     A node holds the distinct training rows that reach it, ascending, with
-    their multiplicities in the tree's bootstrap resample.
+    their multiplicities in the tree's bootstrap resample. Its candidates come
+    from a partial Fisher-Yates shuffle of a persistent urn, any permutation
+    of which is a valid urn: one ``randint`` call draws all the swap
+    positions, the values and stream state of k scalar calls
+    ``rng.randint(i, n_features)``.
     """
-    n_samples, n_features = columns.n_cols, len(columns)
-    rng = np.random.RandomState(seed)
-    rows, weights = np.unique(rng.randint(0, n_samples, size=n_samples), return_counts=True)
-    feature_urn = np.arange(n_features, dtype=np.int64)
+    n_samples, n_features = columns.n_samples, columns.indptr.size - 1
+    resample = np.bincount(rng.randint(0, n_samples, size=n_samples), minlength=n_samples)
+    rows = np.flatnonzero(resample)
+    weights = resample[rows]
+    urn = list(range(n_features))
+    lows = np.arange(n_candidates)
+    multiplicity = np.zeros(n_samples, dtype=np.int64)
     nodes: list[dict] = [{}]
     stack: list[tuple[int, np.ndarray, np.ndarray]] = [(0, rows, weights)]
     while stack:
@@ -182,8 +240,10 @@ def _build_tree(
         if np.count_nonzero(counts) == 1:
             nodes[slot] = {"d": (counts / weights.sum()).tolist()}
             continue
-        candidates = _sample_without_replacement(rng, feature_urn, n_candidates)
-        split = _best_split(columns, y, rows, weights, candidates, n_labels)
+        for i, j in enumerate(rng.randint(lows, n_features).tolist()):
+            urn[i], urn[j] = urn[j], urn[i]
+        candidates = np.array(urn[:n_candidates], dtype=np.int64)
+        split = _best_split(columns, y, rows, weights, counts, candidates, multiplicity)
         if split is None:
             nodes[slot] = {"d": (counts / weights.sum()).tolist()}
             continue
@@ -195,88 +255,89 @@ def _build_tree(
     return nodes
 
 
-def _sample_without_replacement(
-    rng: np.random.RandomState, urn: np.ndarray, k: int
-) -> np.ndarray:
-    # Partial Fisher-Yates on a persistent urn; any permutation state is a
-    # valid urn, so no restore pass is needed.
-    size = urn.size
-    for i in range(k):
-        j = rng.randint(i, size)
-        urn[i], urn[j] = urn[j], urn[i]
-    return urn[:k].copy()
-
-
 def _best_split(
-    columns: CsrMatrix,
+    columns: _Columns,
     y: np.ndarray,
     rows: np.ndarray,
     weights: np.ndarray,
+    counts: np.ndarray,
     candidates: np.ndarray,
-    n_labels: int,
+    multiplicity: np.ndarray,
 ) -> tuple[int, float, np.ndarray] | None:
     """Best (feature, threshold, left mask over ``rows``) over the candidates, or None.
 
-    ``rows`` are the node's distinct training rows and ``weights`` their
-    multiplicities. Quality maximizes sum(left_counts^2)/n_left +
-    sum(right_counts^2)/n_right, equivalent to minimizing the weighted child
-    Gini impurity. Ties keep the earlier candidate; within a feature the
-    smallest qualifying threshold.
+    ``rows`` are the node's distinct training rows, ``weights`` their
+    multiplicities and ``counts`` their class counts. ``multiplicity`` is an
+    all-zero buffer of one int per sample, zero again on return. Quality
+    maximizes sum(left_counts^2)/n_left + sum(right_counts^2)/n_right,
+    equivalent to minimizing the weighted child Gini impurity. Ties keep the
+    earlier candidate; within a feature the smallest qualifying threshold.
 
     All candidates are scored in one pass over their stored entries at the
-    node; the node's samples a candidate does not store count as one entry of
-    value 0.0 (stored values are nonzero). Class counts are integer-valued
-    floats, so the qualities are exact functions of the counts.
+    node, which the value-sorted columns give in (candidate, value) order.
+    The node's samples a candidate does not store count as one group of
+    value 0.0 (stored values are nonzero), placed after its negative values.
+    Class counts are integer-valued floats, so sums of them are exact in any
+    order and the qualities are exact functions of the counts.
     """
-    counts = np.bincount(y[rows], weights=weights, minlength=n_labels)
-    n_node, n_candidates = int(weights.sum()), candidates.size
-    multiplicity = np.zeros(columns.n_cols, dtype=np.int64)
+    n_candidates, n_labels = candidates.size, counts.size
+    first = columns.indptr[candidates]
+    lengths = columns.indptr[candidates + 1] - first
+    ends = np.cumsum(lengths)
+    src = np.repeat(first - ends + lengths, lengths) + np.arange(ends[-1])
     multiplicity[rows] = weights
-    src, lengths = columns.entries(candidates)
-    entry_rows = columns.indices[src]
-    kept = np.flatnonzero(multiplicity[entry_rows])
-    src, entry_rows = src[kept], entry_rows[kept]
-    entry_weight, label = multiplicity[entry_rows], y[entry_rows]
-    position = np.repeat(np.arange(n_candidates), lengths)[kept]
-    stored = np.bincount(position * n_labels + label, weights=entry_weight, minlength=n_candidates * n_labels)
-    absent = counts - stored.reshape(n_candidates, n_labels)
-    with_absent = np.flatnonzero(absent.any(axis=1))
+    entry_weight = multiplicity[columns.rows[src]]
+    multiplicity[rows] = 0
+    kept = np.flatnonzero(entry_weight)
+    if not kept.size:
+        return None
+    src, entry_weight = src[kept], entry_weight[kept]
+    label, value = y[columns.rows[src]], columns.values[src]
+    position = np.searchsorted(ends, kept, "right")
+    stored = np.bincount(label * n_candidates + position, weights=entry_weight, minlength=n_labels * n_candidates)
+    absent = counts[:, None] - stored.reshape(n_labels, n_candidates)
+    has_absent = absent.any(axis=0)
 
-    position = np.concatenate((position, with_absent))
-    value = np.concatenate((columns.values[src], np.zeros(with_absent.size)))
-    order = np.lexsort((value, position))
-    position, value = position[order], value[order]
-    # Equal values of one candidate form one group; groups are in (candidate, value) order.
-    starts = np.ones(order.size, dtype=bool)
+    # Equal values of one candidate form one group, in (candidate, value) order.
+    starts = np.empty(kept.size, dtype=bool)
+    starts[0] = True
     starts[1:] = (position[1:] != position[:-1]) | (value[1:] != value[:-1])
-    group = np.empty(order.size, dtype=np.int64)
-    group[order] = np.cumsum(starts) - 1
+    group = np.cumsum(starts) - 1
     position, value = position[starts], value[starts]
-    boundaries = np.flatnonzero(position[:-1] == position[1:])
+    # Each stored group moves past the absent groups of earlier candidates,
+    # and past its own candidate's if it is positive.
+    shift = np.cumsum(has_absent) - has_absent
+    moved = np.arange(position.size) + shift[position] + (has_absent[position] & (value > 0.0))
+    n_groups = position.size + np.count_nonzero(has_absent)
+    is_absent = np.ones(n_groups, dtype=bool)
+    is_absent[moved] = False
+    absent_at, with_absent = np.flatnonzero(is_absent), np.flatnonzero(has_absent)
+    group_position = np.empty(n_groups, dtype=np.int64)
+    group_position[moved] = position
+    group_position[absent_at] = with_absent
+    group_value = np.zeros(n_groups)
+    group_value[moved] = value
+    boundaries = np.flatnonzero(group_position[:-1] == group_position[1:])
     if not boundaries.size:
         return None
 
-    n_groups = position.size
+    # (labels x groups): each label's cumulative count runs along one row.
     group_counts = np.bincount(
-        group[: kept.size] * n_labels + label,
-        weights=entry_weight,
-        minlength=n_groups * n_labels,
-    ).reshape(n_groups, n_labels)
-    group_counts[group[kept.size :]] += absent[with_absent]
+        label * n_groups + moved[group], weights=entry_weight, minlength=n_labels * n_groups
+    ).reshape(n_labels, n_groups)
+    group_counts[:, absent_at] = absent[:, with_absent]
     # Each candidate's groups sum to the node's counts, and candidate c has c before it.
-    left_counts = group_counts.cumsum(axis=0)[boundaries] - position[boundaries, None] * counts
-    n_left = left_counts.sum(axis=1)
-    n_right = n_node - n_left
-    quality = (left_counts**2).sum(axis=1) / n_left + (
-        (counts - left_counts) ** 2
-    ).sum(axis=1) / n_right
+    left_counts = group_counts.cumsum(axis=1)[:, boundaries] - group_position[boundaries] * counts[:, None]
+    n_left = left_counts.sum(axis=0)
+    n_right = weights.sum() - n_left
+    quality = (left_counts**2).sum(axis=0) / n_left + ((counts[:, None] - left_counts) ** 2).sum(axis=0) / n_right
     pick = boundaries[int(np.argmax(quality))]
-    lo, hi = float(value[pick]), float(value[pick + 1])
+    lo, hi = float(group_value[pick]), float(group_value[pick + 1])
     threshold = (lo + hi) / 2.0
     if threshold >= hi:  # midpoint rounded up to the right value
         threshold = lo
-    feature = int(candidates[position[pick]])
-    dense = np.zeros(columns.n_cols, dtype=np.float64)
-    column_rows, column_values = columns.row(feature)
-    dense[column_rows] = column_values
+    feature = int(candidates[group_position[pick]])
+    dense = np.zeros(columns.n_samples, dtype=np.float64)
+    at = slice(columns.indptr[feature], columns.indptr[feature + 1])
+    dense[columns.rows[at]] = columns.values[at]
     return feature, threshold, dense[rows] <= threshold

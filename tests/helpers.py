@@ -10,7 +10,6 @@ import numpy as np
 
 from lahja import CsrMatrix, TfidfBlock, build_analyzer, compute_class_weights, enumerate_grid, run_pipeline
 from lahja.analyzers import Symbols
-from lahja.forest import _sample_without_replacement
 from lahja.svm import _LABEL_SEED_STRIDE
 
 
@@ -257,7 +256,7 @@ def reference_build_tree(
         if np.count_nonzero(counts) == 1:
             nodes[slot] = {"d": (counts.astype(np.float64) / samples.size).tolist()}
             continue
-        candidates = _sample_without_replacement(rng, feature_urn, n_candidates)
+        candidates = reference_sample_without_replacement(rng, feature_urn, n_candidates)
         split = reference_best_split(columns, y, samples, candidates, n_labels, n_samples)
         if split is None:
             nodes[slot] = {"d": (counts.astype(np.float64) / samples.size).tolist()}
@@ -268,6 +267,21 @@ def reference_build_tree(
         stack.append((len(nodes), samples[go_left]))
         nodes += [{}, {}]
     return nodes
+
+
+def reference_draws(rng: np.random.RandomState, k: int, size: int) -> list[int]:
+    """The swap positions of a partial Fisher-Yates shuffle of ``size`` items:
+    k scalar draws ``rng.randint(i, size)``, i = 0 .. k - 1."""
+    return [int(rng.randint(i, size)) for i in range(k)]
+
+
+def reference_sample_without_replacement(rng: np.random.RandomState, urn: np.ndarray, k: int) -> np.ndarray:
+    """k distinct items of ``urn`` by a partial Fisher-Yates shuffle, one
+    scalar draw per swap, as ``forest._build_tree`` drew a node's candidates
+    before it drew them in one call; ``urn`` keeps the shuffle."""
+    for i, j in enumerate(reference_draws(rng, k, urn.size)):
+        urn[i], urn[j] = urn[j], urn[i]
+    return urn[:k].copy()
 
 
 def reference_best_split(

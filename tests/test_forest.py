@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lahja import BlockSpec, CsrMatrix, RandomForest, make_synthetic
-from lahja.forest import _best_split
+from lahja import BlockSpec, CsrMatrix, RandomForest, forest as forest_module, make_synthetic
+from lahja.forest import _best_split, _Columns
 from lahja.vectorizer import TfidfUnion
 
-from helpers import csr, reference_best_split, reference_build_tree
+from helpers import csr, reference_best_split, reference_build_tree, reference_draws
 
 
 def random_instance(rng: np.random.RandomState, n_samples: int, n_features: int, n_labels: int):
@@ -132,6 +132,19 @@ class TestRandomForest:
         with pytest.raises(ValueError, match="dimension"):
             forest.predict(csr([[1.0, 0.0, 0.0]]))
 
+    def test_votes_do_not_depend_on_the_chunk_budget(self, monkeypatch):
+        rng = np.random.RandomState(6)
+        X, y = random_instance(rng, 40, 8, 3)
+        forest = RandomForest(n_trees=15, seed=4).fit(X, y)
+        queries, _ = random_instance(rng, 25, 8, 3)
+        width = forest.split_features_.size
+        assert width > 1
+        one_chunk = forest.tree_votes(queries)
+        # Below one doc's split features each doc is a chunk; then three docs a chunk.
+        for budget in (width - 1, 3 * width):
+            monkeypatch.setattr(forest_module, "_BUDGET", budget)
+            assert forest.tree_votes(queries).tobytes() == one_chunk.tobytes()
+
 
 # Negative values, ties, and the two doubles after 1.0, whose midpoint rounds
 # up to the right value; zeros are absent entries.
@@ -141,7 +154,7 @@ SPLIT_VALUES = [0.0, 0.0, 0.0, -2.0, -0.5, 0.5, 1.0, _AFTER_ONE, float(np.nextaf
 
 @st.composite
 def split_problems(draw):
-    """(columns, y, node samples with repeats, candidates, n_labels)."""
+    """(samples' feature rows, y, node samples with repeats, candidates, n_labels)."""
     n_rows = draw(st.integers(2, 10))
     n_labels = draw(st.integers(2, 5))
     n_free = draw(st.integers(1, 5))
@@ -153,7 +166,7 @@ def split_problems(draw):
     samples = np.array(draw(st.lists(st.integers(0, n_rows - 1), min_size=2, max_size=16)))
     n_cols = dense.shape[1]
     candidates = np.array(draw(st.permutations(range(n_cols)))[: draw(st.integers(1, n_cols))])
-    return csr(dense).transpose(), y, samples, candidates, n_labels
+    return csr(dense), y, samples, candidates, n_labels
 
 
 class TestSplitSearch:
@@ -162,10 +175,13 @@ class TestSplitSearch:
     @settings(max_examples=300, deadline=None)
     @given(split_problems())
     def test_same_split_as_reference(self, problem):
-        columns, y, samples, candidates, n_labels = problem
+        X, y, samples, candidates, n_labels = problem
         rows, weights = np.unique(samples, return_counts=True)
-        got = _best_split(columns, y, rows, weights, candidates, n_labels)
-        want = reference_best_split(columns, y, samples, candidates, n_labels, columns.n_cols)
+        counts = np.bincount(y[rows], weights=weights, minlength=n_labels)
+        multiplicity = np.zeros(len(X), dtype=np.int64)
+        got = _best_split(_Columns.of(X), y, rows, weights, counts, candidates, multiplicity)
+        assert not multiplicity.any()
+        want = reference_best_split(X.transpose(), y, samples, candidates, n_labels, len(X))
         if want is None:
             assert got is None
             return
@@ -176,9 +192,11 @@ class TestSplitSearch:
 
     def test_midpoint_rounded_up_falls_back_to_left_value(self):
         later = float(np.nextafter(_AFTER_ONE, 2.0))
-        columns = csr([[_AFTER_ONE], [later]]).transpose()
+        columns = _Columns.of(csr([[_AFTER_ONE], [later]]))
         rows, weights = np.array([0, 1]), np.array([2, 1])
-        feature, threshold, go_left = _best_split(columns, np.array([0, 1]), rows, weights, np.array([0]), 2)
+        feature, threshold, go_left = _best_split(
+            columns, np.array([0, 1]), rows, weights, np.array([2.0, 1.0]), np.array([0]), np.zeros(2, dtype=np.int64)
+        )
         assert (_AFTER_ONE + later) / 2.0 == later
         assert (feature, threshold, go_left.tolist()) == (0, _AFTER_ONE, [True, False])
 
@@ -205,3 +223,50 @@ class TestSplitSearch:
                 for s in tree_seeds
             ]
             assert json.dumps(forest.payload()["trees"]) == json.dumps(reference)
+
+
+@st.composite
+def forest_problems(draw):
+    """(X, y, n_labels) of a few docs of 1-2 labels, each doc's row repeated
+    once per label, over values with signs, ties and rounding midpoints."""
+    n_docs = draw(st.integers(2, 8))
+    n_labels = draw(st.integers(2, 4))
+    n_cols = draw(st.integers(1, 6))
+    row = st.lists(st.sampled_from(SPLIT_VALUES), min_size=n_cols, max_size=n_cols)
+    dense = draw(st.lists(row, min_size=n_docs, max_size=n_docs))
+    doc_labels = draw(
+        st.lists(st.sets(st.integers(0, n_labels - 1), min_size=1, max_size=2), min_size=n_docs, max_size=n_docs)
+    )
+    samples = [(doc, label) for doc, labels in enumerate(doc_labels) for label in sorted(labels)]
+    X = csr([dense[doc] for doc, _ in samples], n_cols)
+    return X, np.array([label for _, label in samples]), n_labels
+
+
+class TestTreeGrowth:
+    """Tree growth against the per-candidate, per-sample reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        earlier=st.lists(st.tuples(st.integers(1, 2**31 - 5), st.integers(1, 300)), max_size=2),
+        data=st.data(),
+    )
+    def test_one_call_draw_equals_scalar_draws(self, seed, earlier, data):
+        size = data.draw(st.integers(1, 2**31 - 5))
+        k = data.draw(st.integers(1, min(size, 400)))
+        one_call, scalar = np.random.RandomState(seed), np.random.RandomState(seed)
+        for high, n in earlier:
+            one_call.randint(0, high, size=n)
+            scalar.randint(0, high, size=n)
+        assert one_call.randint(np.arange(k), size).tolist() == reference_draws(scalar, k, size)
+        assert one_call.randint(0, 2**31 - 1) == scalar.randint(0, 2**31 - 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(forest_problems(), st.integers(0, 2**32 - 1))
+    def test_trees_equal_reference_trees(self, problem, seed):
+        X, y, n_labels = problem
+        forest = RandomForest(n_trees=3, seed=seed).fit(X, y, n_labels=n_labels)
+        n_candidates = math.ceil(math.sqrt(X.n_cols))
+        tree_seeds = np.random.RandomState(seed).randint(0, 2**31 - 1, size=3)
+        reference = [reference_build_tree(X.transpose(), y, n_candidates, n_labels, int(s)) for s in tree_seeds]
+        assert json.dumps(forest.payload()["trees"]) == json.dumps(reference)
