@@ -5,13 +5,13 @@ runs the full Cartesian product with the declared field order (``n`` varies
 slowest, ``v3`` fastest). Classifier choice and other non-swept settings are
 fixed scalar fields; a candidate or setting no config could take fails
 when the grid is built. The sweep fits each distinct TF-IDF block once, stacks
-each config's union from the block matrices with that config's transformer
-weights, fits each distinct model group once and re-votes its argmax votes
-per vote-weight triple, a single classifier being a one-voter vote (see
-:func:`run_sweep`). Sweep workers can run in separate processes — the
-``LAHJA_THREADS`` environment variable caps the worker count (default 1) —
-and results are merged in config order, so output is independent of
-scheduling.
+each distinct union from the block matrices with its transformer weights,
+fits each distinct model group once, the SVC fits of one union against one
+shared Gram, and re-votes its argmax votes per vote-weight triple, a single
+classifier being a one-voter vote (see :func:`run_sweep`). Sweep workers can
+run in separate processes — the ``LAHJA_THREADS`` environment variable caps
+the worker count (default 1) — and results are merged in config order, so
+output is independent of scheduling.
 """
 
 from __future__ import annotations
@@ -25,11 +25,12 @@ from typing import IO, Sequence
 
 import numpy as np
 
+from . import svm
 from .base import JsonObject
 from .corpus import Dataset
 from .ensemble import DecisionPolicy
 from .metrics import MetricsReport, evaluate
-from .pipeline import DialectPipeline, ForestParams, PipelineConfig, SvcParams
+from .pipeline import DialectPipeline, ForestParams, PipelineConfig, SvcParams, training_samples
 from .pipeline import run_pipeline  # noqa: F401  (perfbench/tracing.py wraps lahja.grid.run_pipeline)
 from .sparse import CsrMatrix
 from .vectorizer import BLOCK_ORDER, BlockSpec, TfidfBlock, TfidfUnion
@@ -154,15 +155,20 @@ def run_sweep(
 
     Each report equals ``run_pipeline(train, dev, config)``, but the work is
     shared in three stages. Each distinct TF-IDF block (its analyzer, n-gram
-    range and cap) is fitted once and transforms dev once. Each model group
-    (a config with its vote weights set aside) stacks its union from those
-    matrices with ``TfidfUnion.stack``, as ``transform`` does, is fitted
-    once and predicts dev once; an argmax group keeps the argmax votes of
-    its models. Each config is then scored from its group's output, an
-    argmax group's votes re-voted with the config's own weights. Ties
-    order by the config's canonical JSON serialization.
+    range and cap) is fitted once and transforms dev once. Each distinct
+    union (blocks and transformer weights) is stacked from those matrices
+    with ``TfidfUnion.stack``, as ``transform`` does, and each of its model
+    groups (a config with its vote weights set aside) is fitted once and
+    predicts dev once; an argmax group keeps the argmax votes of its models.
+    The SVC fits of a union's groups, which share its training samples,
+    share one Gram matrix of them, held while they fit: the Gram a fit
+    would compute, so the bits are the same. Each config is then scored
+    from its group's output, an argmax group's votes re-voted with the
+    config's own weights. Ties order by the config's canonical JSON
+    serialization.
     ``workers`` defaults to the LAHJA_THREADS cap; with more than one, the
-    blocks and then the model groups are spread over worker processes.
+    blocks and then the unions, each with all of its model groups, are
+    spread over worker processes.
     """
     configs = enumerate_grid(spec, max_configs=max_configs)
     if not len(train):
@@ -172,10 +178,13 @@ def run_sweep(
             "train and eval label spaces differ; align them first (see corpus.merge_label_spaces)"
         )
     groups = list(dict.fromkeys(_model_group(config) for config in configs))
+    unions: dict[tuple, list[PipelineConfig]] = {}
+    for group in groups:
+        unions.setdefault(_union_key(group), []).append(group)
     block_keys = list(dict.fromkeys(key for group in groups for key in _block_keys(group)))
     if workers is None:
         workers = _worker_count()
-    workers = min(max(1, workers), max(len(block_keys), len(groups)))
+    workers = min(max(1, workers), max(len(block_keys), len(unions)))
     train_texts, dev_texts = train.texts(), dev.texts()
     with contextlib.ExitStack() as stack:
         mapper = map
@@ -188,8 +197,11 @@ def run_sweep(
             mapper = stack.enter_context(ProcessPoolExecutor(workers, mp_context=spawn)).map
         fitted = mapper(_fit_block, block_keys, itertools.repeat(train_texts), itertools.repeat(dev_texts))
         blocks = dict(zip(block_keys, fitted))
-        parts = [[blocks[key] for key in _block_keys(group)] for group in groups]
-        outputs = dict(zip(groups, mapper(_fit_group, groups, parts, itertools.repeat(train))))
+        parts = [[blocks[key] for key in _block_keys(members[0])] for members in unions.values()]
+        fitted = mapper(_fit_union, unions.values(), parts, itertools.repeat(train))
+        outputs = {
+            group: output for members, union in zip(unions.values(), fitted) for group, output in zip(members, union)
+        }
     golds = dev.label_sets()
     n_labels = len(train.label_space)
     results = []
@@ -210,6 +222,11 @@ def _model_group(config: PipelineConfig) -> PipelineConfig:
     return replace(config, vote_weights=(1.0, 1.0, 1.0))
 
 
+def _union_key(config: PipelineConfig) -> tuple:
+    """The config's block specs, weights included: the union it stacks."""
+    return config.word, config.char, config.char_wb
+
+
 def _block_keys(config: PipelineConfig) -> list[BlockKey]:
     """The key of each enabled block, in union order."""
     specs = (config.word, config.char, config.char_wb)
@@ -228,18 +245,28 @@ def _fit_block(
     return block.fit_transform(train_texts), block.transform(dev_texts)
 
 
-def _fit_group(
-    group: PipelineConfig, parts: list[tuple[CsrMatrix, CsrMatrix]], train: Dataset
-) -> list[frozenset[int]] | np.ndarray:
-    """Fit one model group on the train matrices of its blocks and predict the
-    dev ones: for an argmax group the component votes, otherwise the label
-    sets of its score policy."""
-    union = TfidfUnion(group.word, group.char, group.char_wb)
+def _fit_union(
+    groups: list[PipelineConfig], parts: list[tuple[CsrMatrix, CsrMatrix]], train: Dataset
+) -> list[list[frozenset[int]] | np.ndarray]:
+    """Fit each model group of one union on the train matrices of its blocks
+    and predict the dev ones: for an argmax group the component votes,
+    otherwise the label sets of its score policy. The groups' SVC fits share
+    one Gram of the union's training samples, held while they fit."""
+    union = TfidfUnion(groups[0].word, groups[0].char, groups[0].char_wb)
     train_X, dev_X = (union.stack([pair[side] for pair in parts]) for side in (0, 1))
-    pipeline = DialectPipeline(group).fit_matrix(train_X, train)
-    if group.policy.kind == "argmax":
-        return pipeline.component_votes(dev_X)
-    return pipeline.predict_matrix(dev_X)
+    gram = None
+    if any("svc" in group.model_params() for group in groups):
+        samples, _ = training_samples(train_X, train)
+        if len(samples) <= svm.NEWTON_MAX_SAMPLES:
+            gram = svm.sample_gram(samples)
+    outputs = []
+    for group in groups:
+        pipeline = DialectPipeline(group).fit_matrix(train_X, train, _gram=gram)
+        if group.policy.kind == "argmax":
+            outputs.append(pipeline.component_votes(dev_X))
+        else:
+            outputs.append(pipeline.predict_matrix(dev_X))
+    return outputs
 
 
 def write_sweep_tsv(

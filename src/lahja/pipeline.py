@@ -133,22 +133,21 @@ class DialectPipeline(BaseEstimator):
         self.union_ = union
         return self
 
-    def fit_matrix(self, vectors: CsrMatrix, dataset: Dataset) -> "DialectPipeline":
+    def fit_matrix(
+        self, vectors: CsrMatrix, dataset: Dataset, *, _gram: np.ndarray | None = None
+    ) -> "DialectPipeline":
         """Fit the configured classifier(s) on ``vectors``, row i being the
-        features of ``dataset``'s document i; the union is left unset."""
+        features of ``dataset``'s document i; the union is left unset.
+        ``_gram`` is internal: the sweep passes the SVC Gram that the model
+        groups of one union share."""
         cfg = self.config
-        samples = [(doc.id, label) for doc in dataset.documents for label in sorted(doc.labels)]
-        if not samples:
-            raise ValueError("no labeled documents available for classifier training")
-        X = vectors.take([doc_id for doc_id, _ in samples])
-        y = [label for _, label in samples]
-
+        X, y = training_samples(vectors, dataset)
         n_labels = len(dataset.label_space)
         cfg.policy.check_label_count(n_labels)
-        self.models_ = {
-            name: MODEL_TYPES[name](**params).fit(X, y, n_labels=n_labels)
-            for name, params in cfg.model_params().items()
-        }
+        self.models_ = {}
+        for name, params in cfg.model_params().items():
+            shared = {"_gram": _gram} if name == "svc" else {}
+            self.models_[name] = MODEL_TYPES[name](**params).fit(X, y, n_labels=n_labels, **shared)
         self.label_space_ = dataset.label_space
         self.n_labels_ = n_labels
         return self
@@ -191,6 +190,15 @@ class DialectPipeline(BaseEstimator):
                 "dataset label space does not match the fitted label space; "
                 "align the datasets first (see corpus.merge_label_spaces)"
             )
+
+
+def training_samples(vectors: CsrMatrix, dataset: Dataset) -> tuple[CsrMatrix, list[int]]:
+    """The classifiers' training samples: the row of ``vectors`` of each
+    (document, gold label) pair of ``dataset``, and the labels."""
+    samples = [(doc.id, label) for doc in dataset.documents for label in sorted(doc.labels)]
+    if not samples:
+        raise ValueError("no labeled documents available for classifier training")
+    return vectors.take([doc_id for doc_id, _ in samples]), [label for _, label in samples]
 
 
 def run_pipeline(train: Dataset, eval_dataset: Dataset, config: PipelineConfig) -> MetricsReport:

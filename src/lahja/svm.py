@@ -20,11 +20,14 @@ b = Σ s_i α_i. Two solvers share it:
   on the primal with W's loss terms moves towards it. When W's problem is
   solved (one round), the worst margin violators outside W join it, at most
   max(32, |W| / 2) of them; the solve stops when none violates its margin
-  by ``tol`` or more. The final active set's system is then solved once more
-  by a Cholesky factorization in elementwise numpy, so the weights do not
-  depend on the BLAS thread count. ``max_epochs`` caps the Newton steps per
-  label, ``seed`` is unused, and a label's ``dual_objective_history_`` holds
-  the dual value of each round: W's optimum, which rises as W grows.
+  by ``tol`` or more. Once every label's final active set is known, their
+  systems are solved once more, together: stacked, padded to a common order
+  with identity rows and columns, and factored by one batched Cholesky in
+  elementwise numpy, in chunks of at most ``_GRAM_BUDGET`` values. So the
+  weights do not depend on the BLAS thread count, nor a label's bits on the
+  labels it is solved with. ``max_epochs`` caps the Newton steps per label,
+  ``seed`` is unused, and a label's ``dual_objective_history_`` holds the
+  dual value of each round: W's optimum, which rises as W grows.
 - Larger fits use dual coordinate descent, block-coordinate-wise: samples
   with equal feature vectors (a multi-label document yields one sample per
   gold label) form a group, and each epoch visits the groups in a seeded
@@ -59,6 +62,7 @@ NEWTON_MAX_SAMPLES = 1024
 
 # Bound on the values one slab of the Gram product holds, as knn._BUDGET; a
 # budget of 1 << 22 raised the peak memory of an svc-overlap train by 12%.
+# It also bounds one chunk of the stacked final re-solves (2 MB).
 _GRAM_BUDGET = 1 << 18
 
 
@@ -112,7 +116,11 @@ class LinearSvc(BaseEstimator):
         self.max_epochs = max_epochs
         self.seed = seed
 
-    def fit(self, X: CsrMatrix, y: Sequence[int], n_labels: int | None = None) -> "LinearSvc":
+    def fit(
+        self, X: CsrMatrix, y: Sequence[int], n_labels: int | None = None, *, _gram: np.ndarray | None = None
+    ) -> "LinearSvc":
+        """Fit one binary problem per label. ``_gram`` is internal: the sweep
+        passes the :func:`sample_gram` of ``X`` that its model groups share."""
         check_positive("C", self.C)
         check_positive("tol", self.tol)
         if self.max_epochs < 1:
@@ -129,17 +137,18 @@ class LinearSvc(BaseEstimator):
         if weights is not None:
             per_sample_c *= weights[labels]
         diag = 1.0 / (2.0 * per_sample_c)
+        signs = [np.where(labels == label, 1.0, -1.0) for label in range(n_labels)]
         if len(X) <= NEWTON_MAX_SAMPLES:
-            solve = _newton_solver(X, diag, self.tol, self.max_epochs)
+            gram = sample_gram(X) if _gram is None else _gram
+            fits = _newton_fits(X, gram, signs, diag, self.tol, self.max_epochs)
         else:
-            solve = _descent_solver(X, diag, self.tol, self.max_epochs, self.seed)
+            fits = map(_descent_solver(X, diag, self.tol, self.max_epochs, self.seed), signs, range(n_labels))
 
         coef = np.zeros((n_labels, n_features), dtype=np.float64)
         intercept = np.zeros(n_labels, dtype=np.float64)
         history: list[list[float]] = []
         unconverged: list[str] = []
-        for label in range(n_labels):
-            w, b, objective, violation, epochs = solve(np.where(labels == label, 1.0, -1.0), label)
+        for label, (w, b, objective, violation, epochs) in enumerate(fits):
             coef[label] = w
             intercept[label] = b
             history.append(objective)
@@ -199,19 +208,32 @@ class LinearSvc(BaseEstimator):
         return np.argmax(self.decision_function(X), axis=1)
 
 
-def _newton_solver(X: CsrMatrix, diag: np.ndarray, tol: float, max_steps: int):
-    """The working-set Newton solve of one label, as a function of its signs
-    and index; all labels share one Gram matrix."""
+def sample_gram(X: CsrMatrix) -> np.ndarray:
+    """The read-only Gram matrix Q = XXᵀ + 1 of the samples ``X`` that the
+    Newton path solves over, computed without BLAS."""
     gram = X.gram(_GRAM_BUDGET)
     gram += 1.0  # the constant-1 bias feature
+    gram.setflags(write=False)
+    return gram
+
+
+def _newton_fits(
+    X: CsrMatrix, gram: np.ndarray, signs: list[np.ndarray], diag: np.ndarray, tol: float, max_steps: int
+) -> list[tuple[np.ndarray, float, list[float], float, int]]:
+    """The working-set Newton solve of every label, all labels sharing the
+    Gram matrix ``gram`` and one batched final re-solve: per label, the
+    weights, intercept, dual value per round, final violation and steps."""
+    rounds = [_newton_binary(gram, s, diag, tol, max_steps) for s in signs]
+    coefs = _final_solves(gram, signs, diag, [support for support, _, _ in rounds], _GRAM_BUDGET)
     rows = X.row_ids()
-
-    def solve(signs: np.ndarray, label: int):
-        coef, objective, violation, steps = _newton_binary(gram, signs, diag, tol, max_steps)
+    fits = []
+    for s, coef, (_, objective, steps) in zip(signs, coefs, rounds):
+        alpha = s * coef
+        gradient = s * (gram @ coef) - 1.0 + diag * alpha
+        violation = float(np.where(alpha > 0.0, np.abs(gradient), np.maximum(-gradient, 0.0)).max())
         w = np.bincount(X.indices, weights=X.values * coef[rows], minlength=X.n_cols)
-        return w, float(coef.sum()), objective, violation, steps
-
-    return solve
+        fits.append((w, float(coef.sum()), objective, violation, steps))
+    return fits
 
 
 def _descent_solver(X: CsrMatrix, diag: np.ndarray, tol: float, max_epochs: int, seed: int):
@@ -242,13 +264,13 @@ def _descent_solver(X: CsrMatrix, diag: np.ndarray, tol: float, max_epochs: int,
 
 def _newton_binary(
     gram: np.ndarray, signs: np.ndarray, diag: np.ndarray, tol: float, max_steps: int
-) -> tuple[np.ndarray, list[float], float, int]:
+) -> tuple[np.ndarray, list[float], int]:
     """Working-set finite Newton for one binary subproblem over the Gram
     matrix Q = XXᵀ + 1.
 
-    Returns the signed dual coefficients s∘α, zero off the final active set;
-    the dual value of each working-set round; the largest projected-gradient
-    violation of the result; and the number of Newton steps taken.
+    Returns the final active set, the support whose system
+    :func:`_final_solves` solves once more; the dual value of each
+    working-set round; and the number of Newton steps taken.
     """
     n = signs.size
     positives = np.flatnonzero(signs > 0.0)
@@ -264,7 +286,7 @@ def _newton_binary(
     while True:
         while steps < max_steps:  # Newton on the primal with W's loss terms
             active = work & (signs * margins < 1.0)
-            newton, newton_margins = _newton_point(gram, signs, diag, np.flatnonzero(active), np.linalg.solve)
+            newton, newton_margins = _newton_point(gram, signs, diag, np.flatnonzero(active))
             steps += 1
             if np.array_equal(work & (signs * newton_margins < 1.0), active):
                 coef, margins = newton, newton_margins
@@ -286,26 +308,24 @@ def _newton_binary(
         grow = max(32, int(work.sum()) // 2)
         work[violators[np.argsort(-outside[violators], kind="stable")[:grow]]] = True
 
-    # The steps above go through LAPACK and BLAS, whose bits can depend on
-    # their thread count; the result comes from one fixed-order re-solve.
-    support = np.flatnonzero(work & (signs * margins < 1.0))
-    coef, margins = _newton_point(gram, signs, diag, support, _cholesky_solve)
-    alpha = signs * coef
-    gradient = signs * margins - 1.0 + diag * alpha
-    violation = float(np.where(alpha > 0.0, np.abs(gradient), np.maximum(-gradient, 0.0)).max())
-    return coef, objective, violation, steps
+    return np.flatnonzero(work & (signs * margins < 1.0)), objective, steps
 
 
-def _newton_point(gram: np.ndarray, signs: np.ndarray, diag: np.ndarray, active: np.ndarray, solve):
+def _newton_point(gram: np.ndarray, signs: np.ndarray, diag: np.ndarray, active: np.ndarray):
     """The signed coefficients s∘α and the margins Q(s∘α) of the minimizer of
     the primal with the loss terms of ``active`` taken as quadratics:
     (SQS + D)_II α_I = 1, with α zero off I."""
+    coef = np.zeros(signs.size)
+    coef[active] = signs[active] * np.linalg.solve(_system(gram, signs, diag, active), np.ones(active.size))
+    return coef, gram @ coef
+
+
+def _system(gram: np.ndarray, signs: np.ndarray, diag: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """The matrix (SQS + D)_II of the active set I."""
     s = signs[active]
     system = gram[np.ix_(active, active)] * np.multiply.outer(s, s)
     system[np.diag_indices_from(system)] += diag[active]
-    coef = np.zeros(signs.size)
-    coef[active] = s * solve(system, np.ones(active.size))
-    return coef, gram @ coef
+    return system
 
 
 def _line_search(
@@ -350,24 +370,66 @@ def _line_search(
     return float(max(start, -levels[piece] / slopes[piece]))
 
 
-def _cholesky_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """x with ``a`` x = ``rhs`` for symmetric positive definite ``a``, by a
-    Cholesky factorization of its lower triangle in elementwise numpy. Every
-    sum is np.sum over a fixed slice, so unlike LAPACK's, the bits do not
-    depend on the BLAS library or its thread count."""
-    n = len(a)
-    low = np.zeros_like(a)
-    for j in range(n):
-        row = low[j, :j]
-        low[j, j] = pivot = np.sqrt(a[j, j] - (row * row).sum())
-        low[j + 1 :, j] = (a[j + 1 :, j] - (low[j + 1 :, :j] * row).sum(axis=1)) / pivot
-    y = np.empty(n)
-    for j in range(n):
-        y[j] = (rhs[j] - (low[j, :j] * y[:j]).sum()) / low[j, j]
-    x = np.empty(n)
-    for j in reversed(range(n)):
-        x[j] = (y[j] - (low[j + 1 :, j] * x[j + 1 :]).sum()) / low[j, j]
-    return x
+def _final_solves(
+    gram: np.ndarray, signs: list[np.ndarray], diag: np.ndarray, supports: list[np.ndarray], budget: int
+) -> list[np.ndarray]:
+    """Each label's signed coefficients s∘α, zero off its support I, from one
+    fixed-order re-solve of (SQS + D)_II α_I = 1.
+
+    The Newton steps go through LAPACK and BLAS, whose bits can depend on
+    their thread count; these do not. The systems are stacked, largest
+    first, each padded to its chunk's order with identity rows and columns,
+    and solved together by :func:`_cholesky_solve`. A chunk holds at most
+    ``budget`` values, or one system that alone holds more. A label's bits do
+    not depend on its chunk, since the padding leaves its sums alone.
+    """
+    coefs = [np.zeros(gram.shape[0]) for _ in supports]
+    order = sorted(range(len(supports)), key=lambda label: -supports[label].size)
+    lo = 0
+    while lo < len(order):
+        size = supports[order[lo]].size
+        chunk = order[lo : lo + max(1, budget // max(1, size * size))]
+        lo += len(chunk)
+        systems = np.zeros((len(chunk), size, size))
+        rhs = np.zeros((len(chunk), size))
+        for row, label in enumerate(chunk):
+            k = supports[label].size
+            systems[row, :k, :k] = _system(gram, signs[label], diag, supports[label])
+            systems[row, range(k, size), range(k, size)] = 1.0
+            rhs[row, :k] = 1.0
+        solved = _cholesky_solve(systems, rhs)
+        for row, label in enumerate(chunk):
+            support = supports[label]
+            coefs[label][support] = signs[label][support] * solved[row, : support.size]
+    return coefs
+
+
+def _cholesky_solve(systems: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with ``systems[b]`` x[b] = ``rhs[b]`` for each symmetric positive
+    definite matrix of the stack, by left-looking Cholesky factorizations of
+    their lower triangles, which the factors overwrite.
+
+    The loops run once per column, each step one batched np.einsum or
+    elementwise operation over the stack, never BLAS, so the bits do not
+    depend on the BLAS library or its thread count. Identity rows and
+    columns padded after a system leave its bits alone: column j of a factor
+    sums over the columns before j and the forward solve over the entries
+    before row j, so neither sum reaches the padding, and the back
+    substitution, one column at a time, subtracts the padding's exact zeros.
+    """
+    order = systems.shape[1]
+    for j in range(order):
+        column = systems[:, j:, j] - np.einsum("bik,bk->bi", systems[:, j:, :j], systems[:, j, :j])
+        pivot = np.sqrt(column[:, 0])
+        systems[:, j, j] = pivot
+        systems[:, j + 1 :, j] = column[:, 1:] / pivot[:, None]
+    y = np.empty_like(rhs)
+    for j in range(order):
+        y[:, j] = (rhs[:, j] - np.einsum("bk,bk->b", systems[:, j, :j], y[:, :j])) / systems[:, j, j]
+    for j in reversed(range(order)):
+        y[:, j] /= systems[:, j, j]
+        y[:, :j] -= systems[:, j, :j] * y[:, j, None]
+    return y
 
 
 def _group_samples(index_arrays: Sequence[np.ndarray], value_arrays: Sequence[np.ndarray]) -> list[list[int]]:

@@ -235,6 +235,25 @@ def reference_solve_binary(
     return w, b, objective
 
 
+def reference_cholesky_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with ``a`` x = ``rhs`` for one symmetric positive definite ``a``, by a
+    Cholesky factorization of its lower triangle, one np.sum over a fixed
+    slice per entry."""
+    n = len(a)
+    low = np.zeros_like(a)
+    for j in range(n):
+        row = low[j, :j]
+        low[j, j] = pivot = np.sqrt(a[j, j] - (row * row).sum())
+        low[j + 1 :, j] = (a[j + 1 :, j] - (low[j + 1 :, :j] * row).sum(axis=1)) / pivot
+    y = np.empty(n)
+    for j in range(n):
+        y[j] = (rhs[j] - (low[j, :j] * y[:j]).sum()) / low[j, j]
+    x = np.empty(n)
+    for j in reversed(range(n)):
+        x[j] = (y[j] - (low[j + 1 :, j] * x[j + 1 :]).sum()) / low[j, j]
+    return x
+
+
 def reference_build_tree(
     columns: CsrMatrix,
     y: np.ndarray,

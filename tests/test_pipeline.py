@@ -7,6 +7,7 @@ import pytest
 
 from lahja import (
     BlockSpec,
+    CsrMatrix,
     DecisionPolicy,
     DialectPipeline,
     GridSpec,
@@ -279,12 +280,16 @@ class TestSharedSweep:
                 return _fit(self, *args, **kwargs)
 
             monkeypatch.setattr(cls, "fit", counting_fit)
+        grams = []
+        gram = CsrMatrix.gram
+        monkeypatch.setattr(CsrMatrix, "gram", lambda self, budget: grams.append(len(self)) or gram(self, budget))
         # 2 n x 2 C model groups, each re-voted with 4 weight triples.
         spec = GridSpec(n=(1, 2), C=(1.0, 2.0), v1=(0.2, 0.4), v2=(0.1, 0.3), classifier="vote", n_trees=3)
         assert len(run_sweep(train, dev, spec, workers=1)) == 16
         blocks = {(kind, (1, n)) for kind in ("word", "char", "char_wb") for n in (1, 2)}
         assert analyzed == {block: texts for block in blocks}
         assert fits == {"LinearSvc": 4, "RandomForest": 4, "KnnClassifier": 4}
+        assert len(grams) == 2  # one per distinct union: the C groups share it
 
     def test_label_space_mismatch_rejected(self, split):
         train, dev = split

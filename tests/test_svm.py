@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lahja import (
     ConvergenceWarning,
@@ -20,10 +22,10 @@ from lahja import (
     preset,
 )
 from lahja import svm
-from lahja.svm import _cholesky_solve, _group_samples, _group_step, _line_search, _solve_binary
+from lahja.svm import _cholesky_solve, _final_solves, _group_samples, _group_step, _line_search, _solve_binary
 from lahja.vectorizer import TfidfUnion
 
-from helpers import csr, reference_svc_fit
+from helpers import csr, reference_cholesky_solve, reference_svc_fit
 
 
 def separable_instance(rng: np.random.RandomState, n_points: int, n_dims: int):
@@ -397,10 +399,39 @@ class TestNewtonSolver:
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 40])
     def test_cholesky_solve_matches_lapack(self, n):
         rng = np.random.RandomState(n)
-        A = rng.randn(n, n)
-        a = A @ A.T + n * np.eye(n)
-        rhs = rng.randn(n)
-        np.testing.assert_allclose(_cholesky_solve(a, rhs), np.linalg.solve(a, rhs), rtol=1e-10)
+        A = rng.randn(3, n, n)
+        a = A @ A.transpose(0, 2, 1) + n * np.eye(n)
+        rhs = rng.randn(3, n)
+        solved = _cholesky_solve(a.copy(), rhs)
+        for b in range(3):
+            np.testing.assert_allclose(solved[b], reference_cholesky_solve(a[b], rhs[b]), rtol=1e-10)
+            np.testing.assert_allclose(solved[b], np.linalg.solve(a[b], rhs[b]), rtol=1e-10)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        shares=st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]), min_size=1, max_size=6),
+        budget=st.integers(1, 4000),
+    )
+    def test_final_solve_bits_do_not_depend_on_the_batch(self, seed, n, shares, budget):
+        """A label's re-solve has the same bits alone, padded into one chunk
+        with larger systems, and in the chunks of any budget."""
+        rng = np.random.RandomState(seed)
+        A = rng.randn(n, rng.randint(1, 8))
+        gram = A @ A.T + 1.0
+        diag = rng.uniform(0.1, 2.0, n)
+        signs = [rng.choice([-1.0, 1.0], n) for _ in shares]
+        supports = [np.flatnonzero(rng.rand(n) < share) for share in shares]
+        chunked = _final_solves(gram, signs, diag, supports, budget)
+        padded = _final_solves(gram, signs, diag, supports, len(shares) * n * n)
+        for label, support in enumerate(supports):
+            alone = _final_solves(gram, [signs[label]], diag, [support], n * n)[0]
+            assert chunked[label].tobytes() == alone.tobytes() == padded[label].tobytes()
+            assert not alone[np.setdiff1d(np.arange(n), support)].any()  # all zero for an empty support
+            s = signs[label][support]
+            system = gram[np.ix_(support, support)] * np.multiply.outer(s, s) + np.diag(diag[support])
+            np.testing.assert_allclose(system @ (s * alone[support]), np.ones(support.size), atol=1e-8)
 
 
 def test_bundle_bytes_do_not_depend_on_the_blas_thread_count():
