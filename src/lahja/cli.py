@@ -2,9 +2,9 @@
 
 Exit codes: 0 on success, 1 for usage errors (bad flags, unknown preset,
 malformed config/grid schema, a grid value no config could take, grid size
-over the cap, an unwritable ``--out``, found before any data is read), 2
-for data errors (unreadable or malformed TSV/model files, training sets the
-classifiers cannot fit).
+over the cap, an unwritable ``--out``, a malformed ``LAHJA_THREADS``, found
+before any data is read), 2 for data errors (unreadable or malformed
+TSV/model files, training sets the classifiers cannot fit).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Sequence, TypeVar
 
 from .base import JsonObject
 from .corpus import Dataset, LabelSpace, TsvFormatError, merge_label_spaces, parse_tsv, split_labels, tsv_rows
-from .grid import DEFAULT_MAX_CONFIGS, GridSizeError, GridSpec, run_sweep, write_sweep_tsv
+from .grid import DEFAULT_MAX_CONFIGS, GridSizeError, GridSpec, _worker_count, run_sweep, write_sweep_tsv
 from .metrics import evaluate
 from . import persistence
 from .persistence import BundleFormatError
@@ -233,11 +233,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = _read_json_file(args.grid, "grid file", GridSpec)
     _check_out(args.out, "sweep results")
+    try:
+        workers = _worker_count()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     train = _load_dataset(args.train_file)
     dev = _load_dataset(args.dev_file)
     train, dev = merge_label_spaces(train, dev)
     try:
-        results = run_sweep(train, dev, spec, max_configs=args.max_configs)
+        results = run_sweep(train, dev, spec, max_configs=args.max_configs, workers=workers)
     except GridSizeError as exc:
         raise UsageError(str(exc)) from exc
     except ValueError as exc:

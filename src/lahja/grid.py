@@ -6,11 +6,11 @@ slowest, ``v3`` fastest). Classifier choice and other non-swept settings are
 fixed scalar fields; a candidate or setting no config could take fails
 when the grid is built. The sweep fits each distinct TF-IDF block once, stacks
 each distinct union from the block matrices with its transformer weights,
-fits each distinct model group once, the SVC fits of one union against one
-shared Gram, and re-votes its argmax votes per vote-weight triple, a single
-classifier being a one-voter vote (see :func:`run_sweep`). Sweep workers can
-run in separate processes — the ``LAHJA_THREADS`` environment variable caps
-the worker count (default 1) — and results are merged in config order, so
+and fits each distinct model of a union once, its SVCs against one shared
+Gram; each config's label sets are then decided from its models' dev
+outputs (see :func:`run_sweep`). Sweep workers can run in separate
+processes — the ``LAHJA_THREADS`` environment variable caps the worker count
+(default 1) — and results are sorted by f1 and then canonical JSON, so
 output is independent of scheduling.
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -29,8 +29,8 @@ from . import svm
 from .base import JsonObject
 from .corpus import Dataset
 from .ensemble import DecisionPolicy
-from .metrics import MetricsReport, evaluate
-from .pipeline import DialectPipeline, ForestParams, PipelineConfig, SvcParams, training_samples
+from .metrics import MetricsReport, check_golds, evaluate
+from .pipeline import MODEL_TYPES, ForestParams, PipelineConfig, SvcParams, training_samples
 from .pipeline import run_pipeline  # noqa: F401  (perfbench/tracing.py wraps lahja.grid.run_pipeline)
 from .sparse import CsrMatrix
 from .vectorizer import BLOCK_ORDER, BlockSpec, TfidfBlock, TfidfUnion
@@ -154,21 +154,20 @@ def run_sweep(
     """Run every grid configuration and sort results by f1 descending.
 
     Each report equals ``run_pipeline(train, dev, config)``, but the work is
-    shared in three stages. Each distinct TF-IDF block (its analyzer, n-gram
+    shared in two stages. Each distinct TF-IDF block (its analyzer, n-gram
     range and cap) is fitted once and transforms dev once. Each distinct
     union (blocks and transformer weights) is stacked from those matrices
-    with ``TfidfUnion.stack``, as ``transform`` does, and each of its model
-    groups (a config with its vote weights set aside) is fitted once and
-    predicts dev once; an argmax group keeps the argmax votes of its models.
-    The SVC fits of a union's groups, which share its training samples,
-    share one Gram matrix of them, held while they fit: the Gram a fit
-    would compute, so the bits are the same. Each config is then scored
-    from its group's output, an argmax group's votes re-voted with the
-    config's own weights. Ties order by the config's canonical JSON
-    serialization.
+    with ``TfidfUnion.stack``, as ``transform`` does, and each distinct model
+    of its configs (an entry of ``model_params()``: name and constructor
+    params) is fitted once and keeps its output on dev. The SVC fits of a
+    union, which share its training samples, share one Gram matrix of them,
+    held while the union fits: the Gram a fit would compute, so the bits are
+    the same. Each config's label sets are then decided from its models'
+    outputs by ``PipelineConfig.decide``, as ``predict_matrix`` decides them.
+    Ties order by the config's canonical JSON serialization.
     ``workers`` defaults to the LAHJA_THREADS cap; with more than one, the
-    blocks and then the unions, each with all of its model groups, are
-    spread over worker processes.
+    blocks and then the unions, each with all of its models, are spread over
+    worker processes. A dev set the scorer would refuse fails before any fit.
     """
     configs = enumerate_grid(spec, max_configs=max_configs)
     if not len(train):
@@ -177,11 +176,12 @@ def run_sweep(
         raise ValueError(
             "train and eval label spaces differ; align them first (see corpus.merge_label_spaces)"
         )
-    groups = list(dict.fromkeys(_model_group(config) for config in configs))
+    check_golds(dev.label_sets())
+    spec.policy.check_label_count(len(train.label_space))
     unions: dict[tuple, list[PipelineConfig]] = {}
-    for group in groups:
-        unions.setdefault(_union_key(group), []).append(group)
-    block_keys = list(dict.fromkeys(key for group in groups for key in _block_keys(group)))
+    for config in configs:
+        unions.setdefault(_union_key(config), []).append(config)
+    block_keys = list(dict.fromkeys(key for members in unions.values() for key in _block_keys(members[0])))
     if workers is None:
         workers = _worker_count()
     workers = min(max(1, workers), max(len(block_keys), len(unions)))
@@ -198,28 +198,13 @@ def run_sweep(
         fitted = mapper(_fit_block, block_keys, itertools.repeat(train_texts), itertools.repeat(dev_texts))
         blocks = dict(zip(block_keys, fitted))
         parts = [[blocks[key] for key in _block_keys(members[0])] for members in unions.values()]
-        fitted = mapper(_fit_union, unions.values(), parts, itertools.repeat(train))
-        outputs = {
-            group: output for members, union in zip(unions.values(), fitted) for group, output in zip(members, union)
-        }
-    golds = dev.label_sets()
-    n_labels = len(train.label_space)
-    results = []
-    for config in configs:
-        output = outputs[_model_group(config)]
-        if config.policy.kind == "argmax":
-            output = config.vote(output)
-        results.append((config, evaluate(output, golds, n_labels=n_labels)))
+        fitted = mapper(_fit_union, unions.values(), parts, itertools.repeat(train), itertools.repeat(dev))
+        results = [pair for members, reports in zip(unions.values(), fitted) for pair in zip(members, reports)]
     results.sort(key=lambda pair: (-pair[1].f1, pair[0].canonical_json()))
     return results
 
 
 BlockKey = tuple[str, tuple[int, int], int | None]
-
-
-def _model_group(config: PipelineConfig) -> PipelineConfig:
-    """The config with its vote weights set aside: the models it fits."""
-    return replace(config, vote_weights=(1.0, 1.0, 1.0))
 
 
 def _union_key(config: PipelineConfig) -> tuple:
@@ -246,27 +231,33 @@ def _fit_block(
 
 
 def _fit_union(
-    groups: list[PipelineConfig], parts: list[tuple[CsrMatrix, CsrMatrix]], train: Dataset
-) -> list[list[frozenset[int]] | np.ndarray]:
-    """Fit each model group of one union on the train matrices of its blocks
-    and predict the dev ones: for an argmax group the component votes,
-    otherwise the label sets of its score policy. The groups' SVC fits share
-    one Gram of the union's training samples, held while they fit."""
-    union = TfidfUnion(groups[0].word, groups[0].char, groups[0].char_wb)
+    configs: list[PipelineConfig], parts: list[tuple[CsrMatrix, CsrMatrix]], train: Dataset, dev: Dataset
+) -> list[MetricsReport]:
+    """The dev report of each config of one union. Each distinct model of the
+    configs is fitted once on the train matrices of the union's blocks and
+    keeps its output on the dev ones, under the one policy the grid's configs
+    share; the SVC fits share one Gram of the union's training samples, held
+    while the union fits."""
+    union = TfidfUnion(configs[0].word, configs[0].char, configs[0].char_wb)
     train_X, dev_X = (union.stack([pair[side] for pair in parts]) for side in (0, 1))
+    X, y = training_samples(train_X, train)
+    n_labels = len(train.label_space)
     gram = None
-    if any("svc" in group.model_params() for group in groups):
-        samples, _ = training_samples(train_X, train)
-        if len(samples) <= svm.NEWTON_MAX_SAMPLES:
-            gram = svm.sample_gram(samples)
-    outputs = []
-    for group in groups:
-        pipeline = DialectPipeline(group).fit_matrix(train_X, train, _gram=gram)
-        if group.policy.kind == "argmax":
-            outputs.append(pipeline.component_votes(dev_X))
-        else:
-            outputs.append(pipeline.predict_matrix(dev_X))
-    return outputs
+    if len(X) <= svm.NEWTON_MAX_SAMPLES and any("svc" in config.model_params() for config in configs):
+        gram = svm.sample_gram(X)
+    golds = dev.label_sets()
+    outputs: dict[tuple, np.ndarray] = {}  # by model name and params
+    reports = []
+    for config in configs:
+        keys = [(name, tuple(params.items())) for name, params in config.model_params().items()]
+        for key in keys:
+            if key not in outputs:
+                name, params = key
+                shared = {"_gram": gram} if name == "svc" else {}
+                model = MODEL_TYPES[name](**dict(params)).fit(X, y, n_labels=n_labels, **shared)
+                outputs[key] = config.model_output(model, dev_X)
+        reports.append(evaluate(config.decide([outputs[key] for key in keys]), golds, n_labels=n_labels))
+    return reports
 
 
 def write_sweep_tsv(

@@ -63,6 +63,15 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
 
+def check_golds(golds: Sequence[AbstractSet[int]]) -> None:
+    """Raise ValueError unless there is a gold set and none is empty."""
+    if not golds:
+        raise ValueError("cannot evaluate an empty sample list")
+    for i, gold in enumerate(golds):
+        if not gold:
+            raise ValueError(f"sample {i} has an empty gold label set")
+
+
 def evaluate(
     preds: Sequence[AbstractSet[int]],
     golds: Sequence[AbstractSet[int]],
@@ -75,13 +84,8 @@ def evaluate(
     """
     if len(preds) != len(golds):
         raise ValueError(f"preds and golds lengths differ: {len(preds)} vs {len(golds)}")
-    if not golds:
-        raise ValueError("cannot evaluate an empty sample list")
-    observed = -1
-    for i, gold in enumerate(golds):
-        if not gold:
-            raise ValueError(f"sample {i} has an empty gold label set")
-        observed = max(observed, max(gold))
+    check_golds(golds)
+    observed = max(max(gold) for gold in golds)
     for pred in preds:
         if pred:
             observed = max(observed, max(pred))

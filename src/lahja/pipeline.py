@@ -106,11 +106,24 @@ class PipelineConfig(JsonObject):
             return params
         return {self.classifier: params[self.classifier]}
 
-    def vote(self, votes: np.ndarray) -> list[frozenset[int]]:
-        """The label sets of the weighted hard vote over ``votes``, one column
-        per model of :meth:`model_params`, each weighing its ``vote_weights``
-        entry."""
+    def model_output(self, model, X: CsrMatrix) -> np.ndarray:
+        """What :meth:`decide` reads of a fitted model on the rows of ``X``:
+        its argmax votes under the argmax policy, otherwise its margins."""
+        if self.policy.kind == "argmax":
+            return model.predict(X)
+        return model.decision_function(X)
+
+    def decide(self, outputs: Sequence[np.ndarray]) -> list[frozenset[int]]:
+        """The label sets of the rows given the :meth:`model_output` of each
+        model of :meth:`model_params`, in that order. Under the argmax policy
+        they are the weighted hard vote of the models' votes, each model
+        weighing its ``vote_weights`` entry; otherwise the policy applied to
+        the SVC's margins."""
+        if self.policy.kind != "argmax":  # the config allows score policies on the svc only
+            (margins,) = outputs
+            return [decide_labels(row, self.policy) for row in margins]
         weights = dict(zip(CLASSIFIER_ORDER, self.vote_weights))
+        votes = np.column_stack(outputs)
         return _singletons(weighted_votes(votes, [weights[name] for name in self.model_params()]))
 
     def canonical_json(self) -> str:
@@ -133,21 +146,17 @@ class DialectPipeline(BaseEstimator):
         self.union_ = union
         return self
 
-    def fit_matrix(
-        self, vectors: CsrMatrix, dataset: Dataset, *, _gram: np.ndarray | None = None
-    ) -> "DialectPipeline":
+    def fit_matrix(self, vectors: CsrMatrix, dataset: Dataset) -> "DialectPipeline":
         """Fit the configured classifier(s) on ``vectors``, row i being the
-        features of ``dataset``'s document i; the union is left unset.
-        ``_gram`` is internal: the sweep passes the SVC Gram that the model
-        groups of one union share."""
+        features of ``dataset``'s document i; the union is left unset."""
         cfg = self.config
         X, y = training_samples(vectors, dataset)
         n_labels = len(dataset.label_space)
         cfg.policy.check_label_count(n_labels)
-        self.models_ = {}
-        for name, params in cfg.model_params().items():
-            shared = {"_gram": _gram} if name == "svc" else {}
-            self.models_[name] = MODEL_TYPES[name](**params).fit(X, y, n_labels=n_labels, **shared)
+        self.models_ = {
+            name: MODEL_TYPES[name](**params).fit(X, y, n_labels=n_labels)
+            for name, params in cfg.model_params().items()
+        }
         self.label_space_ = dataset.label_space
         self.n_labels_ = n_labels
         return self
@@ -171,10 +180,8 @@ class DialectPipeline(BaseEstimator):
     def predict_matrix(self, X: CsrMatrix) -> list[frozenset[int]]:
         """Label sets of the feature rows of ``X``."""
         check_is_fitted(self, "label_space_")
-        policy = self.config.policy
-        if policy.kind != "argmax":  # the config allows score policies on the svc only
-            return [decide_labels(margins, policy) for margins in self.svc_.decision_function(X)]
-        return self.config.vote(self.component_votes(X))
+        cfg = self.config
+        return cfg.decide([cfg.model_output(model, X) for model in self.models_.values()])
 
     def predict_text(self, text: str) -> frozenset[int]:
         return self.predict([text])[0]
@@ -232,7 +239,7 @@ def run_component_comparison(
         name: evaluate(_singletons(column), golds, n_labels=n_labels)
         for name, column in zip(config.model_params(), votes.T)
     }
-    reports["vote"] = evaluate(config.vote(votes), golds, n_labels=n_labels)
+    reports["vote"] = evaluate(config.decide(votes.T), golds, n_labels=n_labels)
     return reports
 
 

@@ -120,7 +120,7 @@ class LinearSvc(BaseEstimator):
         self, X: CsrMatrix, y: Sequence[int], n_labels: int | None = None, *, _gram: np.ndarray | None = None
     ) -> "LinearSvc":
         """Fit one binary problem per label. ``_gram`` is internal: the sweep
-        passes the :func:`sample_gram` of ``X`` that its model groups share."""
+        passes the :func:`sample_gram` of ``X`` that the SVCs of one union share."""
         check_positive("C", self.C)
         check_positive("tol", self.tol)
         if self.max_epochs < 1:

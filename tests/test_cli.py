@@ -311,6 +311,20 @@ class TestExitCodes:
                      "--out", str(tmp_path / "sweep.tsv")]) == 2
         assert "top-k policy with k=5 exceeds label count 3" in capsys.readouterr().err
 
+    def test_malformed_thread_count_is_usage_error(self, data_files, tmp_path, monkeypatch, capsys):
+        """``LAHJA_THREADS`` is read before any TSV: with a missing dev file
+        the sweep still fails as a usage error."""
+        _, train_path, dev_path = data_files
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"n": [1], "C": [1.0]}), encoding="utf-8")
+        out = tmp_path / "sweep.tsv"
+        monkeypatch.setenv("LAHJA_THREADS", "many")
+        for dev in (dev_path, tmp_path / "absent.tsv"):
+            assert main(["sweep", "--train-file", str(train_path), "--dev-file", str(dev), "--grid", str(grid),
+                         "--out", str(out)]) == 1
+            assert capsys.readouterr().err == "lahja: error: LAHJA_THREADS must be an integer, got 'many'\n"
+            assert not out.exists()
+
     def test_bad_flags_exit_one(self, data_files, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["train", "--no-such-flag"])

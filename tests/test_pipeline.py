@@ -12,7 +12,9 @@ from lahja import (
     DialectPipeline,
     GridSpec,
     PipelineConfig,
+    decide_labels,
     make_synthetic,
+    merge_label_spaces,
     parse_tsv,
     preset,
     run_component_comparison,
@@ -132,6 +134,16 @@ class TestPipeline:
         word_report = run_pipeline(train, out, word_only)
         assert word_report.f1 <= full_report.f1 + 1e-12
 
+    @pytest.mark.parametrize("policy", [DecisionPolicy("threshold", tau=-0.3), DecisionPolicy("topk", k=2)])
+    def test_score_policy_applies_to_the_svc_margins(self, policy):
+        ds = make_synthetic(3, 30, 10, 0.5, seed=11)
+        cfg = PipelineConfig(word=BlockSpec((1, 1)), char=BlockSpec((1, 3)), char_wb=None, policy=policy)
+        pipeline = DialectPipeline(cfg).fit(ds)
+        X = pipeline.union_.transform(ds.texts())
+        predicted = pipeline.predict_matrix(X)
+        assert predicted == [decide_labels(row, policy) for row in pipeline.svc_.decision_function(X)]
+        assert any(len(labels) > 1 for labels in predicted)
+
 
 class TestComponentComparison:
     def test_reports_all_components(self, tiny_corpus):
@@ -249,6 +261,9 @@ SHARED_GRIDS = {
     ),
     "forest": GridSpec(n=(1, 2), max_features=(None, 40), C=(1.0,), classifier="forest", n_trees=7, seed=3),
     "knn": GridSpec(n=(1, 3), w1=(0.2, 1.0), C=(1.0,), classifier="knn", k=3),
+    "svc-threshold": GridSpec(n=(1, 2), C=(1.0, 3.0), policy=DecisionPolicy("threshold", tau=-0.3)),
+    "svc-topk": GridSpec(n=(1, 2), C=(1.0, 3.0), policy=DecisionPolicy("topk", k=2)),
+    "vote-C": GridSpec(n=(1, 2), C=(1.0, 3.0), v1=(0.2, 0.6), classifier="vote", n_trees=5),
 }
 
 
@@ -283,13 +298,26 @@ class TestSharedSweep:
         grams = []
         gram = CsrMatrix.gram
         monkeypatch.setattr(CsrMatrix, "gram", lambda self, budget: grams.append(len(self)) or gram(self, budget))
-        # 2 n x 2 C model groups, each re-voted with 4 weight triples.
+        # 2 n x 2 C SVCs, and per n one forest and one KNN that the C values
+        # share, each config deciding with one of 4 weight triples.
         spec = GridSpec(n=(1, 2), C=(1.0, 2.0), v1=(0.2, 0.4), v2=(0.1, 0.3), classifier="vote", n_trees=3)
         assert len(run_sweep(train, dev, spec, workers=1)) == 16
         blocks = {(kind, (1, n)) for kind in ("word", "char", "char_wb") for n in (1, 2)}
         assert analyzed == {block: texts for block in blocks}
-        assert fits == {"LinearSvc": 4, "RandomForest": 4, "KnnClassifier": 4}
-        assert len(grams) == 2  # one per distinct union: the C groups share it
+        assert fits == {"LinearSvc": 4, "RandomForest": 2, "KnnClassifier": 2}
+        assert len(grams) == 2  # one per distinct union: the C values share it
+
+    @pytest.mark.parametrize(
+        "dev_text, message",
+        [(b"", "cannot evaluate an empty sample list"), (b"s1 s2\tL0\ns3 s4\t\n", "sample 1 has an empty gold label set")],
+    )
+    def test_dev_set_the_scorer_refuses_fails_before_any_fit(self, split, monkeypatch, dev_text, message):
+        train, _ = split
+        _, dev = merge_label_spaces(train, parse_tsv(dev_text))
+        analyzed = count_featurized(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            run_sweep(train, dev, GridSpec(n=(1, 2), C=(1.0,)))
+        assert analyzed == {}
 
     def test_label_space_mismatch_rejected(self, split):
         train, dev = split
