@@ -33,7 +33,7 @@ from .corpus import (
 )
 from .ensemble import CLASSIFIER_ORDER, DecisionPolicy, decide_labels, weighted_hard_vote, weighted_votes
 from .forest import RandomForest
-from .grid import GridSizeError, GridSpec, enumerate_grid, run_sweep, write_sweep_tsv
+from .grid import GridSizeError, GridSpec, enumerate_grid, run_component_comparison, run_sweep, write_sweep_tsv
 from .knn import KnnClassifier
 from .metrics import LabelCounts, MetricsReport, evaluate
 from .persistence import BundleFormatError, dumps_model, load_model, loads_model, save_model
@@ -42,7 +42,6 @@ from .pipeline import (
     ForestParams,
     PipelineConfig,
     SvcParams,
-    run_component_comparison,
     run_pipeline,
 )
 from .presets import PRESET_NAMES, preset

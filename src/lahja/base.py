@@ -227,9 +227,3 @@ class JsonObject:
                 value = value.to_dict()
             payload[name] = value
         return payload
-
-
-def check_positive(name: str, value: float) -> float:
-    if not value > 0:
-        raise ValueError(f"{name} must be > 0, got {value!r}")
-    return value

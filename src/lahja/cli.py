@@ -232,6 +232,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = _read_json_file(args.grid, "grid file", GridSpec)
+    if spec.size() > args.max_configs:
+        raise UsageError(str(GridSizeError(spec.size(), args.max_configs)))
     _check_out(args.out, "sweep results")
     try:
         workers = _worker_count()
@@ -242,8 +244,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     train, dev = merge_label_spaces(train, dev)
     try:
         results = run_sweep(train, dev, spec, max_configs=args.max_configs, workers=workers)
-    except GridSizeError as exc:
-        raise UsageError(str(exc)) from exc
     except ValueError as exc:
         raise DataError(f"sweep failed: {exc}") from exc
     out = io.StringIO()

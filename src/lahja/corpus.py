@@ -263,3 +263,11 @@ def merge_label_spaces(*datasets: Dataset) -> list[Dataset]:
         )
         out.append(Dataset(docs, merged))
     return out
+
+
+def check_label_spaces(train: Dataset, eval_dataset: Dataset) -> None:
+    """Raise ValueError unless ``train`` and ``eval_dataset`` share one label space."""
+    if train.label_space.names != eval_dataset.label_space.names:
+        raise ValueError(
+            "train and eval label spaces differ; align them first (see corpus.merge_label_spaces)"
+        )

@@ -17,11 +17,12 @@ every tree level from it.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .base import BaseEstimator, check_fields, check_int, check_is_fitted, check_labels, check_reals
+from .base import BaseEstimator, JsonObject, check_fields, check_int, check_is_fitted, check_labels, check_reals
 from .sparse import CsrMatrix
 
 _LEAF = -1
@@ -29,6 +30,19 @@ _LEAF = -1
 # Bound on the values of one chunk's dense block of split-feature values in
 # ``tree_votes``.
 _BUDGET = 1 << 18
+
+
+@dataclass(frozen=True)
+class ForestParams(JsonObject):
+    """The hyperparameters of a :class:`RandomForest`, checked once here."""
+
+    json_name = "forest"
+
+    n_trees: int = 100
+
+    def __post_init__(self) -> None:
+        if self.n_trees < 1:
+            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
 
 
 class RandomForest(BaseEstimator):
@@ -46,8 +60,7 @@ class RandomForest(BaseEstimator):
         self.seed = seed
 
     def fit(self, X: CsrMatrix, y: Sequence[int], n_labels: int | None = None) -> "RandomForest":
-        if self.n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
+        ForestParams(self.n_trees)  # validates it
         labels, n_labels = check_labels(len(X), y, n_labels)
         if len(X) < 2:
             raise ValueError("training requires at least 2 samples")

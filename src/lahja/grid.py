@@ -1,17 +1,16 @@
-"""Hyperparameter grids: deterministic enumeration and sweep execution.
+"""Hyperparameter grids: deterministic enumeration, the sweep and the
+component comparison.
 
 A :class:`GridSpec` holds one candidate list per tunable field; the sweep
 runs the full Cartesian product with the declared field order (``n`` varies
 slowest, ``v3`` fastest). Classifier choice and other non-swept settings are
 fixed scalar fields; a candidate or setting no config could take fails
-when the grid is built. The sweep fits each distinct TF-IDF block once, stacks
-each distinct union from the block matrices with its transformer weights,
-and fits each distinct model of a union once, its SVCs against one shared
-Gram; each config's label sets are then decided from its models' dev
-outputs (see :func:`run_sweep`). Sweep workers can run in separate
-processes — the ``LAHJA_THREADS`` environment variable caps the worker count
-(default 1) — and results are sorted by f1 and then canonical JSON, so
-output is independent of scheduling.
+when the grid is built. The sweep and the component comparison score their
+configs on one engine, :func:`_score_configs`, which fits each distinct
+block, union and model once. Sweep workers can run in separate processes —
+the ``LAHJA_THREADS`` environment variable caps the worker count (default
+1) — and results are sorted by f1 and then canonical JSON, so output is
+independent of scheduling.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -27,10 +26,10 @@ import numpy as np
 
 from . import svm
 from .base import JsonObject
-from .corpus import Dataset
+from .corpus import Dataset, check_label_spaces
 from .ensemble import DecisionPolicy
 from .metrics import MetricsReport, check_golds, evaluate
-from .pipeline import MODEL_TYPES, ForestParams, PipelineConfig, SvcParams, training_samples
+from .pipeline import CLASSIFIER_CHOICES, MODEL_TYPES, ForestParams, PipelineConfig, SvcParams, training_samples
 from .pipeline import run_pipeline  # noqa: F401  (perfbench/tracing.py wraps lahja.grid.run_pipeline)
 from .sparse import CsrMatrix
 from .vectorizer import BLOCK_ORDER, BlockSpec, TfidfBlock, TfidfUnion
@@ -153,34 +152,59 @@ def run_sweep(
 ) -> list[tuple[PipelineConfig, MetricsReport]]:
     """Run every grid configuration and sort results by f1 descending.
 
-    Each report equals ``run_pipeline(train, dev, config)``, but the work is
-    shared in two stages. Each distinct TF-IDF block (its analyzer, n-gram
-    range and cap) is fitted once and transforms dev once. Each distinct
-    union (blocks and transformer weights) is stacked from those matrices
-    with ``TfidfUnion.stack``, as ``transform`` does, and each distinct model
-    of its configs (an entry of ``model_params()``: name and constructor
-    params) is fitted once and keeps its output on dev. The SVC fits of a
-    union, which share its training samples, share one Gram matrix of them,
-    held while the union fits: the Gram a fit would compute, so the bits are
-    the same. Each config's label sets are then decided from its models'
-    outputs by ``PipelineConfig.decide``, as ``predict_matrix`` decides them.
-    Ties order by the config's canonical JSON serialization.
-    ``workers`` defaults to the LAHJA_THREADS cap; with more than one, the
-    blocks and then the unions, each with all of its models, are spread over
-    worker processes. A dev set the scorer would refuse fails before any fit.
+    Each report equals ``run_pipeline(train, dev, config)``; the configs are
+    scored together by :func:`_score_configs`. Ties order by the config's
+    canonical JSON serialization. ``workers`` defaults to the LAHJA_THREADS
+    cap.
     """
     configs = enumerate_grid(spec, max_configs=max_configs)
+    results = list(zip(configs, _score_configs(train, dev, configs, workers)))
+    results.sort(key=lambda pair: (-pair[1].f1, pair[0].canonical_json()))
+    return results
+
+
+def run_component_comparison(train: Dataset, eval_dataset: Dataset, config: PipelineConfig) -> dict[str, MetricsReport]:
+    """Score each base classifier of a voting config beside the vote.
+
+    Returns reports keyed "svc", "forest", "knn", "vote", each equal to
+    ``run_pipeline`` of ``config`` with that ``classifier``, scored in process
+    by :func:`_score_configs`: each of the three models is fitted once.
+    """
+    if config.classifier != "vote":
+        raise ValueError("component comparison requires a voting configuration")
+    configs = [replace(config, classifier=name) for name in CLASSIFIER_CHOICES]
+    return dict(zip(CLASSIFIER_CHOICES, _score_configs(train, eval_dataset, configs, workers=1)))
+
+
+def _score_configs(
+    train: Dataset, dev: Dataset, configs: list[PipelineConfig], workers: int | None
+) -> list[MetricsReport]:
+    """The dev report of each config, in order, each equal to
+    ``run_pipeline(train, dev, config)``; the configs share one policy.
+
+    The work is shared in two stages. Each distinct TF-IDF block (its
+    analyzer, n-gram range and cap) is fitted once and transforms dev once.
+    Each distinct union (blocks and transformer weights) is stacked from
+    those matrices with ``TfidfUnion.stack``, as ``transform`` does, and each
+    distinct model of its configs (an entry of ``model_params()``: name and
+    constructor params) is fitted once and keeps its output on dev. The SVC
+    fits of a union, which share its training samples, share one Gram matrix
+    of them, held while the union fits: the Gram a fit would compute, so the
+    bits are the same. Each config's label sets are then decided from its
+    models' outputs by ``PipelineConfig.decide``, as ``predict_matrix``
+    decides them. ``workers`` defaults to the LAHJA_THREADS cap; with more
+    than one, the blocks and then the unions, each with all of its models,
+    are spread over worker processes. A dev set the scorer would refuse
+    fails before any fit.
+    """
     if not len(train):
         raise ValueError("cannot fit on an empty dataset")
-    if train.label_space.names != dev.label_space.names:
-        raise ValueError(
-            "train and eval label spaces differ; align them first (see corpus.merge_label_spaces)"
-        )
+    check_label_spaces(train, dev)
     check_golds(dev.label_sets())
-    spec.policy.check_label_count(len(train.label_space))
-    unions: dict[tuple, list[PipelineConfig]] = {}
+    configs[0].policy.check_label_count(len(train.label_space))
+    unions: dict[tuple, list[PipelineConfig]] = {}  # by block specs, weights included
     for config in configs:
-        unions.setdefault(_union_key(config), []).append(config)
+        unions.setdefault((config.word, config.char, config.char_wb), []).append(config)
     block_keys = list(dict.fromkeys(key for members in unions.values() for key in _block_keys(members[0])))
     if workers is None:
         workers = _worker_count()
@@ -199,17 +223,13 @@ def run_sweep(
         blocks = dict(zip(block_keys, fitted))
         parts = [[blocks[key] for key in _block_keys(members[0])] for members in unions.values()]
         fitted = mapper(_fit_union, unions.values(), parts, itertools.repeat(train), itertools.repeat(dev))
-        results = [pair for members, reports in zip(unions.values(), fitted) for pair in zip(members, reports)]
-    results.sort(key=lambda pair: (-pair[1].f1, pair[0].canonical_json()))
-    return results
+        reports: dict[PipelineConfig, MetricsReport] = {}
+        for members, scored in zip(unions.values(), fitted):
+            reports.update(zip(members, scored))
+    return [reports[config] for config in configs]
 
 
 BlockKey = tuple[str, tuple[int, int], int | None]
-
-
-def _union_key(config: PipelineConfig) -> tuple:
-    """The config's block specs, weights included: the union it stacks."""
-    return config.word, config.char, config.char_wb
 
 
 def _block_keys(config: PipelineConfig) -> list[BlockKey]:
@@ -235,16 +255,14 @@ def _fit_union(
 ) -> list[MetricsReport]:
     """The dev report of each config of one union. Each distinct model of the
     configs is fitted once on the train matrices of the union's blocks and
-    keeps its output on the dev ones, under the one policy the grid's configs
-    share; the SVC fits share one Gram of the union's training samples, held
-    while the union fits."""
+    keeps its output on the dev ones, under the one policy the configs share;
+    the SVC fits share the ``svm.sample_gram`` of the union's training
+    samples, if it gives one, held while the union fits."""
     union = TfidfUnion(configs[0].word, configs[0].char, configs[0].char_wb)
     train_X, dev_X = (union.stack([pair[side] for pair in parts]) for side in (0, 1))
     X, y = training_samples(train_X, train)
     n_labels = len(train.label_space)
-    gram = None
-    if len(X) <= svm.NEWTON_MAX_SAMPLES and any("svc" in config.model_params() for config in configs):
-        gram = svm.sample_gram(X)
+    gram = svm.sample_gram(X) if any("svc" in config.model_params() for config in configs) else None
     golds = dev.label_sets()
     outputs: dict[tuple, np.ndarray] = {}  # by model name and params
     reports = []

@@ -5,6 +5,8 @@ models of ``PipelineConfig.model_params()`` on one sample per (document,
 gold label) pair; documents with empty label sets shape the union only.
 A threshold/top-k policy reads the SVC margins; an argmax policy takes the
 weighted hard vote of the models' argmax labels, one model voting alone.
+``run_pipeline`` fits and scores one config; the sweep and the component
+comparison score many on one engine in :mod:`lahja.grid`.
 """
 
 from __future__ import annotations
@@ -16,46 +18,17 @@ from typing import Sequence
 import numpy as np
 
 from .base import BaseEstimator, JsonObject, check_is_fitted, check_seed
-from .corpus import Dataset
+from .corpus import Dataset, check_label_spaces
 from .ensemble import CLASSIFIER_ORDER, DecisionPolicy, decide_labels, weighted_votes
-from .forest import RandomForest
+from .forest import ForestParams, RandomForest
 from .knn import KnnClassifier
 from .metrics import MetricsReport, evaluate
 from .sparse import CsrMatrix
-from .svm import LinearSvc
+from .svm import LinearSvc, SvcParams
 from .vectorizer import BlockSpec, TfidfUnion
 
 CLASSIFIER_CHOICES = (*CLASSIFIER_ORDER, "vote")
 MODEL_TYPES = {"svc": LinearSvc, "forest": RandomForest, "knn": KnnClassifier}
-
-
-@dataclass(frozen=True)
-class SvcParams(JsonObject):
-    json_name = "svc"
-
-    C: float = 1.0
-    balanced: bool = False
-    tol: float = 1e-4
-    max_epochs: int = 1000
-
-    def __post_init__(self) -> None:
-        if not self.C > 0:
-            raise ValueError(f"C must be > 0, got {self.C}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-
-
-@dataclass(frozen=True)
-class ForestParams(JsonObject):
-    json_name = "forest"
-
-    n_trees: int = 100
-
-    def __post_init__(self) -> None:
-        if self.n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
 
 
 @dataclass(frozen=True)
@@ -166,12 +139,6 @@ class DialectPipeline(BaseEstimator):
     forest_ = property(lambda self: self.models_.get("forest"))
     knn_ = property(lambda self: self.models_.get("knn"))
 
-    def component_votes(self, X: CsrMatrix) -> np.ndarray:
-        """(docs x models) argmax votes of the fitted models, one column per
-        model of ``config.model_params()``, in that order."""
-        check_is_fitted(self, "label_space_")
-        return np.column_stack([model.predict(X) for model in self.models_.values()])
-
     def predict(self, texts: Sequence[str]) -> list[frozenset[int]]:
         """Label sets of ``texts``, featurized together as one matrix."""
         check_is_fitted(self, "union_")
@@ -210,37 +177,11 @@ def training_samples(vectors: CsrMatrix, dataset: Dataset) -> tuple[CsrMatrix, l
 
 def run_pipeline(train: Dataset, eval_dataset: Dataset, config: PipelineConfig) -> MetricsReport:
     """Fit on ``train``, predict ``eval_dataset`` and score the predictions."""
-    if train.label_space.names != eval_dataset.label_space.names:
-        raise ValueError(
-            "train and eval label spaces differ; align them first (see corpus.merge_label_spaces)"
-        )
+    check_label_spaces(train, eval_dataset)
     pipeline = DialectPipeline(config).fit(train)
     preds = pipeline.predict_dataset(eval_dataset)
     golds = eval_dataset.label_sets()
     return evaluate(preds, golds, n_labels=len(train.label_space))
-
-
-def run_component_comparison(
-    train: Dataset, eval_dataset: Dataset, config: PipelineConfig
-) -> dict[str, MetricsReport]:
-    """Fit a voting pipeline once and score each base classifier beside the vote.
-
-    Returns reports keyed "svc", "forest", "knn", "vote".
-    """
-    if config.classifier != "vote":
-        raise ValueError("component comparison requires a voting configuration")
-    if train.label_space.names != eval_dataset.label_space.names:
-        raise ValueError("train and eval label spaces differ; align them first")
-    pipeline = DialectPipeline(config).fit(train)
-    golds = eval_dataset.label_sets()
-    n_labels = len(train.label_space)
-    votes = pipeline.component_votes(pipeline.union_.transform(eval_dataset.texts()))
-    reports = {
-        name: evaluate(_singletons(column), golds, n_labels=n_labels)
-        for name, column in zip(config.model_params(), votes.T)
-    }
-    reports["vote"] = evaluate(config.decide(votes.T), golds, n_labels=n_labels)
-    return reports
 
 
 def _singletons(labels: Sequence[int]) -> list[frozenset[int]]:

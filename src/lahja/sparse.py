@@ -142,11 +142,7 @@ class CsrMatrix:
 
     def row_norms(self) -> np.ndarray:
         """Euclidean norm of each row, each summed as that row's own dot product."""
-        norms = np.zeros(len(self), dtype=np.float64)
-        for r in np.flatnonzero(np.diff(self.indptr)):
-            values = self.values[self.indptr[r] : self.indptr[r + 1]]
-            norms[r] = np.sqrt(values @ values)
-        return norms
+        return row_norms(self.indptr, self.values)
 
     def dot_rows(self, columns: "CsrMatrix", budget: int) -> np.ndarray:
         """A·Bᵀ as a dense (len(A) x len(B)) array, A being this matrix and
@@ -241,6 +237,16 @@ def _row_products(a: CsrMatrix, columns: CsrMatrix, budget: int, slab) -> np.nda
         products = columns.values[src] * np.repeat(a.values[part], lengths)
         flat += np.bincount(keys, weights=products, minlength=flat.size)
     return out
+
+
+def row_norms(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of the CSR rows ``indptr``/``values``,
+    each summed as that row's own dot product; 0.0 for an empty row."""
+    norms = np.zeros(indptr.size - 1, dtype=np.float64)
+    for r in np.flatnonzero(np.diff(indptr)):
+        row = values[indptr[r] : indptr[r + 1]]
+        norms[r] = np.sqrt(row @ row)
+    return norms
 
 
 def spans(costs: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:

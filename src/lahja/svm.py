@@ -45,11 +45,12 @@ from __future__ import annotations
 
 import random
 import warnings
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .base import BaseEstimator, check_fields, check_is_fitted, check_labels, check_list, check_positive, check_reals
+from .base import BaseEstimator, JsonObject, check_fields, check_is_fitted, check_labels, check_list, check_reals
 from .sparse import CsrMatrix
 
 # Spreads per-label RNG streams apart so one-vs-rest problems stay
@@ -68,6 +69,26 @@ _GRAM_BUDGET = 1 << 18
 
 class ConvergenceWarning(RuntimeWarning):
     """A one-vs-rest label stopped at ``max_epochs`` above ``tol``."""
+
+
+@dataclass(frozen=True)
+class SvcParams(JsonObject):
+    """The hyperparameters of a :class:`LinearSvc`, checked once here."""
+
+    json_name = "svc"
+
+    C: float = 1.0
+    balanced: bool = False
+    tol: float = 1e-4
+    max_epochs: int = 1000
+
+    def __post_init__(self) -> None:
+        if not self.C > 0:
+            raise ValueError(f"C must be > 0, got {self.C}")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be > 0, got {self.tol}")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
 
 
 def compute_class_weights(y: Sequence[int], n_labels: int) -> np.ndarray:
@@ -121,10 +142,7 @@ class LinearSvc(BaseEstimator):
     ) -> "LinearSvc":
         """Fit one binary problem per label. ``_gram`` is internal: the sweep
         passes the :func:`sample_gram` of ``X`` that the SVCs of one union share."""
-        check_positive("C", self.C)
-        check_positive("tol", self.tol)
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        SvcParams(self.C, self.balanced, self.tol, self.max_epochs)  # validates them
         labels, n_labels = check_labels(len(X), y, n_labels)
         if len(X) < 2:
             raise ValueError("training requires at least 2 samples")
@@ -138,8 +156,8 @@ class LinearSvc(BaseEstimator):
             per_sample_c *= weights[labels]
         diag = 1.0 / (2.0 * per_sample_c)
         signs = [np.where(labels == label, 1.0, -1.0) for label in range(n_labels)]
-        if len(X) <= NEWTON_MAX_SAMPLES:
-            gram = sample_gram(X) if _gram is None else _gram
+        gram = sample_gram(X) if _gram is None else _gram
+        if gram is not None:
             fits = _newton_fits(X, gram, signs, diag, self.tol, self.max_epochs)
         else:
             fits = map(_descent_solver(X, diag, self.tol, self.max_epochs, self.seed), signs, range(n_labels))
@@ -208,9 +226,12 @@ class LinearSvc(BaseEstimator):
         return np.argmax(self.decision_function(X), axis=1)
 
 
-def sample_gram(X: CsrMatrix) -> np.ndarray:
+def sample_gram(X: CsrMatrix) -> np.ndarray | None:
     """The read-only Gram matrix Q = XXᵀ + 1 of the samples ``X`` that the
-    Newton path solves over, computed without BLAS."""
+    Newton path solves over, computed without BLAS; None above
+    ``NEWTON_MAX_SAMPLES``, where the coordinate descent fits without it."""
+    if len(X) > NEWTON_MAX_SAMPLES:
+        return None
     gram = X.gram(_GRAM_BUDGET)
     gram += 1.0  # the constant-1 bias feature
     gram.setflags(write=False)

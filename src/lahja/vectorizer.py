@@ -27,7 +27,7 @@ import numpy as np
 from .analyzers import ANALYZER_KINDS, CHAR, CHAR_WB, MAX_IDS, WORD, CodeStream, Symbols
 from .analyzers import build_analyzer  # noqa: F401  (perfbench/tracing.py wraps it; no block calls it)
 from .base import BaseEstimator, JsonObject, check_int, check_is_fitted, check_ngram_range
-from .sparse import CsrMatrix, spans
+from .sparse import CsrMatrix, row_norms, spans
 
 BLOCK_ORDER = (WORD, CHAR, CHAR_WB)
 
@@ -238,9 +238,7 @@ class TfidfBlock(BaseEstimator):
         row_of, columns = np.divmod(keys, n)
         indptr = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=n_rows))))
         values = counts.astype(np.float64) * self.idf_[columns]
-        # Each row's own dot product, summed as CsrMatrix.row_norms sums it.
-        norms = [np.sqrt(values[a:b] @ values[a:b]) for a, b in zip(indptr[:-1], indptr[1:])]
-        return CsrMatrix(indptr, columns, values / np.repeat(norms, np.diff(indptr)), n)
+        return CsrMatrix(indptr, columns, values / np.repeat(row_norms(indptr, values), np.diff(indptr)), n)
 
 
 class _Trie:

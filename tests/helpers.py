@@ -8,7 +8,17 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from lahja import CsrMatrix, TfidfBlock, build_analyzer, compute_class_weights, enumerate_grid, run_pipeline
+from lahja import (
+    CsrMatrix,
+    KnnClassifier,
+    LinearSvc,
+    RandomForest,
+    TfidfBlock,
+    build_analyzer,
+    compute_class_weights,
+    enumerate_grid,
+    run_pipeline,
+)
 from lahja.analyzers import Symbols
 from lahja.svm import _LABEL_SEED_STRIDE
 
@@ -102,6 +112,24 @@ def count_featurized(monkeypatch) -> dict[tuple[str, tuple[int, int]], int]:
     monkeypatch.setattr(Symbols, "stream", counting_stream)
     for name in ("fit_transform", "transform"):
         monkeypatch.setattr(TfidfBlock, name, tracked(getattr(TfidfBlock, name)))
+    return counts
+
+
+def count_fits(monkeypatch) -> dict[str, int]:
+    """Fits per model class name from now on, and ``CsrMatrix.gram`` calls
+    under "gram"."""
+    counts: dict[str, int] = {}
+
+    def counted(method, name):
+        def run(self, *args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return method(self, *args, **kwargs)
+
+        return run
+
+    for cls in (LinearSvc, RandomForest, KnnClassifier):
+        monkeypatch.setattr(cls, "fit", counted(cls.fit, cls.__name__))
+    monkeypatch.setattr(CsrMatrix, "gram", counted(CsrMatrix.gram, "gram"))
     return counts
 
 

@@ -325,6 +325,21 @@ class TestExitCodes:
             assert capsys.readouterr().err == "lahja: error: LAHJA_THREADS must be an integer, got 'many'\n"
             assert not out.exists()
 
+    def test_grid_over_the_cap_is_usage_error_before_any_data_is_read(self, data_files, tmp_path, capsys):
+        """``--max-configs`` is checked right after the grid is read: with a
+        missing dev file the sweep still fails as a usage error."""
+        _, train_path, _ = data_files
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"n": [1, 2], "C": [1.0, 2.0], "v1": [0.2, 0.6]}), encoding="utf-8")
+        out = tmp_path / "sweep.tsv"
+        assert main(["sweep", "--train-file", str(train_path), "--dev-file", str(tmp_path / "absent.tsv"),
+                     "--grid", str(grid), "--out", str(out), "--max-configs", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "lahja: error: grid enumerates 8 configurations, exceeding the safety cap of 1; "
+            "raise the cap explicitly to proceed\n"
+        )
+        assert not out.exists()
+
     def test_bad_flags_exit_one(self, data_files, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["train", "--no-such-flag"])

@@ -2,12 +2,12 @@ from __future__ import annotations
 
 import io
 import random
+from dataclasses import replace
 
 import pytest
 
 from lahja import (
     BlockSpec,
-    CsrMatrix,
     DecisionPolicy,
     DialectPipeline,
     GridSpec,
@@ -24,11 +24,8 @@ from lahja import (
     weighted_hard_vote,
     write_sweep_tsv,
 )
-from lahja.forest import RandomForest
-from lahja.knn import KnnClassifier
-from lahja.svm import LinearSvc
 
-from helpers import count_featurized, reference_run_sweep
+from helpers import count_featurized, count_fits, reference_run_sweep
 
 
 class TestConfig:
@@ -168,10 +165,9 @@ class TestComponentComparison:
         )
         pipeline = DialectPipeline(cfg).fit(train)
         X = pipeline.union_.transform(out.texts())
-        votes = pipeline.component_votes(X)
-        components = (pipeline.svc_, pipeline.forest_, pipeline.knn_)
-        assert votes.T.tolist() == [model.predict(X).tolist() for model in components]
-        expected = [frozenset((weighted_hard_vote(row, cfg.vote_weights),)) for row in votes.tolist()]
+        assert list(pipeline.models_.values()) == [pipeline.svc_, pipeline.forest_, pipeline.knn_]
+        votes = zip(*[model.predict(X).tolist() for model in pipeline.models_.values()])
+        expected = [frozenset((weighted_hard_vote(row, cfg.vote_weights),)) for row in votes]
         assert pipeline.predict(out.texts()) == expected
 
     @pytest.mark.parametrize("classifier", ["svc", "forest", "knn"])
@@ -185,9 +181,9 @@ class TestComponentComparison:
         X = pipeline.union_.transform(out.texts())
         model = getattr(pipeline, f"{classifier}_")
         assert list(pipeline.models_) == [classifier]
-        votes = pipeline.component_votes(X)
-        assert votes.shape == (len(out), 1) and votes[:, 0].tolist() == model.predict(X).tolist()
-        assert pipeline.predict(out.texts()) == [frozenset((int(label),)) for label in votes[:, 0]]
+        (votes,) = [entry.predict(X) for entry in pipeline.models_.values()]
+        assert len(votes) == len(out) and votes.tolist() == model.predict(X).tolist()
+        assert pipeline.predict(out.texts()) == [frozenset((int(label),)) for label in votes]
 
     def test_batch_predict_equals_one_text_at_a_time(self):
         ds = make_synthetic(3, 30, 10, 0.5, seed=11)
@@ -198,6 +194,23 @@ class TestComponentComparison:
         pipeline = DialectPipeline(cfg).fit(ds)
         texts = ds.texts() + ["zz_unseen qq_unseen"]
         assert pipeline.predict(texts) == [pipeline.predict_text(text) for text in texts]
+
+    @pytest.mark.parametrize("corpus", ["synthetic", "noisy"])
+    @pytest.mark.parametrize("name", ["exp3-hard", "exp3-weighted"])
+    def test_component_comparison_equals_run_pipeline(self, monkeypatch, name, corpus):
+        """Each report is ``run_pipeline``'s for its one-classifier config or
+        the vote config, and each of the three models is fitted once."""
+        if corpus == "synthetic":
+            train, dev = split_dataset(make_synthetic(10, 30, 60, 0.15, 1009), 0.8, seed=1009)
+        else:
+            train, dev = split_dataset(noisy_corpus(), 0.75, seed=1)
+        config = preset(name)
+        fits = count_fits(monkeypatch)
+        reports = run_component_comparison(train, dev, config)
+        assert fits == {"LinearSvc": 1, "RandomForest": 1, "KnnClassifier": 1, "gram": 1}
+        assert list(reports) == ["svc", "forest", "knn", "vote"]
+        for classifier, report in reports.items():
+            assert report.to_dict() == run_pipeline(train, dev, replace(config, classifier=classifier)).to_dict()
 
     def test_requires_vote_config(self, tiny_corpus):
         train, out = split_dataset(tiny_corpus, 0.8, seed=0)
@@ -286,26 +299,15 @@ class TestSharedSweep:
         train, dev = split
         texts = len(train) + len(dev)
         analyzed = count_featurized(monkeypatch)
-        fits: dict[str, int] = {}
-        for cls in (LinearSvc, RandomForest, KnnClassifier):
-            fit = cls.fit
-
-            def counting_fit(self, *args, _fit=fit, _name=cls.__name__, **kwargs):
-                fits[_name] = fits.get(_name, 0) + 1
-                return _fit(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, "fit", counting_fit)
-        grams = []
-        gram = CsrMatrix.gram
-        monkeypatch.setattr(CsrMatrix, "gram", lambda self, budget: grams.append(len(self)) or gram(self, budget))
+        fits = count_fits(monkeypatch)
         # 2 n x 2 C SVCs, and per n one forest and one KNN that the C values
         # share, each config deciding with one of 4 weight triples.
         spec = GridSpec(n=(1, 2), C=(1.0, 2.0), v1=(0.2, 0.4), v2=(0.1, 0.3), classifier="vote", n_trees=3)
         assert len(run_sweep(train, dev, spec, workers=1)) == 16
         blocks = {(kind, (1, n)) for kind in ("word", "char", "char_wb") for n in (1, 2)}
         assert analyzed == {block: texts for block in blocks}
-        assert fits == {"LinearSvc": 4, "RandomForest": 2, "KnnClassifier": 2}
-        assert len(grams) == 2  # one per distinct union: the C values share it
+        # One Gram per distinct union: the C values share it.
+        assert fits == {"LinearSvc": 4, "RandomForest": 2, "KnnClassifier": 2, "gram": 2}
 
     @pytest.mark.parametrize(
         "dev_text, message",
