@@ -72,9 +72,10 @@ def check_ngram_range(ngram_range: tuple[int, int]) -> tuple[int, int]:
     return lo, hi
 
 
-def check_labels(n_rows: int, y: Sequence[int], n_labels: int | None) -> tuple[np.ndarray, int]:
+def check_labels(n_rows: int, y: Sequence[int], n_labels: int | None, min_rows: int = 0) -> tuple[np.ndarray, int]:
     """One label index per row as an array, and the label count (default: the
-    largest label + 1); labels must lie in [0, n_labels)."""
+    largest label + 1); labels must lie in [0, n_labels), and a training set
+    needs at least ``min_rows`` rows."""
     labels = np.asarray(y, dtype=np.int64)
     if labels.ndim != 1 or labels.size != n_rows:
         raise ValueError(f"X and y lengths differ: {n_rows} vs {labels.size}")
@@ -84,6 +85,8 @@ def check_labels(n_rows: int, y: Sequence[int], n_labels: int | None) -> tuple[n
         n_labels = int(labels.max()) + 1 if labels.size else 0
     elif labels.size and labels.max() >= n_labels:
         raise ValueError("label index outside [0, n_labels)")
+    if n_rows < min_rows:
+        raise ValueError(f"training requires at least {min_rows} samples")
     return labels, n_labels
 
 

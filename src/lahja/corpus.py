@@ -265,6 +265,13 @@ def merge_label_spaces(*datasets: Dataset) -> list[Dataset]:
     return out
 
 
+def check_training_set(train: Dataset) -> None:
+    """Raise ValueError if ``train`` has no document to fit on; fits check
+    this before they featurize anything."""
+    if not len(train):
+        raise ValueError("cannot fit on an empty dataset")
+
+
 def check_label_spaces(train: Dataset, eval_dataset: Dataset) -> None:
     """Raise ValueError unless ``train`` and ``eval_dataset`` share one label space."""
     if train.label_space.names != eval_dataset.label_space.names:

@@ -61,9 +61,7 @@ class RandomForest(BaseEstimator):
 
     def fit(self, X: CsrMatrix, y: Sequence[int], n_labels: int | None = None) -> "RandomForest":
         ForestParams(self.n_trees)  # validates it
-        labels, n_labels = check_labels(len(X), y, n_labels)
-        if len(X) < 2:
-            raise ValueError("training requires at least 2 samples")
+        labels, n_labels = check_labels(len(X), y, n_labels, min_rows=2)
         if X.n_cols < 1:
             raise ValueError("training requires at least one feature column")
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import svm
 from .base import JsonObject
-from .corpus import Dataset, check_label_spaces
+from .corpus import Dataset, check_label_spaces, check_training_set
 from .ensemble import DecisionPolicy
 from .metrics import MetricsReport, check_golds, evaluate
 from .pipeline import CLASSIFIER_CHOICES, MODEL_TYPES, ForestParams, PipelineConfig, SvcParams, training_samples
@@ -197,8 +197,7 @@ def _score_configs(
     are spread over worker processes. A dev set the scorer would refuse
     fails before any fit.
     """
-    if not len(train):
-        raise ValueError("cannot fit on an empty dataset")
+    check_training_set(train)
     check_label_spaces(train, dev)
     check_golds(dev.label_sets())
     configs[0].policy.check_label_count(len(train.label_space))
@@ -255,9 +254,12 @@ def _fit_union(
 ) -> list[MetricsReport]:
     """The dev report of each config of one union. Each distinct model of the
     configs is fitted once on the train matrices of the union's blocks and
-    keeps its output on the dev ones, under the one policy the configs share;
-    the SVC fits share the ``svm.sample_gram`` of the union's training
-    samples, if it gives one, held while the union fits."""
+    keeps its output on the dev ones, under the one policy the configs share.
+    The SVC fits share the ``svm.sample_gram`` of the union's training
+    samples, if it gives one, held while the union fits. On that Newton path
+    each SVC fit after the first starts from the supports the previous one
+    ended with (same samples, another ``C``): every start reaches the same
+    support, so the weights keep the bits of a fit from the usual start."""
     union = TfidfUnion(configs[0].word, configs[0].char, configs[0].char_wb)
     train_X, dev_X = (union.stack([pair[side] for pair in parts]) for side in (0, 1))
     X, y = training_samples(train_X, train)
@@ -265,14 +267,17 @@ def _fit_union(
     gram = svm.sample_gram(X) if any("svc" in config.model_params() for config in configs) else None
     golds = dev.label_sets()
     outputs: dict[tuple, np.ndarray] = {}  # by model name and params
+    supports = None  # per label, of the last SVC fit on the Newton path
     reports = []
     for config in configs:
         keys = [(name, tuple(params.items())) for name, params in config.model_params().items()]
         for key in keys:
             if key not in outputs:
                 name, params = key
-                shared = {"_gram": gram} if name == "svc" else {}
+                shared = {"_gram": gram, "_start": supports} if name == "svc" else {}
                 model = MODEL_TYPES[name](**dict(params)).fit(X, y, n_labels=n_labels, **shared)
+                if name == "svc":
+                    supports = model._supports
                 outputs[key] = config.model_output(model, dev_X)
         reports.append(evaluate(config.decide([outputs[key] for key in keys]), golds, n_labels=n_labels))
     return reports

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .base import BaseEstimator, JsonObject, check_is_fitted, check_seed
-from .corpus import Dataset, check_label_spaces
+from .corpus import Dataset, check_label_spaces, check_training_set
 from .ensemble import CLASSIFIER_ORDER, DecisionPolicy, decide_labels, weighted_votes
 from .forest import ForestParams, RandomForest
 from .knn import KnnClassifier
@@ -112,8 +112,7 @@ class DialectPipeline(BaseEstimator):
 
     def fit(self, dataset: Dataset) -> "DialectPipeline":
         cfg = self.config
-        if not len(dataset):
-            raise ValueError("cannot fit on an empty dataset")
+        check_training_set(dataset)
         union = TfidfUnion(word=cfg.word, char=cfg.char, char_wb=cfg.char_wb)
         self.fit_matrix(union.fit_transform(dataset.texts()), dataset)
         self.union_ = union

@@ -14,18 +14,22 @@ b = Σ s_i α_i. Two solvers share it:
   Newton in sample space (Keerthi & DeCoste, JMLR 2005). One Gram matrix Q,
   computed without BLAS, serves every label. Per label, the working set W
   starts as the positives plus as many negatives, those with the highest
-  mean Gram entry against the positives. A Newton step on the active set
-  I = {i in W : s_i m_i < 1} solves (SQS + D)_II α_I = 1; the Newton point is
-  accepted when its own active set is I, and otherwise an exact line search
-  on the primal with W's loss terms moves towards it. When W's problem is
-  solved (one round), the worst margin violators outside W join it, at most
-  max(32, |W| / 2) of them; the solve stops when none violates its margin
-  by ``tol`` or more. Once every label's final active set is known, their
-  systems are solved once more, together: stacked, padded to a common order
-  with identity rows and columns, and factored by one batched Cholesky in
-  elementwise numpy, in chunks of at most ``_GRAM_BUDGET`` values. So the
-  weights do not depend on the BLAS thread count, nor a label's bits on the
-  labels it is solved with. ``max_epochs`` caps the Newton steps per label,
+  mean Gram entry against the positives, or as the support of an earlier
+  fit of the same samples when ``LinearSvc.fit`` is given one. A Newton step
+  on the active set I = {i in W : s_i m_i < 1} solves (SQS + D)_II α_I = 1,
+  as (Q + D)_II c_I = s_I with c = s∘α; the Newton point is accepted when
+  its own active set is I, and otherwise an exact line search on the primal
+  with W's loss terms moves towards it. When W's problem is solved (one
+  round), the samples outside W with positive slack join it, the worst
+  first and at most max(32, |W| / 2) of them; the solve stops when none is
+  left. It so ends at the exact optimum, whose support does not depend on
+  where W started, and ``tol`` only judges the convergence warning. Once
+  every label's final active set is known, their systems are solved once
+  more, together: stacked, padded to a common order with identity rows and
+  columns, and factored by one batched Cholesky in elementwise numpy, in
+  chunks of at most ``_GRAM_BUDGET`` values. So the weights do not depend
+  on the BLAS thread count, nor a label's bits on the labels it is solved
+  with, nor on W's start. ``max_epochs`` caps the Newton steps per label,
   ``seed`` is unused, and a label's ``dual_objective_history_`` holds the
   dual value of each round: W's optimum, which rises as W grows.
 - Larger fits use dual coordinate descent, block-coordinate-wise: samples
@@ -138,14 +142,28 @@ class LinearSvc(BaseEstimator):
         self.seed = seed
 
     def fit(
-        self, X: CsrMatrix, y: Sequence[int], n_labels: int | None = None, *, _gram: np.ndarray | None = None
+        self,
+        X: CsrMatrix,
+        y: Sequence[int],
+        n_labels: int | None = None,
+        *,
+        _gram: np.ndarray | None = None,
+        _start: Sequence[np.ndarray] | None = None,
     ) -> "LinearSvc":
-        """Fit one binary problem per label. ``_gram`` is internal: the sweep
-        passes the :func:`sample_gram` of ``X`` that the SVCs of one union share."""
+        """Fit one binary problem per label.
+
+        ``_gram`` and ``_start`` are internal: the sweep passes them to the
+        SVC fits of one union. ``_gram`` is the :func:`sample_gram` of ``X``
+        they share. ``_start``, read on the Newton path only, holds per label
+        the sample indices of its first working set: the ``_supports`` that
+        an earlier Newton fit of the same samples ended with. Every start
+        reaches the same support, so the weights keep the bits of a fit
+        without one whenever that fit converges within ``max_epochs``. A
+        label whose start reaches ``max_epochs`` is solved again without it,
+        and so warns as a fit without one would.
+        """
         SvcParams(self.C, self.balanced, self.tol, self.max_epochs)  # validates them
-        labels, n_labels = check_labels(len(X), y, n_labels)
-        if len(X) < 2:
-            raise ValueError("training requires at least 2 samples")
+        labels, n_labels = check_labels(len(X), y, n_labels, min_rows=2)
         if np.unique(labels).size < 2:
             raise ValueError("training requires at least 2 distinct labels")
 
@@ -157,8 +175,9 @@ class LinearSvc(BaseEstimator):
         diag = 1.0 / (2.0 * per_sample_c)
         signs = [np.where(labels == label, 1.0, -1.0) for label in range(n_labels)]
         gram = sample_gram(X) if _gram is None else _gram
+        supports = None
         if gram is not None:
-            fits = _newton_fits(X, gram, signs, diag, self.tol, self.max_epochs)
+            fits, supports = _newton_fits(X, gram, signs, diag, self.max_epochs, _start)
         else:
             fits = map(_descent_solver(X, diag, self.tol, self.max_epochs, self.seed), signs, range(n_labels))
 
@@ -185,6 +204,7 @@ class LinearSvc(BaseEstimator):
         self.n_features_ = n_features
         self.n_labels_ = n_labels
         self.dual_objective_history_ = history
+        self._supports = supports
         return self
 
     def payload(self) -> dict:
@@ -239,13 +259,26 @@ def sample_gram(X: CsrMatrix) -> np.ndarray | None:
 
 
 def _newton_fits(
-    X: CsrMatrix, gram: np.ndarray, signs: list[np.ndarray], diag: np.ndarray, tol: float, max_steps: int
-) -> list[tuple[np.ndarray, float, list[float], float, int]]:
+    X: CsrMatrix,
+    gram: np.ndarray,
+    signs: list[np.ndarray],
+    diag: np.ndarray,
+    max_steps: int,
+    starts: Sequence[np.ndarray] | None,
+) -> tuple[list[tuple[np.ndarray, float, list[float], float, int]], list[np.ndarray]]:
     """The working-set Newton solve of every label, all labels sharing the
     Gram matrix ``gram`` and one batched final re-solve: per label, the
-    weights, intercept, dual value per round, final violation and steps."""
-    rounds = [_newton_binary(gram, s, diag, tol, max_steps) for s in signs]
-    coefs = _final_solves(gram, signs, diag, [support for support, _, _ in rounds], _GRAM_BUDGET)
+    weights, intercept, dual value per round, final violation and steps; and
+    each label's support. A label with a start that reaches ``max_steps`` is
+    solved again without it."""
+    rounds = []
+    for label, s in enumerate(signs):
+        solved = _newton_binary(gram, s, diag, max_steps, None if starts is None else starts[label])
+        if starts is not None and solved[2] >= max_steps:
+            solved = _newton_binary(gram, s, diag, max_steps)
+        rounds.append(solved)
+    supports = [support for support, _, _ in rounds]
+    coefs = _final_solves(gram, signs, diag, supports, _GRAM_BUDGET)
     rows = X.row_ids()
     fits = []
     for s, coef, (_, objective, steps) in zip(signs, coefs, rounds):
@@ -254,7 +287,7 @@ def _newton_fits(
         violation = float(np.where(alpha > 0.0, np.abs(gradient), np.maximum(-gradient, 0.0)).max())
         w = np.bincount(X.indices, weights=X.values * coef[rows], minlength=X.n_cols)
         fits.append((w, float(coef.sum()), objective, violation, steps))
-    return fits
+    return fits, supports
 
 
 def _descent_solver(X: CsrMatrix, diag: np.ndarray, tol: float, max_epochs: int, seed: int):
@@ -284,22 +317,32 @@ def _descent_solver(X: CsrMatrix, diag: np.ndarray, tol: float, max_epochs: int,
 
 
 def _newton_binary(
-    gram: np.ndarray, signs: np.ndarray, diag: np.ndarray, tol: float, max_steps: int
+    gram: np.ndarray, signs: np.ndarray, diag: np.ndarray, max_steps: int, start: np.ndarray | None = None
 ) -> tuple[np.ndarray, list[float], int]:
     """Working-set finite Newton for one binary subproblem over the Gram
     matrix Q = XXᵀ + 1.
+
+    The working set W starts as the samples ``start`` when given, otherwise
+    as the positives and as many negatives, those nearest them. Each round
+    solves W's problem exactly, and W then grows by the samples outside it
+    whose slack is positive, so the solve ends at the optimum of the whole
+    problem: its support, the samples with α > 0, is unique, whatever W
+    starts as, unless ``max_steps`` cuts it short.
 
     Returns the final active set, the support whose system
     :func:`_final_solves` solves once more; the dual value of each
     working-set round; and the number of Newton steps taken.
     """
     n = signs.size
-    positives = np.flatnonzero(signs > 0.0)
-    negatives = np.flatnonzero(signs < 0.0)
-    affinity = gram[np.ix_(positives, negatives)].sum(axis=0)  # ranks as the mean does
     work = np.zeros(n, dtype=bool)
-    work[positives] = True
-    work[negatives[np.argsort(-affinity, kind="stable")[: positives.size]]] = True
+    if start is not None:
+        work[start] = True
+    else:
+        positives = np.flatnonzero(signs > 0.0)
+        negatives = np.flatnonzero(signs < 0.0)
+        affinity = gram[np.ix_(positives, negatives)].sum(axis=0)  # ranks as the mean does
+        work[positives] = True
+        work[negatives[np.argsort(-affinity, kind="stable")[: positives.size]]] = True
     coef = np.zeros(n)
     margins = np.zeros(n)
     objective: list[float] = []
@@ -323,7 +366,7 @@ def _newton_binary(
         u = signs * alpha
         objective.append(float(alpha.sum() - 0.5 * (u @ (gram @ u) + alpha @ (alpha * diag))))
         outside = np.where(work, -np.inf, slack)
-        violators = np.flatnonzero(outside >= tol)
+        violators = np.flatnonzero(outside > 0.0)
         if not violators.size or steps >= max_steps:
             break
         grow = max(32, int(work.sum()) // 2)
@@ -333,19 +376,21 @@ def _newton_binary(
 
 
 def _newton_point(gram: np.ndarray, signs: np.ndarray, diag: np.ndarray, active: np.ndarray):
-    """The signed coefficients s∘α and the margins Q(s∘α) of the minimizer of
+    """The signed coefficients c = s∘α and the margins Qc of the minimizer of
     the primal with the loss terms of ``active`` taken as quadratics:
-    (SQS + D)_II α_I = 1, with α zero off I."""
+    (Q + D)_II c_I = s_I, with c zero off I."""
     coef = np.zeros(signs.size)
-    coef[active] = signs[active] * np.linalg.solve(_system(gram, signs, diag, active), np.ones(active.size))
+    coef[active] = np.linalg.solve(_system(gram, diag, active), signs[active])
     return coef, gram @ coef
 
 
-def _system(gram: np.ndarray, signs: np.ndarray, diag: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """The matrix (SQS + D)_II of the active set I."""
-    s = signs[active]
-    system = gram[np.ix_(active, active)] * np.multiply.outer(s, s)
-    system[np.diag_indices_from(system)] += diag[active]
+def _system(gram: np.ndarray, diag: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """The matrix (Q + D)_II of the active set I. Since S² = I, the dual's
+    (SQS + D)_II α_I = 1 is (Q + D)_II c_I = s_I with c = s∘α; pivoting and
+    factoring see the same magnitudes either way, so each value of the
+    solution can only differ in sign, which is exact."""
+    system = gram[np.ix_(active, active)]
+    system.reshape(-1)[:: active.size + 1] += diag[active]  # its diagonal, as a strided view
     return system
 
 
@@ -394,8 +439,8 @@ def _line_search(
 def _final_solves(
     gram: np.ndarray, signs: list[np.ndarray], diag: np.ndarray, supports: list[np.ndarray], budget: int
 ) -> list[np.ndarray]:
-    """Each label's signed coefficients s∘α, zero off its support I, from one
-    fixed-order re-solve of (SQS + D)_II α_I = 1.
+    """Each label's signed coefficients c = s∘α, zero off its support I, from
+    one fixed-order re-solve of (Q + D)_II c_I = s_I.
 
     The Newton steps go through LAPACK and BLAS, whose bits can depend on
     their thread count; these do not. The systems are stacked, largest
@@ -415,13 +460,13 @@ def _final_solves(
         rhs = np.zeros((len(chunk), size))
         for row, label in enumerate(chunk):
             k = supports[label].size
-            systems[row, :k, :k] = _system(gram, signs[label], diag, supports[label])
+            systems[row, :k, :k] = _system(gram, diag, supports[label])
             systems[row, range(k, size), range(k, size)] = 1.0
-            rhs[row, :k] = 1.0
+            rhs[row, :k] = signs[label][supports[label]]
         solved = _cholesky_solve(systems, rhs)
         for row, label in enumerate(chunk):
             support = supports[label]
-            coefs[label][support] = signs[label][support] * solved[row, : support.size]
+            coefs[label][support] = solved[row, : support.size]
     return coefs
 
 

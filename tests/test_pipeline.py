@@ -11,6 +11,7 @@ from lahja import (
     DecisionPolicy,
     DialectPipeline,
     GridSpec,
+    LinearSvc,
     PipelineConfig,
     decide_labels,
     make_synthetic,
@@ -267,6 +268,7 @@ def noisy_corpus(n_docs: int = 64, seed: int = 5):
 
 SHARED_GRIDS = {
     "svc-n-C": GridSpec(n=(1, 2), C=(1.0, 3.0)),
+    "svc-warm": GridSpec(n=(1, 2), C=(1.0, 2.0, 4.0)),
     "weights": GridSpec(n=(2,), w1=(0.3, 1.0), w2=(0.5,), w3=(0.2, 0.9), C=(2.0,), balanced=False),
     "vote-tied": GridSpec(
         n=(2,), C=(1.0,), v1=(0.1, 0.2), v2=(0.1, 0.2), v3=(0.1, 0.3),
@@ -308,6 +310,31 @@ class TestSharedSweep:
         assert analyzed == {block: texts for block in blocks}
         # One Gram per distinct union: the C values share it.
         assert fits == {"LinearSvc": 4, "RandomForest": 2, "KnnClassifier": 2, "gram": 2}
+
+    def test_later_svc_fits_of_a_union_start_warm_with_the_cold_bits(self, split, monkeypatch):
+        train, dev = split
+        fits = []
+        real_fit = LinearSvc.fit
+
+        def capture(self, X, y, n_labels=None, **shared):
+            fits.append((self, X, y, n_labels, shared))
+            return real_fit(self, X, y, n_labels, **shared)
+
+        monkeypatch.setattr(LinearSvc, "fit", capture)
+        run_sweep(train, dev, SHARED_GRIDS["svc-warm"], workers=1)
+        monkeypatch.undo()
+        assert len(fits) == 6
+        unions = {}  # by the shared Gram
+        for model, X, y, n_labels, shared in fits:
+            unions.setdefault(id(shared["_gram"]), []).append((model, shared["_start"]))
+        assert [[start is None for _, start in members] for members in unions.values()] == [[True, False, False]] * 2
+        for members in unions.values():
+            for (previous, _), (_, start) in zip(members, members[1:]):
+                assert start is previous._supports  # the supports of the union's previous fit
+        for model, X, y, n_labels, _ in fits:
+            cold = LinearSvc(**model.get_params()).fit(X, y, n_labels)
+            assert model.coef_.tobytes() == cold.coef_.tobytes()
+            assert model.intercept_.tobytes() == cold.intercept_.tobytes()
 
     @pytest.mark.parametrize(
         "dev_text, message",

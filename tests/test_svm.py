@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -432,6 +433,64 @@ class TestNewtonSolver:
             s = signs[label][support]
             system = gram[np.ix_(support, support)] * np.multiply.outer(s, s) + np.diag(diag[support])
             np.testing.assert_allclose(system @ (s * alone[support]), np.ones(support.size), atol=1e-8)
+
+
+class TestWarmStart:
+    """``LinearSvc.fit(..., _start=...)``: any first working set reaches the
+    support of the cold start, and so the same bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        n_labels=st.integers(1, 5),
+        C=st.floats(0.05, 20.0),
+        other_C=st.floats(0.05, 20.0),
+        balanced=st.booleans(),
+        tol=st.sampled_from([1e-4, 1e-2, 0.3]),
+        start=st.sampled_from(["empty", "subset", "all", "other C"]),
+    )
+    def test_any_start_gives_the_cold_fit_bits(self, seed, n, n_labels, C, other_C, balanced, tol, start):
+        rng = np.random.RandomState(seed)
+        n_bases = rng.randint(1, n + 1)  # repeated rows, as multi-label documents give
+        bases = rng.randn(n_bases, rng.randint(1, 8)) * (rng.rand(n_bases, 1) < 0.9)
+        X = csr(bases).take(rng.randint(0, n_bases, n).tolist())
+        y = rng.randint(0, n_labels, n)
+        if rng.rand() < 0.8:  # mostly every label present, as balanced weights need
+            y[: min(n, n_labels)] = np.arange(min(n, n_labels))
+        y = y.tolist()
+        params = dict(C=C, balanced=balanced, tol=tol)
+        try:
+            cold = LinearSvc(**params).fit(X, y, n_labels=n_labels)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=re.escape(str(error))):
+                LinearSvc(**params).fit(X, y, n_labels=n_labels, _start=[np.arange(n)] * n_labels)
+            return
+        gram = svm.sample_gram(X)
+        starts = {
+            "empty": [np.arange(0)] * n_labels,
+            "subset": [np.flatnonzero(rng.rand(n) < 0.5) for _ in range(n_labels)],
+            "all": [np.arange(n)] * n_labels,
+        }
+        if start == "other C":
+            starts[start] = LinearSvc(**{**params, "C": other_C}).fit(X, y, n_labels=n_labels, _gram=gram)._supports
+        warm = LinearSvc(**params).fit(X, y, n_labels=n_labels, _gram=gram, _start=starts[start])
+        assert warm.coef_.tobytes() == cold.coef_.tobytes()
+        assert warm.intercept_.tobytes() == cold.intercept_.tobytes()
+        assert all(np.array_equal(a, b) for a, b in zip(warm._supports, cold._supports))
+
+    def test_cut_warm_start_gives_the_cold_fit_and_its_warning(self):
+        X, y = overlap_problem()
+        params = dict(C=4.0, balanced=True, max_epochs=2)
+        with pytest.warns(ConvergenceWarning) as cold_warnings:
+            cold = LinearSvc(**params).fit(X, y)
+        # An empty start takes one step to W's zero optimum, then needs more.
+        with pytest.warns(ConvergenceWarning) as warm_warnings:
+            warm = LinearSvc(**params).fit(X, y, _gram=svm.sample_gram(X), _start=[np.arange(0)] * cold.n_labels_)
+        assert [str(w.message) for w in warm_warnings] == [str(w.message) for w in cold_warnings]
+        assert warm.coef_.tobytes() == cold.coef_.tobytes()
+        assert warm.intercept_.tobytes() == cold.intercept_.tobytes()
+        assert warm.dual_objective_history_ == cold.dual_objective_history_
 
 
 def test_bundle_bytes_do_not_depend_on_the_blas_thread_count():
