@@ -33,17 +33,19 @@ from .corpus import (
 )
 from .ensemble import CLASSIFIER_ORDER, DecisionPolicy, decide_labels, weighted_hard_vote, weighted_votes
 from .forest import RandomForest
-from .grid import GridSizeError, GridSpec, enumerate_grid, run_component_comparison, run_sweep, write_sweep_tsv
+from .grid import (
+    GridSizeError,
+    GridSpec,
+    enumerate_grid,
+    run_component_comparison,
+    run_pipeline,
+    run_sweep,
+    write_sweep_tsv,
+)
 from .knn import KnnClassifier
 from .metrics import LabelCounts, MetricsReport, evaluate
 from .persistence import BundleFormatError, dumps_model, load_model, loads_model, save_model
-from .pipeline import (
-    DialectPipeline,
-    ForestParams,
-    PipelineConfig,
-    SvcParams,
-    run_pipeline,
-)
+from .pipeline import DialectPipeline, ForestParams, PipelineConfig, SvcParams
 from .presets import PRESET_NAMES, preset
 from .sparse import CsrMatrix
 from .svm import ConvergenceWarning, LinearSvc, compute_class_weights

@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .base import BaseEstimator, JsonObject, check_fields, check_int, check_is_fitted, check_labels, check_reals
-from .sparse import CsrMatrix
+from .sparse import CsrMatrix, spans
 
 _LEAF = -1
 
@@ -173,9 +173,7 @@ class RandomForest(BaseEstimator):
         slot[self.split_features_] = np.arange(width)
         leaf_label = np.argmax(self.dist_, axis=1)
         votes = np.empty((len(X), n_trees), dtype=np.int64)
-        step = max(1, _BUDGET // max(1, width))
-        for lo in range(0, len(X), step):
-            hi = min(lo + step, len(X))
+        for lo, hi in spans(np.full(len(X), max(1, width)), _BUDGET):
             entries = slice(X.indptr[lo], X.indptr[hi])
             cell = slot[X.indices[entries]]
             known = np.flatnonzero(cell >= 0)

@@ -1,16 +1,18 @@
-"""Hyperparameter grids: deterministic enumeration, the sweep and the
-component comparison.
+"""Scoring configs against a dev set: one config, a hyperparameter grid's
+deterministic enumeration and sweep, and the component comparison.
 
 A :class:`GridSpec` holds one candidate list per tunable field; the sweep
 runs the full Cartesian product with the declared field order (``n`` varies
 slowest, ``v3`` fastest). Classifier choice and other non-swept settings are
 fixed scalar fields; a candidate or setting no config could take fails
-when the grid is built. The sweep and the component comparison score their
-configs on one engine, :func:`_score_configs`, which fits each distinct
-block, union and model once. Sweep workers can run in separate processes —
-the ``LAHJA_THREADS`` environment variable caps the worker count (default
-1) — and results are sorted by f1 and then canonical JSON, so output is
-independent of scheduling.
+when the grid is built. :func:`run_pipeline`, the sweep and the component
+comparison score their configs on one engine, :func:`_score_configs`, which
+fits each distinct block, union and model once; each report scores the
+dev predictions of ``DialectPipeline(config)`` fitted on the training set.
+Sweep workers can run in separate processes — the ``LAHJA_THREADS``
+environment variable caps the worker count (default 1) — and results are
+sorted by f1 and then canonical JSON, so output is independent of
+scheduling.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .corpus import Dataset, check_label_spaces, check_training_set
 from .ensemble import DecisionPolicy
 from .metrics import MetricsReport, check_golds, evaluate
 from .pipeline import CLASSIFIER_CHOICES, MODEL_TYPES, ForestParams, PipelineConfig, SvcParams, training_samples
-from .pipeline import run_pipeline  # noqa: F401  (perfbench/tracing.py wraps lahja.grid.run_pipeline)
 from .sparse import CsrMatrix
 from .vectorizer import BLOCK_ORDER, BlockSpec, TfidfBlock, TfidfUnion
 
@@ -143,6 +144,11 @@ def _worker_count() -> int:
     return max(1, count)
 
 
+def run_pipeline(train: Dataset, eval_dataset: Dataset, config: PipelineConfig) -> MetricsReport:
+    """The report of ``config`` fitted on ``train`` and scored on ``eval_dataset``."""
+    return _score_configs(train, eval_dataset, [config], workers=1)[0]
+
+
 def run_sweep(
     train: Dataset,
     dev: Dataset,
@@ -152,8 +158,8 @@ def run_sweep(
 ) -> list[tuple[PipelineConfig, MetricsReport]]:
     """Run every grid configuration and sort results by f1 descending.
 
-    Each report equals ``run_pipeline(train, dev, config)``; the configs are
-    scored together by :func:`_score_configs`. Ties order by the config's
+    The configs are scored together by :func:`_score_configs`, each as
+    :func:`run_pipeline` scores it alone. Ties order by the config's
     canonical JSON serialization. ``workers`` defaults to the LAHJA_THREADS
     cap.
     """
@@ -179,8 +185,9 @@ def run_component_comparison(train: Dataset, eval_dataset: Dataset, config: Pipe
 def _score_configs(
     train: Dataset, dev: Dataset, configs: list[PipelineConfig], workers: int | None
 ) -> list[MetricsReport]:
-    """The dev report of each config, in order, each equal to
-    ``run_pipeline(train, dev, config)``; the configs share one policy.
+    """The dev report of each config, in order: ``evaluate`` of the label
+    sets ``DialectPipeline(config).fit(train)`` predicts for dev's texts,
+    against dev's gold sets. The configs share one policy.
 
     The work is shared in two stages. Each distinct TF-IDF block (its
     analyzer, n-gram range and cap) is fitted once and transforms dev once.

@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from .base import BaseEstimator, check_fields, check_int, check_is_fitted, check_labels, check_list
-from .sparse import CsrMatrix
+from .sparse import CsrMatrix, spans
 
 # Bound on the values ``neighbors`` holds in one array, beyond arrays of one
 # entry per stored value of the queries and the training rows.
@@ -106,11 +106,10 @@ class KnnClassifier(BaseEstimator):
         """
         check_is_fitted(self, "vectors_")
         X.check_cols(self.vectors_.n_cols)
-        rows = max(1, _BUDGET // len(self.vectors_))
         in_range = _in_range(self.vectors_.values)
         tops = [np.zeros((0, self.k), dtype=np.int64)]
-        for lo in range(0, len(X), rows):
-            tops.append(self._top(X.take(np.arange(lo, min(lo + rows, len(X)))), in_range))
+        for lo, hi in spans(np.full(len(X), len(self.vectors_)), _BUDGET):
+            tops.append(self._top(X.take(np.arange(lo, hi)), in_range))
         return np.concatenate(tops)
 
     def _top(self, X: CsrMatrix, in_range: bool) -> np.ndarray:

@@ -5,8 +5,9 @@ models of ``PipelineConfig.model_params()`` on one sample per (document,
 gold label) pair; documents with empty label sets shape the union only.
 A threshold/top-k policy reads the SVC margins; an argmax policy takes the
 weighted hard vote of the models' argmax labels, one model voting alone.
-``run_pipeline`` fits and scores one config; the sweep and the component
-comparison score many on one engine in :mod:`lahja.grid`.
+This is the deployable model that ``lahja train``/``predict`` and the bundle
+use; scoring configs against a dev set (``run_pipeline``, the sweep and the
+component comparison) runs on one engine in :mod:`lahja.grid`.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from .base import BaseEstimator, JsonObject, check_is_fitted, check_seed
-from .corpus import Dataset, check_label_spaces, check_training_set
+from .corpus import Dataset, check_training_set
 from .ensemble import CLASSIFIER_ORDER, DecisionPolicy, decide_labels, weighted_votes
 from .forest import ForestParams, RandomForest
 from .knn import KnnClassifier
-from .metrics import MetricsReport, evaluate
 from .sparse import CsrMatrix
 from .svm import LinearSvc, SvcParams
 from .vectorizer import BlockSpec, TfidfUnion
@@ -133,11 +133,6 @@ class DialectPipeline(BaseEstimator):
         self.n_labels_ = n_labels
         return self
 
-    # The fitted models by name; None for a model the config does not fit.
-    svc_ = property(lambda self: self.models_.get("svc"))
-    forest_ = property(lambda self: self.models_.get("forest"))
-    knn_ = property(lambda self: self.models_.get("knn"))
-
     def predict(self, texts: Sequence[str]) -> list[frozenset[int]]:
         """Label sets of ``texts``, featurized together as one matrix."""
         check_is_fitted(self, "union_")
@@ -152,18 +147,6 @@ class DialectPipeline(BaseEstimator):
     def predict_text(self, text: str) -> frozenset[int]:
         return self.predict([text])[0]
 
-    def predict_dataset(self, dataset: Dataset) -> list[frozenset[int]]:
-        self._check_label_space(dataset)
-        return self.predict(dataset.texts())
-
-    def _check_label_space(self, dataset: Dataset) -> None:
-        check_is_fitted(self, "union_")
-        if dataset.label_space.names and dataset.label_space.names != self.label_space_.names:
-            raise ValueError(
-                "dataset label space does not match the fitted label space; "
-                "align the datasets first (see corpus.merge_label_spaces)"
-            )
-
 
 def training_samples(vectors: CsrMatrix, dataset: Dataset) -> tuple[CsrMatrix, list[int]]:
     """The classifiers' training samples: the row of ``vectors`` of each
@@ -172,15 +155,6 @@ def training_samples(vectors: CsrMatrix, dataset: Dataset) -> tuple[CsrMatrix, l
     if not samples:
         raise ValueError("no labeled documents available for classifier training")
     return vectors.take([doc_id for doc_id, _ in samples]), [label for _, label in samples]
-
-
-def run_pipeline(train: Dataset, eval_dataset: Dataset, config: PipelineConfig) -> MetricsReport:
-    """Fit on ``train``, predict ``eval_dataset`` and score the predictions."""
-    check_label_spaces(train, eval_dataset)
-    pipeline = DialectPipeline(config).fit(train)
-    preds = pipeline.predict_dataset(eval_dataset)
-    golds = eval_dataset.label_sets()
-    return evaluate(preds, golds, n_labels=len(train.label_space))
 
 
 def _singletons(labels: Sequence[int]) -> list[frozenset[int]]:

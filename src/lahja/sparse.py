@@ -217,9 +217,7 @@ def _row_products(a: CsrMatrix, columns: CsrMatrix, budget: int, slab) -> np.nda
     slot = np.cumsum(frequent) - 1  # a frequent column's place among them
     at = np.flatnonzero(frequent[a.indices])
     at_slot = slot[a.indices[at]]
-    width = max(1, budget // max(1, n_rows + n_other))
-    for lo in range(0, dense_cols.size, width):
-        hi = min(lo + width, dense_cols.size)
+    for lo, hi in spans(np.full(dense_cols.size, max(1, n_rows + n_other)), budget):
         mine = (at_slot >= lo) & (at_slot < hi)
         block = np.zeros((n_rows, hi - lo), dtype=np.float64)
         block[rows[at[mine]], at_slot[mine] - lo] = a.values[at[mine]]

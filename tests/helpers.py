@@ -10,6 +10,7 @@ import numpy as np
 
 from lahja import (
     CsrMatrix,
+    DialectPipeline,
     KnnClassifier,
     LinearSvc,
     RandomForest,
@@ -17,7 +18,7 @@ from lahja import (
     build_analyzer,
     compute_class_weights,
     enumerate_grid,
-    run_pipeline,
+    evaluate,
 )
 from lahja.analyzers import Symbols
 from lahja.svm import _LABEL_SEED_STRIDE
@@ -387,9 +388,16 @@ def reference_best_split(
     return best
 
 
+def reference_run_pipeline(train, eval_dataset, config):
+    """``run_pipeline`` as it ran before it ran on the sweep's engine: fit a
+    whole ``DialectPipeline``, predict the eval texts and score them."""
+    preds = DialectPipeline(config).fit(train).predict(eval_dataset.texts())
+    return evaluate(preds, eval_dataset.label_sets(), n_labels=len(train.label_space))
+
+
 def reference_run_sweep(train, dev, spec, workers: int = 1) -> list:
     """``grid.run_sweep`` as it ran before the stages were shared: one whole
-    ``run_pipeline`` per config, spread over ``workers`` processes."""
+    ``reference_run_pipeline`` per config, spread over ``workers`` processes."""
     configs = enumerate_grid(spec)
     workers = min(max(1, workers), len(configs))
     tasks = [(train, dev, config) for config in configs]
@@ -404,8 +412,7 @@ def reference_run_sweep(train, dev, spec, workers: int = 1) -> list:
 
 
 def _reference_evaluate_config(args):
-    train, dev, config = args
-    return run_pipeline(train, dev, config)
+    return reference_run_pipeline(*args)
 
 
 def reference_format_float(value: float) -> str:

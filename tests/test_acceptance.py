@@ -196,8 +196,8 @@ def test_criterion_09_persistence(tmp_path):
             assert same(x_orig, x_load)
             assert pipeline.predict_text(text) == loaded.predict_text(text)
             assert (
-                pipeline.svc_.decision_function(x_orig).tobytes()
-                == loaded.svc_.decision_function(x_load).tobytes()
+                pipeline.models_["svc"].decision_function(x_orig).tobytes()
+                == loaded.models_["svc"].decision_function(x_load).tobytes()
             )
         assert dumps_model(pipeline) == dumps_model(pipeline)
         assert dumps_model(loaded) == path.read_bytes()

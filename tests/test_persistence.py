@@ -66,8 +66,8 @@ class TestRoundTrip:
             assert same(x1, x2)
             assert pipeline.predict_text(text) == loaded.predict_text(text)
             assert (
-                pipeline.svc_.decision_function(x1).tobytes()
-                == loaded.svc_.decision_function(x2).tobytes()
+                pipeline.models_["svc"].decision_function(x1).tobytes()
+                == loaded.models_["svc"].decision_function(x2).tobytes()
             )
 
     def test_double_save_byte_identical(self, fitted_vote_pipeline):
@@ -85,7 +85,7 @@ class TestRoundTrip:
         path = tmp_path / "svc.json"
         save_model(pipeline, path)
         loaded = load_model(path)
-        assert loaded.forest_ is None and loaded.knn_ is None
+        assert "forest" not in loaded.models_ and "knn" not in loaded.models_
         for doc in ds.documents:
             assert loaded.predict_text(doc.text) == pipeline.predict_text(doc.text)
 

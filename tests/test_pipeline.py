@@ -7,9 +7,12 @@ from dataclasses import replace
 import pytest
 
 from lahja import (
+    PRESET_NAMES,
     BlockSpec,
+    Dataset,
     DecisionPolicy,
     DialectPipeline,
+    ForestParams,
     GridSpec,
     LinearSvc,
     PipelineConfig,
@@ -26,7 +29,7 @@ from lahja import (
     write_sweep_tsv,
 )
 
-from helpers import count_featurized, count_fits, reference_run_sweep
+from helpers import count_featurized, count_fits, reference_run_pipeline, reference_run_sweep
 
 
 class TestConfig:
@@ -107,7 +110,7 @@ class TestPipeline:
         cfg = PipelineConfig(word=BlockSpec((1, 1)), char=None, char_wb=None)
         pipeline = DialectPipeline(cfg).fit(ds)
         assert pipeline.union_.blocks_[0].vocabulary_.get("ee") is not None
-        assert pipeline.svc_.n_labels_ == 2
+        assert pipeline.models_["svc"].n_labels_ == 2
 
     def test_all_unlabeled_rejected(self):
         ds = parse_tsv(b"aa\t\nbb\t\n")
@@ -139,8 +142,52 @@ class TestPipeline:
         pipeline = DialectPipeline(cfg).fit(ds)
         X = pipeline.union_.transform(ds.texts())
         predicted = pipeline.predict_matrix(X)
-        assert predicted == [decide_labels(row, policy) for row in pipeline.svc_.decision_function(X)]
+        assert predicted == [decide_labels(row, policy) for row in pipeline.models_["svc"].decision_function(X)]
         assert any(len(labels) > 1 for labels in predicted)
+
+
+# The synthetic corpora score alike under any block weights; the noisy one does not.
+RUN_PIPELINE_SPLITS = {
+    "disjoint": lambda: split_dataset(make_synthetic(6, 200, 50, 0.0, 42), 0.8, seed=1),
+    "overlap": lambda: split_dataset(make_synthetic(10, 60, 60, 0.15, 3), 0.8, seed=1),
+    "overlap-small": lambda: split_dataset(make_synthetic(10, 30, 60, 0.15, 1009), 0.8, seed=1),
+    "noisy": lambda: split_dataset(noisy_corpus(), 0.75, seed=1),
+}
+_SMALL_UNION = dict(word=BlockSpec((1, 2)), char=BlockSpec((1, 3)), char_wb=None)
+RUN_PIPELINE_CONFIGS = {
+    **{name: preset(name) for name in PRESET_NAMES},
+    "threshold": PipelineConfig(**_SMALL_UNION, policy=DecisionPolicy("threshold", tau=-0.3)),
+    "topk": PipelineConfig(**_SMALL_UNION, policy=DecisionPolicy("topk", k=2)),
+    "forest": PipelineConfig(**_SMALL_UNION, classifier="forest", forest=ForestParams(n_trees=7), seed=3),
+    "knn": PipelineConfig(**_SMALL_UNION, classifier="knn", k=5),
+    # Every fifth training document loses its labels.
+    "vote-unlabeled": PipelineConfig(**_SMALL_UNION, classifier="vote", forest=ForestParams(n_trees=7), k=5),
+}
+
+
+class TestRunPipeline:
+    """``run_pipeline`` on the sweep's engine against a whole ``DialectPipeline``."""
+
+    @pytest.fixture(scope="class", params=list(RUN_PIPELINE_SPLITS))
+    def split(self, request):
+        return RUN_PIPELINE_SPLITS[request.param]()
+
+    @pytest.mark.parametrize("name", list(RUN_PIPELINE_CONFIGS))
+    def test_report_equals_a_fitted_pipeline_scored(self, split, name):
+        train, dev = split
+        if name == "vote-unlabeled":
+            documents = tuple(replace(doc, labels=frozenset()) if doc.id % 5 == 0 else doc for doc in train.documents)
+            train = Dataset(documents, train.label_space)
+        config = RUN_PIPELINE_CONFIGS[name]
+        assert run_pipeline(train, dev, config).to_dict() == reference_run_pipeline(train, dev, config).to_dict()
+
+    def test_eval_set_without_gold_fails_before_any_fit(self, monkeypatch):
+        train = parse_tsv(b"aa bb\tX\ncc dd\tY\n")
+        _, dev = merge_label_spaces(train, parse_tsv(b"aa bb\tX\ncc\t\n"))
+        fits = count_fits(monkeypatch)
+        with pytest.raises(ValueError, match="sample 1 has an empty gold label set"):
+            run_pipeline(train, dev, PipelineConfig(word=BlockSpec((1, 1)), char=None, char_wb=None))
+        assert fits == {}
 
 
 class TestComponentComparison:
@@ -166,7 +213,7 @@ class TestComponentComparison:
         )
         pipeline = DialectPipeline(cfg).fit(train)
         X = pipeline.union_.transform(out.texts())
-        assert list(pipeline.models_.values()) == [pipeline.svc_, pipeline.forest_, pipeline.knn_]
+        assert list(pipeline.models_) == ["svc", "forest", "knn"]
         votes = zip(*[model.predict(X).tolist() for model in pipeline.models_.values()])
         expected = [frozenset((weighted_hard_vote(row, cfg.vote_weights),)) for row in votes]
         assert pipeline.predict(out.texts()) == expected
@@ -180,7 +227,7 @@ class TestComponentComparison:
         )
         pipeline = DialectPipeline(cfg).fit(train)
         X = pipeline.union_.transform(out.texts())
-        model = getattr(pipeline, f"{classifier}_")
+        model = pipeline.models_[classifier]
         assert list(pipeline.models_) == [classifier]
         (votes,) = [entry.predict(X) for entry in pipeline.models_.values()]
         assert len(votes) == len(out) and votes.tolist() == model.predict(X).tolist()
@@ -199,8 +246,9 @@ class TestComponentComparison:
     @pytest.mark.parametrize("corpus", ["synthetic", "noisy"])
     @pytest.mark.parametrize("name", ["exp3-hard", "exp3-weighted"])
     def test_component_comparison_equals_run_pipeline(self, monkeypatch, name, corpus):
-        """Each report is ``run_pipeline``'s for its one-classifier config or
-        the vote config, and each of the three models is fitted once."""
+        """Each report is that of a whole ``DialectPipeline`` of its
+        one-classifier config or the vote config, and each of the three
+        models is fitted once."""
         if corpus == "synthetic":
             train, dev = split_dataset(make_synthetic(10, 30, 60, 0.15, 1009), 0.8, seed=1009)
         else:
@@ -211,7 +259,8 @@ class TestComponentComparison:
         assert fits == {"LinearSvc": 1, "RandomForest": 1, "KnnClassifier": 1, "gram": 1}
         assert list(reports) == ["svc", "forest", "knn", "vote"]
         for classifier, report in reports.items():
-            assert report.to_dict() == run_pipeline(train, dev, replace(config, classifier=classifier)).to_dict()
+            expected = reference_run_pipeline(train, dev, replace(config, classifier=classifier))
+            assert report.to_dict() == expected.to_dict()
 
     def test_requires_vote_config(self, tiny_corpus):
         train, out = split_dataset(tiny_corpus, 0.8, seed=0)

@@ -526,7 +526,7 @@ class TestConvergenceWarning:
         with warnings.catch_warnings():
             warnings.simplefilter("error", ConvergenceWarning)
             pipeline = DialectPipeline(preset("exp2-2")).fit(ds)
-        assert max(len(h) for h in pipeline.svc_.dual_objective_history_) < 1000
+        assert max(len(h) for h in pipeline.models_["svc"].dual_objective_history_) < 1000
 
 
 class TestMargins:
