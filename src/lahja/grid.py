@@ -28,10 +28,18 @@ import numpy as np
 
 from . import svm
 from .base import JsonObject
-from .corpus import Dataset, check_label_spaces, check_training_set
+from .corpus import Dataset, check_label_spaces
 from .ensemble import DecisionPolicy
 from .metrics import MetricsReport, check_golds, evaluate
-from .pipeline import CLASSIFIER_CHOICES, MODEL_TYPES, ForestParams, PipelineConfig, SvcParams, training_samples
+from .pipeline import (
+    CLASSIFIER_CHOICES,
+    MODEL_TYPES,
+    ForestParams,
+    PipelineConfig,
+    SvcParams,
+    check_fittable,
+    training_samples,
+)
 from .sparse import CsrMatrix
 from .vectorizer import BLOCK_ORDER, BlockSpec, TfidfBlock, TfidfUnion
 
@@ -204,10 +212,9 @@ def _score_configs(
     are spread over worker processes. A dev set the scorer would refuse
     fails before any fit.
     """
-    check_training_set(train)
+    check_fittable(train, configs[0].policy)
     check_label_spaces(train, dev)
     check_golds(dev.label_sets())
-    configs[0].policy.check_label_count(len(train.label_space))
     unions: dict[tuple, list[PipelineConfig]] = {}  # by block specs, weights included
     for config in configs:
         unions.setdefault((config.word, config.char, config.char_wb), []).append(config)

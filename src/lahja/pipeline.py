@@ -112,19 +112,22 @@ class DialectPipeline(BaseEstimator):
 
     def fit(self, dataset: Dataset) -> "DialectPipeline":
         cfg = self.config
-        check_training_set(dataset)
+        check_fittable(dataset, cfg.policy)
         union = TfidfUnion(word=cfg.word, char=cfg.char, char_wb=cfg.char_wb)
-        self.fit_matrix(union.fit_transform(dataset.texts()), dataset)
+        self._fit_models(union.fit_transform(dataset.texts()), dataset)
         self.union_ = union
         return self
 
     def fit_matrix(self, vectors: CsrMatrix, dataset: Dataset) -> "DialectPipeline":
         """Fit the configured classifier(s) on ``vectors``, row i being the
         features of ``dataset``'s document i; the union is left unset."""
+        check_fittable(dataset, self.config.policy)
+        return self._fit_models(vectors, dataset)
+
+    def _fit_models(self, vectors: CsrMatrix, dataset: Dataset) -> "DialectPipeline":
         cfg = self.config
         X, y = training_samples(vectors, dataset)
         n_labels = len(dataset.label_space)
-        cfg.policy.check_label_count(n_labels)
         self.models_ = {
             name: MODEL_TYPES[name](**params).fit(X, y, n_labels=n_labels)
             for name, params in cfg.model_params().items()
@@ -146,6 +149,14 @@ class DialectPipeline(BaseEstimator):
 
     def predict_text(self, text: str) -> frozenset[int]:
         return self.predict([text])[0]
+
+
+def check_fittable(train: Dataset, policy: DecisionPolicy) -> None:
+    """Raise ValueError if no pipeline deciding by ``policy`` can fit on
+    ``train``: it has no document, or the policy picks more labels than
+    ``train`` has. Fits check this before they featurize anything."""
+    check_training_set(train)
+    policy.check_label_count(len(train.label_space))
 
 
 def training_samples(vectors: CsrMatrix, dataset: Dataset) -> tuple[CsrMatrix, list[int]]:

@@ -290,8 +290,9 @@ def reference_build_tree(
     n_labels: int,
     seed: int,
 ) -> list[dict]:
-    """One tree as ``forest._build_tree`` grew it before the split search scored
-    all candidates at once; it passes each node's samples, repeats included."""
+    """One tree grown alone, node by node, from ``RandomState(seed)``, with the
+    per-candidate split search; it passes each node's samples, repeats
+    included."""
     n_samples, n_features = columns.n_cols, len(columns)
     rng = np.random.RandomState(seed)
     bootstrap = rng.randint(0, n_samples, size=n_samples)
@@ -325,8 +326,8 @@ def reference_draws(rng: np.random.RandomState, k: int, size: int) -> list[int]:
 
 def reference_sample_without_replacement(rng: np.random.RandomState, urn: np.ndarray, k: int) -> np.ndarray:
     """k distinct items of ``urn`` by a partial Fisher-Yates shuffle, one
-    scalar draw per swap, as ``forest._build_tree`` drew a node's candidates
-    before it drew them in one call; ``urn`` keeps the shuffle."""
+    scalar draw per swap, where the forest draws a node's swaps in one call;
+    ``urn`` keeps the shuffle."""
     for i, j in enumerate(reference_draws(rng, k, urn.size)):
         urn[i], urn[j] = urn[j], urn[i]
     return urn[:k].copy()
@@ -342,8 +343,9 @@ def reference_best_split(
 ) -> tuple[int, float, np.ndarray] | None:
     """Best (feature, threshold, left mask) over the candidates, or None.
 
-    The per-candidate loop ``forest._best_split`` replaced; ``samples`` lists
-    the node's training rows, repeats included.
+    One node's search, one candidate at a time, where the forest scores
+    all candidates of many nodes at once; ``samples`` lists the node's
+    training rows, repeats included.
 
     Quality maximizes sum(left_counts^2)/n_left + sum(right_counts^2)/n_right,
     equivalent to minimizing the weighted child Gini impurity. Ties keep the

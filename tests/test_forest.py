@@ -5,11 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lahja import BlockSpec, CsrMatrix, RandomForest, forest as forest_module, make_synthetic
-from lahja.forest import _best_split, _Columns
+from lahja.forest import _best_splits, _Columns
 from lahja.vectorizer import TfidfUnion
 
 from helpers import csr, reference_best_split, reference_build_tree, reference_draws
@@ -145,11 +145,41 @@ class TestRandomForest:
             monkeypatch.setattr(forest_module, "_BUDGET", budget)
             assert forest.tree_votes(queries).tobytes() == one_chunk.tobytes()
 
+    def test_trees_do_not_depend_on_the_step_budget(self, monkeypatch):
+        rng = np.random.RandomState(7)
+        X, y = random_instance(rng, 60, 12, 3)
+        default = json.dumps(RandomForest(n_trees=20, seed=3).fit(X, y).payload())
+        # One node per chunk of a step's split search, then a few.
+        for budget in (1, 400):
+            monkeypatch.setattr(forest_module, "_STEP_BUDGET", budget)
+            assert json.dumps(RandomForest(n_trees=20, seed=3).fit(X, y).payload()) == default
+
+    def test_trees_do_not_depend_on_the_draw_batch(self, monkeypatch):
+        rng = np.random.RandomState(8)
+        X, y = random_instance(rng, 60, 12, 3)
+        default = json.dumps(RandomForest(n_trees=20, seed=5).fit(X, y).payload())
+        # Each tree draws its stream again at 2, 4, 8, ... blocks.
+        monkeypatch.setattr(forest_module, "_FIRST_BLOCKS", 1)
+        assert json.dumps(RandomForest(n_trees=20, seed=5).fit(X, y).payload()) == default
+
 
 # Negative values, ties, and the two doubles after 1.0, whose midpoint rounds
 # up to the right value; zeros are absent entries.
 _AFTER_ONE = float(np.nextafter(1.0, 2.0))
 SPLIT_VALUES = [0.0, 0.0, 0.0, -2.0, -0.5, 0.5, 1.0, _AFTER_ONE, float(np.nextafter(_AFTER_ONE, 2.0)), 3.0]
+
+
+def best_split(X, y, rows, weights, counts, candidates):
+    """``forest._best_splits`` searching one node: (feature, threshold,
+    left mask over ``rows``), or None."""
+    columns = _Columns.of(X)
+    lengths = np.diff(columns.indptr)[candidates]
+    feature, threshold, go_right = _best_splits(
+        columns, rows, y[rows], weights, np.array([rows.size]), counts[None], candidates[None], lengths[None]
+    )
+    if feature[0] == -1:
+        return None
+    return int(feature[0]), float(threshold[0]), ~go_right
 
 
 @st.composite
@@ -170,7 +200,8 @@ def split_problems(draw):
 
 
 class TestSplitSearch:
-    """The all-candidate split search against the per-candidate loop it replaced."""
+    """The batched split search, on one node, against the per-candidate loop
+    it replaced."""
 
     @settings(max_examples=300, deadline=None)
     @given(split_problems())
@@ -178,9 +209,9 @@ class TestSplitSearch:
         X, y, samples, candidates, n_labels = problem
         rows, weights = np.unique(samples, return_counts=True)
         counts = np.bincount(y[rows], weights=weights, minlength=n_labels)
-        multiplicity = np.zeros(len(X), dtype=np.int64)
-        got = _best_split(_Columns.of(X), y, rows, weights, counts, candidates, multiplicity)
-        assert not multiplicity.any()
+        inputs = (rows.copy(), weights.copy(), counts.copy(), candidates.copy())
+        got = best_split(X, y, rows, weights, counts, candidates)
+        assert all(np.array_equal(a, b) for a, b in zip(inputs, (rows, weights, counts, candidates)))
         want = reference_best_split(X.transpose(), y, samples, candidates, n_labels, len(X))
         if want is None:
             assert got is None
@@ -192,10 +223,9 @@ class TestSplitSearch:
 
     def test_midpoint_rounded_up_falls_back_to_left_value(self):
         later = float(np.nextafter(_AFTER_ONE, 2.0))
-        columns = _Columns.of(csr([[_AFTER_ONE], [later]]))
         rows, weights = np.array([0, 1]), np.array([2, 1])
-        feature, threshold, go_left = _best_split(
-            columns, np.array([0, 1]), rows, weights, np.array([2.0, 1.0]), np.array([0]), np.zeros(2, dtype=np.int64)
+        feature, threshold, go_left = best_split(
+            csr([[_AFTER_ONE], [later]]), np.array([0, 1]), rows, weights, np.array([2.0, 1.0]), np.array([0])
         )
         assert (_AFTER_ONE + later) / 2.0 == later
         assert (feature, threshold, go_left.tolist()) == (0, _AFTER_ONE, [True, False])
@@ -226,12 +256,12 @@ class TestSplitSearch:
 
 
 @st.composite
-def forest_problems(draw):
+def forest_problems(draw, docs=(2, 8), cols=(1, 6)):
     """(X, y, n_labels) of a few docs of 1-2 labels, each doc's row repeated
     once per label, over values with signs, ties and rounding midpoints."""
-    n_docs = draw(st.integers(2, 8))
+    n_docs = draw(st.integers(*docs))
     n_labels = draw(st.integers(2, 4))
-    n_cols = draw(st.integers(1, 6))
+    n_cols = draw(st.integers(*cols))
     row = st.lists(st.sampled_from(SPLIT_VALUES), min_size=n_cols, max_size=n_cols)
     dense = draw(st.lists(row, min_size=n_docs, max_size=n_docs))
     doc_labels = draw(
@@ -261,6 +291,20 @@ class TestTreeGrowth:
         assert one_call.randint(np.arange(k), size).tolist() == reference_draws(scalar, k, size)
         assert one_call.randint(0, 2**31 - 1) == scalar.randint(0, 2**31 - 1)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        k=st.integers(1, 60),
+        blocks=st.integers(1, 8),
+        size=st.integers(1, 5000),
+    )
+    def test_one_call_of_many_blocks_equals_one_call_per_block(self, seed, k, blocks, size):
+        size = max(size, k)
+        one_call, per_block = np.random.RandomState(seed), np.random.RandomState(seed)
+        drawn = one_call.randint(np.tile(np.arange(k), blocks), size)
+        assert drawn.tolist() == [j for _ in range(blocks) for j in per_block.randint(np.arange(k), size).tolist()]
+        assert one_call.randint(0, 2**31 - 1) == per_block.randint(0, 2**31 - 1)
+
     @settings(max_examples=200, deadline=None)
     @given(forest_problems(), st.integers(0, 2**32 - 1))
     def test_trees_equal_reference_trees(self, problem, seed):
@@ -270,3 +314,16 @@ class TestTreeGrowth:
         tree_seeds = np.random.RandomState(seed).randint(0, 2**31 - 1, size=3)
         reference = [reference_build_tree(X.transpose(), y, n_candidates, n_labels, int(s)) for s in tree_seeds]
         assert json.dumps(forest.payload()["trees"]) == json.dumps(reference)
+
+    @settings(max_examples=20, deadline=None)
+    @given(forest_problems(docs=(8, 20), cols=(6, 16)), st.integers(16, 64), st.integers(0, 2**32 - 1))
+    def test_trees_of_unequal_sizes_equal_reference_trees(self, problem, n_trees, seed):
+        # The trees grow in lockstep, so the smaller ones finish steps before the larger.
+        X, y, n_labels = problem
+        trees = RandomForest(n_trees=n_trees, seed=seed).fit(X, y, n_labels=n_labels).payload()["trees"]
+        assume(len({len(nodes) for nodes in trees}) > 1)
+        n_candidates = math.ceil(math.sqrt(X.n_cols))
+        tree_seeds = np.random.RandomState(seed).randint(0, 2**31 - 1, size=n_trees)
+        for nodes, tree_seed in zip(trees, tree_seeds):
+            reference = reference_build_tree(X.transpose(), y, n_candidates, n_labels, int(tree_seed))
+            assert json.dumps(nodes) == json.dumps(reference)

@@ -118,6 +118,18 @@ class TestPipeline:
         with pytest.raises(ValueError, match="no labeled documents"):
             DialectPipeline(cfg).fit(ds)
 
+    @pytest.mark.parametrize("fit", ["pipeline", "run_pipeline"])
+    def test_topk_wider_than_the_label_space_fails_before_featurizing(self, monkeypatch, fit):
+        train = make_synthetic(3, 20, 8, 0.0, seed=1)
+        config = PipelineConfig(policy=DecisionPolicy("topk", k=5))
+        featurized = count_featurized(monkeypatch)
+        with pytest.raises(ValueError, match="top-k policy with k=5 exceeds label count 3"):
+            if fit == "pipeline":
+                DialectPipeline(config).fit(train)
+            else:
+                run_pipeline(train, train, config)
+        assert featurized == {}
+
     def test_mismatched_label_spaces_rejected(self):
         a = parse_tsv(b"aa\tX\nbb\tY\n")
         b = parse_tsv(b"cc\tZ\ndd\tZ\n")
