@@ -153,9 +153,10 @@ def serialize_tsv(dataset: Dataset) -> bytes:
     """Serialize a Dataset to TSV bytes (no header).
 
     Texts must not contain tab/newline characters and label names must not
-    contain tab/newline/comma, since the format cannot escape them.
-    parse_tsv(serialize_tsv(ds)) reproduces ds whenever every label-space
-    entry is used by at least one document.
+    contain tab/newline/comma, since the format cannot escape them; nor may a
+    label name be empty or start or end with whitespace, which parse_tsv
+    strips. parse_tsv(serialize_tsv(ds)) reproduces ds whenever every
+    label-space entry is used by at least one document.
     """
     lines: list[str] = []
     for doc in dataset.documents:
@@ -165,6 +166,8 @@ def serialize_tsv(dataset: Dataset) -> bytes:
         for name in names:
             if any(c in name for c in ",\t\n\r"):
                 raise ValueError(f"label {name!r} contains characters the TSV format cannot carry")
+            if not name or name != name.strip():
+                raise ValueError(f"label {name!r} is empty or has outer whitespace, which parse_tsv strips")
         lines.append(f"{doc.text}\t{','.join(names)}\n")
     return "".join(lines).encode("utf-8")
 
@@ -263,13 +266,6 @@ def merge_label_spaces(*datasets: Dataset) -> list[Dataset]:
         )
         out.append(Dataset(docs, merged))
     return out
-
-
-def check_training_set(train: Dataset) -> None:
-    """Raise ValueError if ``train`` has no document to fit on; fits check
-    this before they featurize anything."""
-    if not len(train):
-        raise ValueError("cannot fit on an empty dataset")
 
 
 def check_label_spaces(train: Dataset, eval_dataset: Dataset) -> None:

@@ -7,8 +7,9 @@ slowest, ``v3`` fastest). Classifier choice and other non-swept settings are
 fixed scalar fields; a candidate or setting no config could take fails
 when the grid is built. :func:`run_pipeline`, the sweep and the component
 comparison score their configs on one engine, :func:`_score_configs`, which
-fits each distinct block, union and model once; each report scores the
-dev predictions of ``DialectPipeline(config)`` fitted on the training set.
+fits each distinct block, union and model once, the models through the loop
+``lahja train`` uses; each report scores the dev predictions of
+``DialectPipeline(config)`` fitted on the training set.
 Sweep workers can run in separate processes — the ``LAHJA_THREADS``
 environment variable caps the worker count (default 1) — and results are
 sorted by f1 and then canonical JSON, so output is independent of
@@ -24,20 +25,17 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import IO, Sequence
 
-import numpy as np
-
-from . import svm
 from .base import JsonObject
 from .corpus import Dataset, check_label_spaces
 from .ensemble import DecisionPolicy
 from .metrics import MetricsReport, check_golds, evaluate
 from .pipeline import (
     CLASSIFIER_CHOICES,
-    MODEL_TYPES,
     ForestParams,
     PipelineConfig,
     SvcParams,
     check_fittable,
+    fit_models,
     training_samples,
 )
 from .sparse import CsrMatrix
@@ -202,12 +200,10 @@ def _score_configs(
     Each distinct union (blocks and transformer weights) is stacked from
     those matrices with ``TfidfUnion.stack``, as ``transform`` does, and each
     distinct model of its configs (an entry of ``model_params()``: name and
-    constructor params) is fitted once and keeps its output on dev. The SVC
-    fits of a union, which share its training samples, share one Gram matrix
-    of them, held while the union fits: the Gram a fit would compute, so the
-    bits are the same. Each config's label sets are then decided from its
-    models' outputs by ``PipelineConfig.decide``, as ``predict_matrix``
-    decides them. ``workers`` defaults to the LAHJA_THREADS cap; with more
+    constructor params) is fitted once, by the ``pipeline.fit_models`` that
+    ``DialectPipeline.fit`` uses, and keeps its output on dev. Each config's
+    label sets are then decided from its models' outputs by
+    ``PipelineConfig.decide``, as ``predict_matrix`` decides them. ``workers`` defaults to the LAHJA_THREADS cap; with more
     than one, the blocks and then the unions, each with all of its models,
     are spread over worker processes. A dev set the scorer would refuse
     fails before any fit.
@@ -266,34 +262,23 @@ def _fit_block(
 def _fit_union(
     configs: list[PipelineConfig], parts: list[tuple[CsrMatrix, CsrMatrix]], train: Dataset, dev: Dataset
 ) -> list[MetricsReport]:
-    """The dev report of each config of one union. Each distinct model of the
-    configs is fitted once on the train matrices of the union's blocks and
-    keeps its output on the dev ones, under the one policy the configs share.
-    The SVC fits share the ``svm.sample_gram`` of the union's training
-    samples, if it gives one, held while the union fits. On that Newton path
-    each SVC fit after the first starts from the supports the previous one
-    ended with (same samples, another ``C``): every start reaches the same
-    support, so the weights keep the bits of a fit from the usual start."""
+    """The dev report of each config of one union: ``fit_models`` fits the
+    configs' models on the train matrices of the union's blocks, as ``lahja
+    train`` fits one config's, and each distinct model keeps its output on
+    the dev ones, under the one policy the configs share."""
     union = TfidfUnion(configs[0].word, configs[0].char, configs[0].char_wb)
     train_X, dev_X = (union.stack([pair[side] for pair in parts]) for side in (0, 1))
     X, y = training_samples(train_X, train)
     n_labels = len(train.label_space)
-    gram = svm.sample_gram(X) if any("svc" in config.model_params() for config in configs) else None
     golds = dev.label_sets()
-    outputs: dict[tuple, np.ndarray] = {}  # by model name and params
-    supports = None  # per label, of the last SVC fit on the Newton path
+    outputs = {}  # by model, which configs may share
     reports = []
-    for config in configs:
-        keys = [(name, tuple(params.items())) for name, params in config.model_params().items()]
-        for key in keys:
-            if key not in outputs:
-                name, params = key
-                shared = {"_gram": gram, "_start": supports} if name == "svc" else {}
-                model = MODEL_TYPES[name](**dict(params)).fit(X, y, n_labels=n_labels, **shared)
-                if name == "svc":
-                    supports = model._supports
-                outputs[key] = config.model_output(model, dev_X)
-        reports.append(evaluate(config.decide([outputs[key] for key in keys]), golds, n_labels=n_labels))
+    for config, models in zip(configs, fit_models(configs, X, y, n_labels)):
+        for model in models.values():
+            if model not in outputs:
+                outputs[model] = config.model_output(model, dev_X)
+        decided = config.decide([outputs[model] for model in models.values()])
+        reports.append(evaluate(decided, golds, n_labels=n_labels))
     return reports
 
 

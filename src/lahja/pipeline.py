@@ -7,7 +7,8 @@ A threshold/top-k policy reads the SVC margins; an argmax policy takes the
 weighted hard vote of the models' argmax labels, one model voting alone.
 This is the deployable model that ``lahja train``/``predict`` and the bundle
 use; scoring configs against a dev set (``run_pipeline``, the sweep and the
-component comparison) runs on one engine in :mod:`lahja.grid`.
+component comparison) runs on one engine in :mod:`lahja.grid`. Both fit
+their models through :func:`fit_models`.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from typing import Sequence
 import numpy as np
 
 from .base import BaseEstimator, JsonObject, check_is_fitted, check_seed
-from .corpus import Dataset, check_training_set
+from .corpus import Dataset
 from .ensemble import CLASSIFIER_ORDER, DecisionPolicy, decide_labels, weighted_votes
 from .forest import ForestParams, RandomForest
 from .knn import KnnClassifier
 from .sparse import CsrMatrix
-from .svm import LinearSvc, SvcParams
+from .svm import LinearSvc, SvcParams, fit_svcs
 from .vectorizer import BlockSpec, TfidfUnion
 
 CLASSIFIER_CHOICES = (*CLASSIFIER_ORDER, "vote")
@@ -114,24 +115,10 @@ class DialectPipeline(BaseEstimator):
         cfg = self.config
         check_fittable(dataset, cfg.policy)
         union = TfidfUnion(word=cfg.word, char=cfg.char, char_wb=cfg.char_wb)
-        self._fit_models(union.fit_transform(dataset.texts()), dataset)
-        self.union_ = union
-        return self
-
-    def fit_matrix(self, vectors: CsrMatrix, dataset: Dataset) -> "DialectPipeline":
-        """Fit the configured classifier(s) on ``vectors``, row i being the
-        features of ``dataset``'s document i; the union is left unset."""
-        check_fittable(dataset, self.config.policy)
-        return self._fit_models(vectors, dataset)
-
-    def _fit_models(self, vectors: CsrMatrix, dataset: Dataset) -> "DialectPipeline":
-        cfg = self.config
-        X, y = training_samples(vectors, dataset)
+        X, y = training_samples(union.fit_transform(dataset.texts()), dataset)
         n_labels = len(dataset.label_space)
-        self.models_ = {
-            name: MODEL_TYPES[name](**params).fit(X, y, n_labels=n_labels)
-            for name, params in cfg.model_params().items()
-        }
+        (self.models_,) = fit_models([cfg], X, y, n_labels)
+        self.union_ = union
         self.label_space_ = dataset.label_space
         self.n_labels_ = n_labels
         return self
@@ -153,18 +140,35 @@ class DialectPipeline(BaseEstimator):
 
 def check_fittable(train: Dataset, policy: DecisionPolicy) -> None:
     """Raise ValueError if no pipeline deciding by ``policy`` can fit on
-    ``train``: it has no document, or the policy picks more labels than
-    ``train`` has. Fits check this before they featurize anything."""
-    check_training_set(train)
+    ``train``: it has no document, no labeled document, or fewer labels than
+    the policy picks. Fits check this before they featurize anything."""
+    if not len(train):
+        raise ValueError("cannot fit on an empty dataset")
+    if not any(doc.labels for doc in train.documents):
+        raise ValueError("no labeled documents available for classifier training")
     policy.check_label_count(len(train.label_space))
+
+
+def fit_models(configs: Sequence[PipelineConfig], X: CsrMatrix, y: Sequence[int], n_labels: int) -> list[dict]:
+    """Each config's models of ``model_params()``, by name, fitted on the
+    samples ``X``, ``y``; configs share the instance of a model (name and
+    params) they share, fitted once. The SVCs are fitted first, in order of
+    first appearance, by :func:`lahja.svm.fit_svcs`, then the forests and
+    KNNs: one config's models are fitted svc, forest, knn."""
+    keys = [[(name, tuple(params.items())) for name, params in config.model_params().items()] for config in configs]
+    distinct = dict.fromkeys(key for config_keys in keys for key in config_keys)
+    models = {key: MODEL_TYPES[key[0]](**dict(key[1])) for key in distinct}
+    fit_svcs([model for (name, _), model in models.items() if name == "svc"], X, y, n_labels)
+    for (name, _), model in models.items():
+        if name != "svc":
+            model.fit(X, y, n_labels=n_labels)
+    return [{name: models[name, params] for name, params in config_keys} for config_keys in keys]
 
 
 def training_samples(vectors: CsrMatrix, dataset: Dataset) -> tuple[CsrMatrix, list[int]]:
     """The classifiers' training samples: the row of ``vectors`` of each
     (document, gold label) pair of ``dataset``, and the labels."""
     samples = [(doc.id, label) for doc in dataset.documents for label in sorted(doc.labels)]
-    if not samples:
-        raise ValueError("no labeled documents available for classifier training")
     return vectors.take([doc_id for doc_id, _ in samples]), [label for _, label in samples]
 
 

@@ -14,8 +14,8 @@ b = Σ s_i α_i. Two solvers share it:
   Newton in sample space (Keerthi & DeCoste, JMLR 2005). One Gram matrix Q,
   computed without BLAS, serves every label. Per label, the working set W
   starts as the positives plus as many negatives, those with the highest
-  mean Gram entry against the positives, or as the support of an earlier
-  fit of the same samples when ``LinearSvc.fit`` is given one. A Newton step
+  mean Gram entry against the positives, or as the support of the previous
+  fit when :func:`fit_svcs` fits SVCs of the same samples. A Newton step
   on the active set I = {i in W : s_i m_i < 1} solves (SQS + D)_II α_I = 1,
   as (Q + D)_II c_I = s_I with c = s∘α; the Newton point is accepted when
   its own active set is I, and otherwise an exact line search on the primal
@@ -152,15 +152,15 @@ class LinearSvc(BaseEstimator):
     ) -> "LinearSvc":
         """Fit one binary problem per label.
 
-        ``_gram`` and ``_start`` are internal: the sweep passes them to the
-        SVC fits of one union. ``_gram`` is the :func:`sample_gram` of ``X``
-        they share. ``_start``, read on the Newton path only, holds per label
-        the sample indices of its first working set: the ``_supports`` that
-        an earlier Newton fit of the same samples ended with. Every start
-        reaches the same support, so the weights keep the bits of a fit
-        without one whenever that fit converges within ``max_epochs``. A
-        label whose start reaches ``max_epochs`` is solved again without it,
-        and so warns as a fit without one would.
+        ``_gram`` and ``_start`` are internal; :func:`fit_svcs` passes them.
+        ``_gram`` is the :func:`sample_gram` of ``X`` that its fits share.
+        ``_start``, read on the Newton path only, holds per label the sample
+        indices of its first working set: the ``_supports`` that an earlier
+        Newton fit of the same samples ended with. Every start reaches the
+        same support, so the weights keep the bits of a fit without one
+        whenever that fit converges within ``max_epochs``. A label whose
+        start reaches ``max_epochs`` is solved again without it, and so
+        warns as a fit without one would.
         """
         SvcParams(self.C, self.balanced, self.tol, self.max_epochs)  # validates them
         labels, n_labels = check_labels(len(X), y, n_labels, min_rows=2)
@@ -244,6 +244,18 @@ class LinearSvc(BaseEstimator):
 
     def predict(self, X: CsrMatrix) -> np.ndarray:
         return np.argmax(self.decision_function(X), axis=1)
+
+
+def fit_svcs(models: Sequence[LinearSvc], X: CsrMatrix, y: Sequence[int], n_labels: int) -> None:
+    """Fit each of ``models`` on the same samples, in order: they share one
+    :func:`sample_gram` of ``X``, and on the Newton path each fit after the
+    first starts from the supports the previous one ended with, which keeps
+    a cold fit's bits (see :meth:`LinearSvc.fit`). An empty list builds no
+    Gram."""
+    gram = sample_gram(X) if models else None
+    supports = None
+    for model in models:
+        supports = model.fit(X, y, n_labels, _gram=gram, _start=supports)._supports
 
 
 def sample_gram(X: CsrMatrix) -> np.ndarray | None:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from lahja import (
     make_synthetic,
     merge_label_spaces,
     parse_tsv,
+    save_tsv,
     serialize_tsv,
     split_dataset,
 )
@@ -100,6 +103,16 @@ def test_serialize_rejects_tab_in_text():
     ds = Dataset((Document(0, "has\ttab", frozenset({0})),), space)
     with pytest.raises(ValueError):
         serialize_tsv(ds)
+
+
+@pytest.mark.parametrize("name", ["", " x", "x ", "x\u00a0", "x,y"])
+def test_serialize_rejects_label_names_parse_tsv_cannot_read_back(tmp_path, name):
+    ds = Dataset((Document(0, "text", frozenset({0})),), LabelSpace((name,)))
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        serialize_tsv(ds)
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        save_tsv(ds, tmp_path / "out.tsv")
+    assert not (tmp_path / "out.tsv").exists()
 
 
 class TestDatasetInvariants:

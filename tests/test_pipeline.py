@@ -118,6 +118,39 @@ class TestPipeline:
         with pytest.raises(ValueError, match="no labeled documents"):
             DialectPipeline(cfg).fit(ds)
 
+    @pytest.mark.parametrize("name", ["baseline", "exp3-hard"])
+    @pytest.mark.parametrize("fit", ["pipeline", "run_pipeline"])
+    def test_no_labeled_document_fails_before_featurizing(self, monkeypatch, fit, name):
+        dev = parse_tsv(b"aa bb\tX\ncc dd\tY\nee ff\tX\n")
+        train = Dataset(tuple(replace(doc, labels=frozenset()) for doc in dev.documents), dev.label_space)
+        featurized = count_featurized(monkeypatch)
+        with pytest.raises(ValueError, match="no labeled documents available for classifier training"):
+            if fit == "pipeline":
+                DialectPipeline(preset(name)).fit(train)
+            else:
+                run_pipeline(train, dev, preset(name))
+        assert featurized == {}
+
+    @pytest.mark.parametrize(
+        "config, fitted",
+        [
+            (preset("exp3-hard"), {"LinearSvc": 1, "RandomForest": 1, "KnnClassifier": 1, "gram": 1}),
+            (PipelineConfig(classifier="forest", forest=ForestParams(n_trees=7)), {"RandomForest": 1}),
+            (PipelineConfig(classifier="knn"), {"KnnClassifier": 1}),
+        ],
+    )
+    def test_fits_each_model_once_and_a_gram_only_for_an_svc(self, monkeypatch, config, fitted):
+        train = make_synthetic(3, 20, 8, 0.0, seed=1)
+        fits = count_fits(monkeypatch)
+        DialectPipeline(config).fit(train)
+        assert fits == fitted
+
+    @pytest.mark.parametrize("classifier", ["forest", "knn"])
+    def test_model_without_an_svc_fits_a_one_label_training_set(self, classifier):
+        train = parse_tsv(b"aa bb\tX\ncc dd\tX\nee ff\tX\n")
+        pipeline = DialectPipeline(PipelineConfig(classifier=classifier, forest=ForestParams(n_trees=3))).fit(train)
+        assert pipeline.predict(["aa zz", "qq"]) == [frozenset({0})] * 2
+
     @pytest.mark.parametrize("fit", ["pipeline", "run_pipeline"])
     def test_topk_wider_than_the_label_space_fails_before_featurizing(self, monkeypatch, fit):
         train = make_synthetic(3, 20, 8, 0.0, seed=1)
@@ -371,6 +404,13 @@ class TestSharedSweep:
         assert analyzed == {block: texts for block in blocks}
         # One Gram per distinct union: the C values share it.
         assert fits == {"LinearSvc": 4, "RandomForest": 2, "KnnClassifier": 2, "gram": 2}
+
+    @pytest.mark.parametrize("name, fitted", [("forest", {"RandomForest": 4}), ("knn", {"KnnClassifier": 4})])
+    def test_grid_without_an_svc_builds_no_gram(self, split, monkeypatch, name, fitted):
+        train, dev = split
+        fits = count_fits(monkeypatch)
+        run_sweep(train, dev, SHARED_GRIDS[name], workers=1)
+        assert fits == fitted  # one model per union: n x max_features, n x w1
 
     def test_later_svc_fits_of_a_union_start_warm_with_the_cold_bits(self, split, monkeypatch):
         train, dev = split
