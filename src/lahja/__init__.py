@@ -31,7 +31,7 @@ from .corpus import (
     serialize_tsv,
     split_dataset,
 )
-from .ensemble import CLASSIFIER_ORDER, DecisionPolicy, decide_labels, weighted_hard_vote, weighted_votes
+from .ensemble import CLASSIFIER_ORDER, DecisionPolicy, weighted_votes
 from .forest import RandomForest
 from .grid import (
     GridSizeError,
@@ -88,7 +88,6 @@ __all__ = [
     "char_ngrams",
     "char_wb_ngrams",
     "compute_class_weights",
-    "decide_labels",
     "dumps_model",
     "enumerate_grid",
     "evaluate",
@@ -106,7 +105,6 @@ __all__ = [
     "serialize_tsv",
     "split_dataset",
     "tokenize_words",
-    "weighted_hard_vote",
     "weighted_votes",
     "word_ngrams",
     "write_sweep_tsv",

@@ -8,7 +8,6 @@ a trailing underscore, and ``fit`` returns ``self``.
 from __future__ import annotations
 
 import functools
-import inspect
 import math
 import types
 import typing
@@ -26,12 +25,7 @@ class BaseEstimator:
 
     @classmethod
     def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return sorted(
-            p.name
-            for p in sig.parameters.values()
-            if p.name != "self" and p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
-        )
+        return sorted(_init_hints(cls))
 
     def get_params(self, deep: bool = True) -> dict[str, Any]:
         return {name: getattr(self, name) for name in self._param_names()}

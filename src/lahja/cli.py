@@ -5,6 +5,9 @@ malformed config/grid schema, a grid value no config could take, grid size
 over the cap, an unwritable ``--out``, a malformed ``LAHJA_THREADS``, found
 before any data is read), 2 for data errors (unreadable or malformed
 TSV/model files, training sets the classifiers cannot fit).
+
+``sweep`` reads the ``LAHJA_THREADS`` environment variable, the cap on its
+worker processes (default 1); nothing else in the package reads it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Sequence, TypeVar
 
 from .base import JsonObject
 from .corpus import Dataset, LabelSpace, TsvFormatError, merge_label_spaces, parse_tsv, split_labels, tsv_rows
-from .grid import DEFAULT_MAX_CONFIGS, GridSizeError, GridSpec, _worker_count, run_sweep, write_sweep_tsv
+from .grid import DEFAULT_MAX_CONFIGS, GridSizeError, GridSpec, run_sweep, write_sweep_tsv
 from .metrics import evaluate
 from . import persistence
 from .persistence import BundleFormatError
@@ -228,6 +231,16 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     else:
         print(report.to_text(), end="")
     return EXIT_OK
+
+
+def _worker_count() -> int:
+    """The sweep's worker cap from ``LAHJA_THREADS`` (default 1, at least 1)."""
+    raw = os.environ.get("LAHJA_THREADS", "1")
+    try:
+        count = int(raw)
+    except ValueError:
+        raise ValueError(f"LAHJA_THREADS must be an integer, got {raw!r}") from None
+    return max(1, count)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

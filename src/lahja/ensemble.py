@@ -1,10 +1,12 @@
-"""Vote combination and label-set decision policies.
+"""Vote combination and label-set decision policies, each over a batch.
 
-Hard voting: each base classifier contributes its single predicted label
-with a scalar weight; the label with the largest weight sum wins. Score ties
-go to the vote of the highest-weight classifier among those voting for tied
-labels, then to the fixed classifier priority svc > forest > knn (the
-positional order of the votes).
+Hard voting (:func:`weighted_votes`): each base classifier contributes its
+single predicted label with a scalar weight; the label with the largest
+weight sum wins. Score ties go to the vote of the highest-weight classifier
+among those voting for tied labels, then to the fixed classifier priority
+svc > forest > knn (the positional order of the votes).
+:meth:`DecisionPolicy.decide` maps a (rows x labels) score array to one
+label set per row.
 """
 
 from __future__ import annotations
@@ -42,6 +44,28 @@ class DecisionPolicy(JsonObject):
         if self.kind == "topk" and self.k > n_labels:
             raise ValueError(f"top-k policy with k={self.k} exceeds label count {n_labels}")
 
+    def decide(self, scores: np.ndarray) -> list[frozenset[int]]:
+        """The label set of each row of the (rows x labels) ``scores``.
+
+        argmax: the top label (ties to the lowest index). threshold: the
+        labels scoring strictly above tau, falling back to argmax when none
+        does. topk: the k best labels (ties to the lower index).
+        """
+        scores = np.asarray(scores, dtype=np.float64)
+        if scores.ndim != 2 or not scores.shape[1]:
+            raise ValueError(f"scores must be a (rows x labels) array with a label column, got shape {scores.shape}")
+        self.check_label_count(scores.shape[1])
+        if self.kind == "topk":
+            chosen = np.argsort(-scores, axis=1, kind="stable")[:, : self.k]
+            return [frozenset(row) for row in chosen.tolist()]
+        best = np.argmax(scores, axis=1).tolist()
+        if self.kind == "argmax":
+            return [frozenset((label,)) for label in best]
+        return [
+            frozenset(np.flatnonzero(row).tolist()) or frozenset((label,))
+            for row, label in zip(scores > self.tau, best)
+        ]
+
     def to_dict(self) -> dict:
         if self.kind == "threshold":
             return {"kind": self.kind, "tau": self.tau}
@@ -54,11 +78,6 @@ class DecisionPolicy(JsonObject):
         if not isinstance(payload, dict) or "kind" not in payload:
             raise ValueError(f"{what} must be an object with a 'kind' field")
         return super().from_dict(payload, what)
-
-
-def weighted_hard_vote(votes: Sequence[int], weights: Sequence[float]) -> int:
-    """Winner of a weighted hard vote; see the module docstring for tie rules."""
-    return int(weighted_votes(np.array([votes], dtype=np.int64), weights)[0])
 
 
 def weighted_votes(votes: np.ndarray, weights: Sequence[float]) -> np.ndarray:
@@ -81,25 +100,3 @@ def weighted_votes(votes: np.ndarray, weights: Sequence[float]) -> np.ndarray:
     rank = np.array(sorted(range(len(weights)), key=lambda j: (-weights[j], j)))
     leads = scores[:, rank] == scores.max(axis=1)[:, None]
     return votes[np.arange(len(votes)), rank[np.argmax(leads, axis=1)]]
-
-
-def decide_labels(scores: Sequence[float], policy: DecisionPolicy) -> frozenset[int]:
-    """Convert per-label scores into a predicted label set.
-
-    argmax: singleton top label (ties to the lowest index). threshold:
-    labels scoring strictly above tau, falling back to argmax when empty.
-    topk: the k best labels (ties to the lower index).
-    """
-    values = np.asarray(scores, dtype=np.float64)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("scores must be a non-empty 1-d sequence")
-    if policy.kind == "argmax":
-        return frozenset((int(np.argmax(values)),))
-    if policy.kind == "threshold":
-        chosen = np.flatnonzero(values > policy.tau)
-        if not chosen.size:
-            return frozenset((int(np.argmax(values)),))
-        return frozenset(int(i) for i in chosen)
-    policy.check_label_count(values.size)
-    order = np.lexsort((np.arange(values.size), -values))
-    return frozenset(int(i) for i in order[: policy.k])

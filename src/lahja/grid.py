@@ -10,17 +10,16 @@ comparison score their configs on one engine, :func:`_score_configs`, which
 fits each distinct block, union and model once, the models through the loop
 ``lahja train`` uses; each report scores the dev predictions of
 ``DialectPipeline(config)`` fitted on the training set.
-Sweep workers can run in separate processes — the ``LAHJA_THREADS``
-environment variable caps the worker count (default 1) — and results are
-sorted by f1 and then canonical JSON, so output is independent of
-scheduling.
+Sweep workers can run in separate processes, as many as the caller's
+``workers`` argument allows (default 1; ``lahja sweep`` reads it from
+``LAHJA_THREADS``), and results are sorted by f1 and then canonical JSON, so
+output is independent of scheduling.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
-import os
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import IO, Sequence
@@ -141,15 +140,6 @@ def enumerate_grid(spec: GridSpec, max_configs: int = DEFAULT_MAX_CONFIGS) -> li
     return [spec.config(*values) for values in itertools.product(*fields)]
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("LAHJA_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(f"LAHJA_THREADS must be an integer, got {raw!r}") from None
-    return max(1, count)
-
-
 def run_pipeline(train: Dataset, eval_dataset: Dataset, config: PipelineConfig) -> MetricsReport:
     """The report of ``config`` fitted on ``train`` and scored on ``eval_dataset``."""
     return _score_configs(train, eval_dataset, [config], workers=1)[0]
@@ -160,14 +150,13 @@ def run_sweep(
     dev: Dataset,
     spec: GridSpec,
     max_configs: int = DEFAULT_MAX_CONFIGS,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> list[tuple[PipelineConfig, MetricsReport]]:
     """Run every grid configuration and sort results by f1 descending.
 
     The configs are scored together by :func:`_score_configs`, each as
-    :func:`run_pipeline` scores it alone. Ties order by the config's
-    canonical JSON serialization. ``workers`` defaults to the LAHJA_THREADS
-    cap.
+    :func:`run_pipeline` scores it alone, over up to ``workers`` processes.
+    Ties order by the config's canonical JSON serialization.
     """
     configs = enumerate_grid(spec, max_configs=max_configs)
     results = list(zip(configs, _score_configs(train, dev, configs, workers)))
@@ -189,7 +178,7 @@ def run_component_comparison(train: Dataset, eval_dataset: Dataset, config: Pipe
 
 
 def _score_configs(
-    train: Dataset, dev: Dataset, configs: list[PipelineConfig], workers: int | None
+    train: Dataset, dev: Dataset, configs: list[PipelineConfig], workers: int
 ) -> list[MetricsReport]:
     """The dev report of each config, in order: ``evaluate`` of the label
     sets ``DialectPipeline(config).fit(train)`` predicts for dev's texts,
@@ -203,10 +192,10 @@ def _score_configs(
     constructor params) is fitted once, by the ``pipeline.fit_models`` that
     ``DialectPipeline.fit`` uses, and keeps its output on dev. Each config's
     label sets are then decided from its models' outputs by
-    ``PipelineConfig.decide``, as ``predict_matrix`` decides them. ``workers`` defaults to the LAHJA_THREADS cap; with more
-    than one, the blocks and then the unions, each with all of its models,
-    are spread over worker processes. A dev set the scorer would refuse
-    fails before any fit.
+    ``PipelineConfig.decide``, as ``predict_matrix`` decides them. With
+    ``workers`` above one, the blocks and then the unions, each with all of
+    its models, are spread over worker processes. A dev set the scorer would
+    refuse fails before any fit.
     """
     check_fittable(train, configs[0].policy)
     check_label_spaces(train, dev)
@@ -215,8 +204,6 @@ def _score_configs(
     for config in configs:
         unions.setdefault((config.word, config.char, config.char_wb), []).append(config)
     block_keys = list(dict.fromkeys(key for members in unions.values() for key in _block_keys(members[0])))
-    if workers is None:
-        workers = _worker_count()
     workers = min(max(1, workers), max(len(block_keys), len(unions)))
     train_texts, dev_texts = train.texts(), dev.texts()
     with contextlib.ExitStack() as stack:

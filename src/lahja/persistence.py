@@ -47,12 +47,13 @@ class BundleFormatError(ValueError):
     """Unreadable or incompatible model bundle."""
 
 
-def _format_float(value: float) -> str:
-    if not math.isfinite(value):
+def _reals(values: list | tuple) -> str:
+    """The canonical texts of ``values``, joined by commas: 17 significant
+    digits, and ``.0`` after a whole value to keep it a JSON real."""
+    text = ",".join([t if "." in t or "e" in t else t + ".0" for t in map("%.17g".__mod__, values)])
+    if "n" in text:  # "inf" or "nan"
+        value = next(v for v in values if not math.isfinite(v))
         raise ValueError(f"cannot serialize non-finite real {value!r}")
-    text = format(value, ".17g")
-    if not any(c in text for c in ".eE"):
-        text += ".0"  # keep the value a JSON real
     return text
 
 
@@ -66,7 +67,7 @@ def _write_canonical(value: object, out: list[str]) -> None:
     elif isinstance(value, int):
         out.append(str(value))
     elif isinstance(value, float):
-        out.append(_format_float(value))
+        out.append(_reals((value,)))
     elif isinstance(value, str):
         out.append(json.dumps(value, ensure_ascii=False))
     elif isinstance(value, (list, tuple)):
@@ -98,11 +99,7 @@ def _uniform_list(items: list | tuple) -> str | None:
     exactly int or all exactly str, written in one pass; None otherwise."""
     kinds = set(map(type, items))
     if kinds == {float}:
-        texts = [t if "." in t or "e" in t else t + ".0" for t in map("%.17g".__mod__, items)]
-        text = ",".join(texts)
-        if "n" in text:  # "inf" or "nan"
-            _format_float(next(v for v in items if not math.isfinite(v)))
-        return f"[{text}]"
+        return f"[{_reals(items)}]"
     if kinds == {int}:
         return f"[{','.join(map(str, items))}]"
     if kinds == {str}:

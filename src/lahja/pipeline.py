@@ -21,7 +21,7 @@ import numpy as np
 
 from .base import BaseEstimator, JsonObject, check_is_fitted, check_seed
 from .corpus import Dataset
-from .ensemble import CLASSIFIER_ORDER, DecisionPolicy, decide_labels, weighted_votes
+from .ensemble import CLASSIFIER_ORDER, DecisionPolicy, weighted_votes
 from .forest import ForestParams, RandomForest
 from .knn import KnnClassifier
 from .sparse import CsrMatrix
@@ -95,7 +95,7 @@ class PipelineConfig(JsonObject):
         the SVC's margins."""
         if self.policy.kind != "argmax":  # the config allows score policies on the svc only
             (margins,) = outputs
-            return [decide_labels(row, self.policy) for row in margins]
+            return self.policy.decide(margins)
         weights = dict(zip(CLASSIFIER_ORDER, self.vote_weights))
         votes = np.column_stack(outputs)
         return _singletons(weighted_votes(votes, [weights[name] for name in self.model_params()]))

@@ -212,7 +212,7 @@ class TfidfBlock(BaseEstimator):
 
     def feature_names(self) -> list[str]:
         check_is_fitted(self, "vocabulary_")
-        return sorted(self.vocabulary_, key=self.vocabulary_.get)
+        return list(self.vocabulary_)
 
     def transform(self, texts: Sequence[str]) -> CsrMatrix:
         check_is_fitted(self, "vocabulary_")

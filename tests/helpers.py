@@ -417,8 +417,31 @@ def _reference_evaluate_config(args):
     return reference_run_pipeline(*args)
 
 
+def reference_decide_labels(scores, policy) -> frozenset[int]:
+    """``DecisionPolicy.decide`` as it was applied before, one row of scores
+    at a time.
+
+    argmax: singleton top label (ties to the lowest index). threshold:
+    labels scoring strictly above tau, falling back to argmax when empty.
+    topk: the k best labels (ties to the lower index).
+    """
+    values = np.asarray(scores, dtype=np.float64)
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError("scores must be a non-empty 1-d sequence")
+    if policy.kind == "argmax":
+        return frozenset((int(np.argmax(values)),))
+    if policy.kind == "threshold":
+        chosen = np.flatnonzero(values > policy.tau)
+        if not chosen.size:
+            return frozenset((int(np.argmax(values)),))
+        return frozenset(int(i) for i in chosen)
+    policy.check_label_count(values.size)
+    order = np.lexsort((np.arange(values.size), -values))
+    return frozenset(int(i) for i in order[: policy.k])
+
+
 def reference_format_float(value: float) -> str:
-    """``persistence._format_float``, the per-value writer of the canonical bundle."""
+    """The canonical bundle's text of one real, as written one value at a time."""
     if not math.isfinite(value):
         raise ValueError(f"cannot serialize non-finite real {value!r}")
     text = format(value, ".17g")

@@ -32,7 +32,7 @@ from lahja import (
     save_tsv,
     split_dataset,
     tokenize_words,
-    weighted_hard_vote,
+    weighted_votes,
     word_ngrams,
 )
 from lahja.cli import main as cli_main
@@ -120,11 +120,11 @@ def test_criterion_05_voting_oracle():
         for votes in itertools.product(range(4), repeat=3):
             for weights in itertools.product(weight_grid, repeat=3):
                 expected = oracle_vote(votes, weights)
-                assert weighted_hard_vote(votes, weights) == expected
+                assert weighted_votes([votes], weights)[0] == expected
                 checked += 1
                 # scale invariance doubles the case count
                 doubled = tuple(w * 2.0 for w in weights)
-                assert weighted_hard_vote(votes, doubled) == expected
+                assert weighted_votes([votes], doubled)[0] == expected
                 checked += 1
         assert checked == 27_648
         assert time.perf_counter() - start < 5.0

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
-from lahja import KnnClassifier, LinearSvc, NotFittedError, RandomForest, TfidfBlock
+from lahja import DialectPipeline, KnnClassifier, LinearSvc, NotFittedError, RandomForest, TfidfBlock, TfidfUnion
+from lahja.cli import _worker_count
 
 from helpers import csr
-from lahja.grid import _worker_count
 
 
 class TestEstimatorParams:
@@ -25,6 +27,15 @@ class TestEstimatorParams:
 
     def test_repr_names_params(self):
         assert "analyzer='word'" in repr(TfidfBlock())
+
+    @pytest.mark.parametrize(
+        "cls", [TfidfBlock, TfidfUnion, LinearSvc, RandomForest, KnnClassifier, DialectPipeline]
+    )
+    def test_param_names_are_the_constructor_arguments(self, cls):
+        # inspect is the oracle: the names the constructor's signature lists.
+        parameters = inspect.signature(cls.__init__).parameters.values()
+        names = [p.name for p in parameters if p.name != "self" and p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)]
+        assert cls._param_names() == sorted(names)
 
     def test_clone_by_params(self):
         original = TfidfBlock("char", (1, 3), max_features=10)

@@ -7,9 +7,27 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lahja import DecisionPolicy, decide_labels, weighted_hard_vote, weighted_votes
+from lahja import DecisionPolicy, weighted_votes
+
+from helpers import reference_decide_labels
 
 WEIGHT_GRID = tuple(round(0.1 * i, 1) for i in range(1, 7))
+
+# Scores drawn mostly from a small pool, so rows tie, hold both zeros and meet tau.
+SCORES = st.one_of(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]), st.floats(-5, 5, allow_nan=False))
+
+
+@st.composite
+def scored_policies(draw):
+    """A (rows x labels) score array and a policy of any kind for it; up to
+    40 labels, so an unstable sort shows even where numpy sorts short rows
+    by insertion, which is stable."""
+    n_labels = draw(st.integers(1, 40))
+    rows = draw(st.lists(st.lists(SCORES, min_size=n_labels, max_size=n_labels), max_size=6))
+    policy = DecisionPolicy(
+        draw(st.sampled_from(["argmax", "threshold", "topk"])), tau=draw(SCORES), k=draw(st.integers(1, n_labels))
+    )
+    return np.array(rows, dtype=np.float64).reshape(len(rows), n_labels), policy
 
 
 def oracle_vote(votes, weights) -> int:
@@ -35,21 +53,21 @@ def oracle_vote(votes, weights) -> int:
 
 class TestWeightedHardVote:
     def test_heavier_single_vote_wins(self):
-        assert weighted_hard_vote((0, 1, 1), (0.6, 0.3, 0.1)) == 0
+        assert weighted_votes([(0, 1, 1)], (0.6, 0.3, 0.1))[0] == 0
 
     def test_agreeing_pair_outweighs(self):
-        assert weighted_hard_vote((0, 1, 1), (0.2, 0.3, 0.3)) == 1
+        assert weighted_votes([(0, 1, 1)], (0.2, 0.3, 0.3))[0] == 1
 
     def test_three_way_tie_goes_to_first_classifier(self):
-        assert weighted_hard_vote((0, 1, 2), (0.3, 0.3, 0.3)) == 0
+        assert weighted_votes([(0, 1, 2)], (0.3, 0.3, 0.3))[0] == 0
 
     def test_tie_goes_to_highest_weight_classifier(self):
         # labels 0 and 1 tie at 0.5; the 0.5-weight classifier voted 1.
-        assert weighted_hard_vote((1, 0, 0), (0.5, 0.25, 0.25)) == 1
+        assert weighted_votes([(1, 0, 0)], (0.5, 0.25, 0.25))[0] == 1
 
     def test_unanimous_always_wins(self):
         for weights in itertools.product(WEIGHT_GRID, repeat=3):
-            assert weighted_hard_vote((2, 2, 2), weights) == 2
+            assert weighted_votes([(2, 2, 2)], weights)[0] == 2
 
     def test_exhaustive_brute_force_agreement(self):
         patterns = list(itertools.product(range(4), repeat=3))
@@ -57,7 +75,7 @@ class TestWeightedHardVote:
         checked = 0
         for votes in patterns:
             for weights in grids:
-                assert weighted_hard_vote(votes, weights) == oracle_vote(votes, weights)
+                assert weighted_votes([votes], weights)[0] == oracle_vote(votes, weights)
                 checked += 1
         assert checked == 4**3 * 6**3
 
@@ -71,15 +89,15 @@ class TestWeightedHardVote:
         # collapse an ulp-level score gap into an exact tie and legitimately
         # flip the tie-break path
         scaled = tuple(w * scale for w in weights)
-        assert weighted_hard_vote(votes, weights) == weighted_hard_vote(votes, scaled)
+        assert weighted_votes([votes], weights)[0] == weighted_votes([votes], scaled)[0]
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            weighted_hard_vote((0, 1), (0.5, 0.5, 0.5))
+            weighted_votes([(0, 1)], (0.5, 0.5, 0.5))
         with pytest.raises(ValueError):
-            weighted_hard_vote((0, 1, -1), (0.5, 0.5, 0.5))
+            weighted_votes([(0, 1, -1)], (0.5, 0.5, 0.5))
         with pytest.raises(ValueError):
-            weighted_hard_vote((0, 1, 1), (0.5, 0.0, 0.5))
+            weighted_votes([(0, 1, 1)], (0.5, 0.0, 0.5))
 
 
 class TestWeightedVotes:
@@ -107,7 +125,7 @@ class TestWeightedVotes:
         rows, weights = case
         votes = np.array(rows, dtype=np.int64).reshape(len(rows), len(weights))
         assert weighted_votes(votes, weights).tolist() == [oracle_vote(row, weights) for row in rows]
-        assert [weighted_hard_vote(row, weights) for row in rows] == [oracle_vote(row, weights) for row in rows]
+        assert [weighted_votes([row], weights)[0] for row in rows] == [oracle_vote(row, weights) for row in rows]
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -120,37 +138,48 @@ class TestWeightedVotes:
 
 class TestDecisionPolicy:
     def test_argmax_singleton(self):
-        assert decide_labels([0.2, 0.9, -0.1], DecisionPolicy("argmax")) == {1}
+        assert DecisionPolicy("argmax").decide([[0.2, 0.9, -0.1]]) == [{1}]
 
     def test_argmax_tie_lowest_index(self):
-        assert decide_labels([0.9, 0.9, 0.1], DecisionPolicy("argmax")) == {0}
+        assert DecisionPolicy("argmax").decide([[0.9, 0.9, 0.1]]) == [{0}]
 
     def test_threshold_sign_test(self):
-        assert decide_labels([0.2, 0.9, -0.1], DecisionPolicy("threshold", tau=0.0)) == {0, 1}
+        assert DecisionPolicy("threshold", tau=0.0).decide([[0.2, 0.9, -0.1]]) == [{0, 1}]
 
     def test_threshold_falls_back_to_argmax(self):
-        assert decide_labels([-3.0, -1.0, -2.0], DecisionPolicy("threshold", tau=0.0)) == {1}
+        assert DecisionPolicy("threshold", tau=0.0).decide([[-3.0, -1.0, -2.0]]) == [{1}]
 
     def test_threshold_is_strict(self):
-        assert decide_labels([0.5, 0.2], DecisionPolicy("threshold", tau=0.5)) == {0}
+        assert DecisionPolicy("threshold", tau=0.5).decide([[0.5, 0.2]]) == [{0}]
 
     def test_topk(self):
-        assert decide_labels([0.1, 0.9, 0.5], DecisionPolicy("topk", k=2)) == {1, 2}
+        assert DecisionPolicy("topk", k=2).decide([[0.1, 0.9, 0.5]]) == [{1, 2}]
 
     def test_topk_tie_lower_index(self):
-        assert decide_labels([0.5, 0.5, 0.5], DecisionPolicy("topk", k=2)) == {0, 1}
+        assert DecisionPolicy("topk", k=2).decide([[0.5, 0.5, 0.5]]) == [{0, 1}]
 
     def test_topk_exceeding_label_count_rejected(self):
         with pytest.raises(ValueError):
-            decide_labels([0.1, 0.2], DecisionPolicy("topk", k=3))
+            DecisionPolicy("topk", k=3).decide([[0.1, 0.2]])
 
     @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=8), st.floats(-5, 5))
     def test_threshold_output_contains_argmax_when_it_clears_tau(self, scores, tau):
-        result = decide_labels(scores, DecisionPolicy("threshold", tau=tau))
+        (result,) = DecisionPolicy("threshold", tau=tau).decide([scores])
         top = max(range(len(scores)), key=lambda i: (scores[i], -i))
         if scores[top] > tau:
             assert top in result
         assert result  # never empty thanks to the fallback
+
+    @given(scored_policies())
+    def test_batch_matches_the_row_by_row_oracle(self, case):
+        scores, policy = case
+        assert policy.decide(scores) == [reference_decide_labels(row, policy) for row in scores]
+
+    @pytest.mark.parametrize("scores", [[0.1, 0.2], [[[0.1]]], np.zeros((2, 0))])
+    def test_scores_need_rows_and_a_label_column(self, scores):
+        for policy in (DecisionPolicy("argmax"), DecisionPolicy("threshold"), DecisionPolicy("topk")):
+            with pytest.raises(ValueError, match="label column"):
+                policy.decide(scores)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -180,11 +180,19 @@ class TestCanonicalWriter:
     def test_edge_lists(self, value):
         assert written(_write_canonical, value) == written(reference_write_canonical, value)
 
+    @pytest.mark.parametrize("real", [1e16, -0.0, 5e-324])
+    def test_lone_real_and_list_of_reals(self, real):
+        payload = {"lone": real, "list": [real, 0.5]}
+        assert dumps_canonical(payload).decode("utf-8") == written(reference_write_canonical, payload) + "\n"
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("where", [0, 2])
+    @pytest.mark.parametrize("where", [0, 2, "lone"])
     def test_non_finite_raises_the_same_error(self, bad, where):
         value = [0.5, 1.0, 2.0]
-        value[where] = bad
+        if where == "lone":
+            value = bad
+        else:
+            value[where] = bad
         with pytest.raises(ValueError) as new:
             written(_write_canonical, value)
         with pytest.raises(ValueError) as old:

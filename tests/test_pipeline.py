@@ -16,7 +16,6 @@ from lahja import (
     GridSpec,
     LinearSvc,
     PipelineConfig,
-    decide_labels,
     make_synthetic,
     merge_label_spaces,
     parse_tsv,
@@ -25,7 +24,7 @@ from lahja import (
     run_pipeline,
     run_sweep,
     split_dataset,
-    weighted_hard_vote,
+    weighted_votes,
     write_sweep_tsv,
 )
 
@@ -187,7 +186,7 @@ class TestPipeline:
         pipeline = DialectPipeline(cfg).fit(ds)
         X = pipeline.union_.transform(ds.texts())
         predicted = pipeline.predict_matrix(X)
-        assert predicted == [decide_labels(row, policy) for row in pipeline.models_["svc"].decision_function(X)]
+        assert predicted == policy.decide(pipeline.models_["svc"].decision_function(X))
         assert any(len(labels) > 1 for labels in predicted)
 
 
@@ -260,7 +259,7 @@ class TestComponentComparison:
         X = pipeline.union_.transform(out.texts())
         assert list(pipeline.models_) == ["svc", "forest", "knn"]
         votes = zip(*[model.predict(X).tolist() for model in pipeline.models_.values()])
-        expected = [frozenset((weighted_hard_vote(row, cfg.vote_weights),)) for row in votes]
+        expected = [frozenset((weighted_votes([row], cfg.vote_weights)[0],)) for row in votes]
         assert pipeline.predict(out.texts()) == expected
 
     @pytest.mark.parametrize("classifier", ["svc", "forest", "knn"])
@@ -335,6 +334,13 @@ class TestSweep:
         sequential = run_sweep(train, dev, spec, workers=1)
         parallel = run_sweep(train, dev, spec, workers=2)
         assert sequential == parallel
+
+    def test_library_sweep_ignores_lahja_threads(self, tiny_corpus, monkeypatch):
+        # LAHJA_THREADS is read by ``lahja sweep``; run_sweep defaults to one worker.
+        train, dev = split_dataset(tiny_corpus, 0.8, seed=0)
+        spec = GridSpec(n=(1,), C=(1.0, 2.0))
+        monkeypatch.setenv("LAHJA_THREADS", "many")
+        assert run_sweep(train, dev, spec) == run_sweep(train, dev, spec, workers=1)
 
 
 def sweep_tsv(results) -> str:
