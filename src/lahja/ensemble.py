@@ -1,10 +1,11 @@
-"""Vote combination and label-set decision policies, each over a batch.
+"""Vote counting, hard voting and label-set decision policies, each over a batch.
 
-Hard voting (:func:`weighted_votes`): each base classifier contributes its
-single predicted label with a scalar weight; the label with the largest
-weight sum wins. Score ties go to the vote of the highest-weight classifier
-among those voting for tied labels, then to the fixed classifier priority
-svc > forest > knn (the positional order of the votes).
+:func:`vote_totals` is the one vote count: per row and label, the weights of
+the voters choosing it, added in voter order. The forest takes its argmax
+(ties to the lowest label). In a hard vote (:func:`weighted_votes`) the
+label with the largest total wins; ties go to the vote of the highest-weight
+voter among those voting for tied labels, then to the first: svc > forest >
+knn in the ensemble, the most similar neighbour in the KNN's equal-weight vote.
 :meth:`DecisionPolicy.decide` maps a (rows x labels) score array to one
 label set per row.
 """
@@ -80,23 +81,30 @@ class DecisionPolicy(JsonObject):
         return super().from_dict(payload, what)
 
 
+def vote_totals(votes: np.ndarray, weights: Sequence[float], n_labels: int) -> np.ndarray:
+    """The (rows x ``n_labels``) weight each label gathers in each row of
+    the (rows x voters) label array ``votes``, voter j weighing
+    ``weights[j]``: its voters' weights, added in voter order."""
+    rows = len(votes)
+    keys = votes + n_labels * np.arange(rows, dtype=np.int64)[:, None]
+    each = np.broadcast_to(np.asarray(weights, dtype=np.float64), keys.shape)
+    return np.bincount(keys.ravel(), weights=each.ravel(), minlength=rows * n_labels).reshape(rows, n_labels)
+
+
 def weighted_votes(votes: np.ndarray, weights: Sequence[float]) -> np.ndarray:
     """The winner of the weighted hard vote of each row of the (rows x
     voters) label array ``votes``, voter j weighing ``weights[j]``: a
-    voter scores the weights of the voters agreeing with it, summed in voter
-    order, and the winner is the vote of the heaviest, then first, voter
-    scoring the row's best (the module docstring's tie rules)."""
+    voter scores its label's :func:`vote_totals`, and the winner is the vote
+    of the heaviest, then first, voter scoring the row's best (the module
+    docstring's tie rules)."""
     votes = np.asarray(votes, dtype=np.int64)
     if votes.ndim != 2 or votes.shape[1] != len(weights) or not len(weights):
         raise ValueError(f"votes need one column per weight and at least one, got {votes.shape} for {len(weights)}")
-    if votes.size and votes.min() < 0:
+    if votes.min(initial=0) < 0:
         raise ValueError(f"invalid label index {votes.min()}")
     if any(not w > 0 for w in weights):
         raise ValueError(f"vote weights must be > 0, got {list(weights)}")
-    scores = np.zeros(votes.shape, dtype=np.float64)
-    for j in range(votes.shape[1]):
-        for i, weight in enumerate(weights):
-            scores[:, j] += np.where(votes[:, i] == votes[:, j], float(weight), 0.0)
-    rank = np.array(sorted(range(len(weights)), key=lambda j: (-weights[j], j)))
+    scores = np.take_along_axis(vote_totals(votes, weights, votes.max(initial=0) + 1), votes, axis=1)
+    rank = np.argsort(-np.asarray(weights, dtype=np.float64), kind="stable")
     leads = scores[:, rank] == scores.max(axis=1)[:, None]
     return votes[np.arange(len(votes)), rank[np.argmax(leads, axis=1)]]

@@ -18,7 +18,7 @@ each feature column by value once, so no node sorts: a node reads its
 candidates' stored entries in (candidate, value) order, with each
 candidate's absent 0.0 after its negative values. Prediction reads a chunk
 of docs' values of the split features into one dense block and walks every
-tree level from it.
+tree level from it; :func:`lahja.ensemble.vote_totals` counts the trees' votes.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .base import BaseEstimator, JsonObject, check_fields, check_int, check_is_fitted, check_labels, check_reals
+from .base import BaseEstimator, JsonObject, check_fields, check_int, check_is_fitted, check_labels, check_list, check_reals
+from .ensemble import vote_totals
 from .sparse import CsrMatrix, spans
 
 _LEAF = -1
@@ -95,7 +96,10 @@ class RandomForest(BaseEstimator):
         if check_int("forest n_features", payload["n_features"]) != n_features:
             raise ValueError(f"forest n_features {payload['n_features']} does not match union dimension {n_features}")
         forest = cls(**params)
-        forest._set_trees(payload["trees"], n_labels, n_features)
+        trees = check_list("forest trees", payload["trees"], list)
+        if len(trees) != forest.n_trees:
+            raise ValueError(f"forest holds {len(trees)} trees for n_trees {forest.n_trees}")
+        forest._set_trees(trees, n_labels, n_features)
         return forest
 
     def _set_trees(self, trees: Sequence[list], n_labels: int, n_features: int) -> None:
@@ -107,8 +111,8 @@ class RandomForest(BaseEstimator):
         a leaf distribution not of length n_labels; and a threshold or leaf
         distribution value that is not a finite JSON number.
         """
-        if n_labels < 1 or n_features < 1 or not trees:
-            raise ValueError("a forest needs at least one tree, one label and one feature")
+        if n_labels < 1 or n_features < 1:
+            raise ValueError("a forest needs at least one label and one feature")
         rows: list[tuple] = []  # (feature, threshold, left, right) per node
         dist: list = []  # every node's class distribution, end to end
         no_dist = [0.0] * n_labels
@@ -210,11 +214,8 @@ class RandomForest(BaseEstimator):
         return votes
 
     def predict(self, X: CsrMatrix) -> np.ndarray:
-        """Per doc, the label most trees vote for; ties go to the lowest label."""
-        votes = self.tree_votes(X)
-        keys = votes + self.n_labels_ * np.arange(len(X), dtype=np.int64)[:, None]
-        counts = np.bincount(keys.ravel(), minlength=len(X) * self.n_labels_)
-        return np.argmax(counts.reshape(len(X), self.n_labels_), axis=1)
+        """Per doc, the plurality of its trees' votes (:mod:`lahja.ensemble`)."""
+        return np.argmax(vote_totals(self.tree_votes(X), np.ones(self.tree_starts_.size - 1), self.n_labels_), axis=1)
 
 
 class _Columns(NamedTuple):

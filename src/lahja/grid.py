@@ -2,14 +2,16 @@
 deterministic enumeration and sweep, and the component comparison.
 
 A :class:`GridSpec` holds one candidate list per tunable field; the sweep
-runs the full Cartesian product with the declared field order (``n`` varies
-slowest, ``v3`` fastest). Classifier choice and other non-swept settings are
-fixed scalar fields; a candidate or setting no config could take fails
-when the grid is built. :func:`run_pipeline`, the sweep and the component
-comparison score their configs on one engine, :func:`_score_configs`, which
-fits each distinct block, union and model once, the models through the loop
-``lahja train`` uses; each report scores the dev predictions of
-``DialectPipeline(config)`` fitted on the training set.
+runs the Cartesian product with the declared field order (``n`` varies
+slowest, ``v3`` fastest), where a field the configs never read (``C``
+without an SVC, ``v1``-``v3`` without the vote) keeps its first candidate.
+Classifier choice and other non-swept settings are fixed scalar fields; a
+candidate or setting no config could take fails when the grid is built.
+:func:`run_pipeline`, the sweep and the component comparison score their
+configs on one engine, :func:`_score_configs`, which fits each distinct
+block, union and model once, the models through the loop ``lahja train``
+uses; each report scores the dev predictions of ``DialectPipeline(config)``
+fitted on the training set.
 Sweep workers can run in separate processes, as many as the caller's
 ``workers`` argument allows (default 1; ``lahja sweep`` reads it from
 ``LAHJA_THREADS``), and results are sorted by f1 and then canonical JSON, so
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import IO, Sequence
@@ -110,10 +113,17 @@ class GridSpec(JsonObject):
                     raise ValueError(f"grid field {name!r} candidate {value!r}: {exc}") from exc
 
     def size(self) -> int:
-        count = 1
-        for name in _PRODUCT_FIELDS:
-            count *= len(getattr(self, name))
-        return count
+        return math.prod(map(len, self._swept()))
+
+    def _swept(self) -> list[tuple]:
+        """Each product field's candidates the sweep runs, in declared order:
+        the first alone for a field the configs never read (``C`` without an
+        SVC, ``v1``-``v3`` without the vote), otherwise all of them."""
+        first = self.config(*(getattr(self, name)[0] for name in _PRODUCT_FIELDS))
+        unread = set() if "svc" in first.model_params() else {"C"}
+        if self.classifier != "vote":
+            unread.update(("v1", "v2", "v3"))
+        return [getattr(self, name)[: 1 if name in unread else None] for name in _PRODUCT_FIELDS]
 
     def config(self, n, w1, w2, w3, max_features, C, v1, v2, v3) -> PipelineConfig:
         """The config of one candidate per product field, in declared order."""
@@ -132,12 +142,12 @@ class GridSpec(JsonObject):
 
 
 def enumerate_grid(spec: GridSpec, max_configs: int = DEFAULT_MAX_CONFIGS) -> list[PipelineConfig]:
-    """Full Cartesian product of the candidate lists, in declared field order."""
+    """Cartesian product of the swept candidate lists (:meth:`GridSpec._swept`),
+    in declared field order."""
     count = spec.size()
     if count > max_configs:
         raise GridSizeError(count, max_configs)
-    fields = (getattr(spec, name) for name in _PRODUCT_FIELDS)
-    return [spec.config(*values) for values in itertools.product(*fields)]
+    return [spec.config(*values) for values in itertools.product(*spec._swept())]
 
 
 def run_pipeline(train: Dataset, eval_dataset: Dataset, config: PipelineConfig) -> MetricsReport:

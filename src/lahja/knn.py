@@ -1,4 +1,5 @@
-"""K-nearest-neighbor classification under cosine similarity over sparse feature rows."""
+"""K-nearest-neighbor classification under cosine similarity over sparse feature
+rows, the k neighbours' labels voting by :func:`lahja.ensemble.weighted_votes`."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .base import BaseEstimator, check_fields, check_int, check_is_fitted, check_labels, check_list
+from .ensemble import weighted_votes
 from .sparse import CsrMatrix, spans
 
 # Bound on the values ``neighbors`` holds in one array, beyond arrays of one
@@ -40,9 +42,8 @@ _ROW_FIELDS = {"i", "v"}
 class KnnClassifier(BaseEstimator):
     """Cosine-similarity KNN.
 
-    Similarity ties rank the lower training id first; a plurality-label tie
-    goes to the label of the single most similar neighbor among the tied
-    labels. A zero-norm vector has similarity 0 to everything.
+    Similarity ties rank the lower training id first. A zero-norm vector
+    has similarity 0 to everything.
     """
 
     def __init__(self, k: int = 3):
@@ -144,17 +145,7 @@ class KnnClassifier(BaseEstimator):
         return top
 
     def predict(self, X: CsrMatrix) -> np.ndarray:
-        top_labels = self.labels_[self.neighbors(X)]
-        n = len(X)
-        counts = np.bincount(
-            (top_labels + self.n_labels_ * np.arange(n, dtype=np.int64)[:, None]).ravel(),
-            minlength=n * self.n_labels_,
-        ).reshape(n, self.n_labels_)
-        # The best-ranked neighbor whose label has the most votes; with one
-        # such label this is that label.
-        votes = np.take_along_axis(counts, top_labels, axis=1)
-        first = np.argmax(votes == votes.max(axis=1, keepdims=True), axis=1)
-        return top_labels[np.arange(n), first]
+        return weighted_votes(self.labels_[self.neighbors(X)], [1.0] * self.k)
 
 
 def _cosines(dots: np.ndarray, denominators: np.ndarray) -> np.ndarray:

@@ -129,6 +129,19 @@ def test_sweep_command(data_files, capsys):
     assert f1s == sorted(f1s, reverse=True)
 
 
+def test_sweep_writes_one_row_per_config_the_classifier_tells_apart(data_files):
+    # Under knn the C list is never read: two configs, within a cap of 2.
+    root, train_path, dev_path = data_files
+    grid_path = root / "grid_knn.json"
+    grid_path.write_text(json.dumps({"n": [1, 2], "C": [1.0, 2.0], "classifier": "knn", "k": 3}), encoding="utf-8")
+    out_path = root / "knn.tsv"
+    assert main(["sweep", "--train-file", str(train_path), "--dev-file", str(dev_path),
+                 "--grid", str(grid_path), "--out", str(out_path), "--max-configs", "2"]) == 0
+    rows = out_path.read_text(encoding="utf-8").strip().split("\n")[1:]
+    configs = sorted((c["word"]["ngram_range"][1], c["svc"]["C"]) for c in (json.loads(r.split("\t")[4]) for r in rows))
+    assert configs == [(1, 1.0), (2, 1.0)]
+
+
 def test_repeated_sweep_byte_identical(data_files):
     root, train_path, dev_path = data_files
     grid_path = root / "grid_det.json"
@@ -330,7 +343,8 @@ class TestExitCodes:
         missing dev file the sweep still fails as a usage error."""
         _, train_path, _ = data_files
         grid = tmp_path / "grid.json"
-        grid.write_text(json.dumps({"n": [1, 2], "C": [1.0, 2.0], "v1": [0.2, 0.6]}), encoding="utf-8")
+        grid.write_text(json.dumps({"n": [1, 2], "C": [1.0, 2.0], "v1": [0.2, 0.6], "classifier": "vote"}),
+                        encoding="utf-8")
         out = tmp_path / "sweep.tsv"
         assert main(["sweep", "--train-file", str(train_path), "--dev-file", str(tmp_path / "absent.tsv"),
                      "--grid", str(grid), "--out", str(out), "--max-configs", "1"]) == 1

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lahja import DecisionPolicy, weighted_votes
+from lahja.ensemble import vote_totals
 
 from helpers import reference_decide_labels
 
@@ -114,9 +115,9 @@ class TestWeightedVotes:
         assert checked == 27_648
 
     @given(
-        st.integers(1, 8).flatmap(
+        st.integers(1, 40).flatmap(
             lambda voters: st.tuples(
-                st.lists(st.lists(st.integers(0, 4), min_size=voters, max_size=voters), max_size=12),
+                st.lists(st.lists(st.integers(0, 20), min_size=voters, max_size=voters), max_size=12),
                 st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.5, 1.0]), min_size=voters, max_size=voters),
             )
         )
@@ -126,6 +127,12 @@ class TestWeightedVotes:
         votes = np.array(rows, dtype=np.int64).reshape(len(rows), len(weights))
         assert weighted_votes(votes, weights).tolist() == [oracle_vote(row, weights) for row in rows]
         assert [weighted_votes([row], weights)[0] for row in rows] == [oracle_vote(row, weights) for row in rows]
+
+    def test_totals_add_in_voter_order(self):
+        # 0.1 + 0.2 + 0.3 rounds above 0.1 + 0.5; added in reverse it would tie.
+        votes, weights = np.array([[0, 0, 0, 1, 1]]), [0.1, 0.2, 0.3, 0.1, 0.5]
+        assert vote_totals(votes, weights, 3).tolist() == [[0.1 + 0.2 + 0.3, 0.1 + 0.5, 0.0]]
+        assert weighted_votes(votes, weights).tolist() == [oracle_vote(votes[0], weights)] == [0]
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -118,7 +118,7 @@ class TestKnn:
                     dense[0] = 1.0
                 vectors.append(dense)
             labels = [int(v) for v in rng.randint(0, 4, size=n_samples)]
-            k = int(rng.randint(1, min(6, n_samples + 1)))
+            k = int(rng.randint(1, n_samples + 1))  # up to every training row voting
             model = KnnClassifier(k=k).fit(csr(vectors), labels)
             queries = rng.randint(0, 5, size=(8, n_features)).astype(float)
             expected = [naive_knn_predict(vectors, labels, k, query) for query in queries]

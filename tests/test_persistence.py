@@ -370,6 +370,7 @@ CRAFTED = {
     ),
     "forest with an empty tree": lambda p: p["models"]["forest"]["trees"].__setitem__(0, []),
     "forest without trees": lambda p: p["models"]["forest"].__setitem__("trees", []),
+    "forest tree count unlike its n_trees": lambda p: p["models"]["forest"]["trees"].pop(),
     # Integer fields holding reals or booleans used to load truncated, or to fail at predict.
     "format version true": lambda p: p.__setitem__("format_version", True),
     "config k a real": lambda p: p["config"].__setitem__("k", 3.5),

@@ -179,9 +179,36 @@ class TestEnumerateGrid:
         assert seen[:6] == [(1, 1.0), (1, 2.0), (1, 3.0), (1, 4.0), (1, 5.0), (2, 1.0)]
 
     def test_count_is_product_of_list_lengths(self):
-        spec = GridSpec(n=(1, 2), w1=(0.5, 1.0), C=(1.0,), v3=(0.1, 0.2, 0.3))
+        spec = GridSpec(n=(1, 2), w1=(0.5, 1.0), C=(1.0,), v3=(0.1, 0.2, 0.3), classifier="vote")
         assert spec.size() == 12
         assert len(enumerate_grid(spec)) == 12
+
+    @pytest.mark.parametrize(
+        "fields, count",
+        [
+            ({"classifier": "knn"}, 5),
+            ({"n": [1, 2], "C": [1.0, 2.0], "classifier": "knn", "k": 3}, 2),
+            ({"n": [1], "C": [2.0, 1.0], "v1": [0.2, 0.6], "classifier": "forest"}, 1),
+            ({"n": [1], "C": [2.0, 1.0], "v1": [0.2, 0.6], "v3": [0.5, 1.0]}, 2),
+            ({"n": [1], "C": [2.0, 1.0], "v1": [0.2, 0.6], "v3": [0.5, 1.0], "classifier": "vote"}, 8),
+        ],
+        ids=["knn-defaults", "knn-C", "forest-C-v1", "svc-v1-v3", "vote-reads-all"],
+    )
+    def test_a_field_the_configs_never_read_keeps_its_first_candidate(self, fields, count):
+        spec = GridSpec.from_dict(fields)
+        configs = enumerate_grid(spec)
+        assert spec.size() == len(configs) == len(set(configs)) == count
+        if spec.classifier in ("forest", "knn"):
+            assert {config.svc.C for config in configs} == {spec.C[0]}
+        if spec.classifier != "vote":
+            assert {config.vote_weights for config in configs} == {(spec.v1[0], spec.v2[0], spec.v3[0])}
+        with pytest.raises(GridSizeError, match=str(count)):
+            enumerate_grid(spec, max_configs=count - 1)
+
+    @pytest.mark.parametrize("field, bad", [("C", 0.0), ("v2", -1.0)])
+    def test_an_unread_field_is_still_validated(self, field, bad):
+        with pytest.raises(ValueError, match=f"grid field '{field}' candidate"):
+            GridSpec.from_dict({"classifier": "knn", field: [1.0, bad]})
 
     def test_safety_cap_error_reports_count(self):
         spec = GridSpec(n=(1, 2, 3, 4, 5), C=(1.0, 2.0, 3.0, 4.0, 5.0))
