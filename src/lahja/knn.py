@@ -67,11 +67,8 @@ class KnnClassifier(BaseEstimator):
         check_is_fitted(self, "vectors_")
         return {
             "n_labels": int(self.n_labels_),
-            "labels": self.labels_.tolist(),
-            "vectors": [
-                {"i": idx.tolist(), "v": val.tolist()}
-                for idx, val in map(self.vectors_.row, range(len(self.vectors_)))
-            ],
+            "labels": self.labels_,
+            "vectors": [{"i": idx, "v": val} for idx, val in map(self.vectors_.row, range(len(self.vectors_)))],
         }
 
     @classmethod

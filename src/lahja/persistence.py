@@ -6,6 +6,11 @@ entries in sorted order with implicit column indices. Saving the same
 fitted pipeline twice produces byte-identical files, and a load/save round
 trip reproduces predictions bit-for-bit.
 
+The models and blocks hand their float64 arrays (weights, idf, KNN rows)
+to the writer as they are. It formats the reals of all of a bundle's
+arrays together, each distinct bit pattern once, and writes each array by
+slicing the texts: a fitted model repeats most of its reals.
+
 Top-level layout::
 
     {
@@ -35,6 +40,8 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+
 from .base import check_fields, check_list, check_reals, read_fields
 from .corpus import LabelSpace
 from .pipeline import MODEL_TYPES, DialectPipeline, PipelineConfig
@@ -57,7 +64,11 @@ def _reals(values: list | tuple) -> str:
     return text
 
 
-def _write_canonical(value: object, out: list[str]) -> None:
+def _write_canonical(value: object, out: list, arrays: list[int]) -> None:
+    """Append the canonical text of ``value`` to ``out``. A float64 array of
+    one or more dimensions goes into ``out`` as it is, and its place into
+    ``arrays``: :func:`dumps_canonical` formats the reals of all of them at
+    once."""
     if value is None:
         out.append("null")
     elif value is True:
@@ -79,7 +90,7 @@ def _write_canonical(value: object, out: list[str]) -> None:
             for i, item in enumerate(value):
                 if i:
                     out.append(",")
-                _write_canonical(item, out)
+                _write_canonical(item, out, arrays)
             out.append("]")
     elif isinstance(value, dict):
         out.append("{")
@@ -88,8 +99,13 @@ def _write_canonical(value: object, out: list[str]) -> None:
                 out.append(",")
             out.append(json.dumps(str(key), ensure_ascii=False))
             out.append(":")
-            _write_canonical(item, out)
+            _write_canonical(item, out, arrays)
         out.append("}")
+    elif isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim:
+        arrays.append(len(out))
+        out.append(value)
+    elif isinstance(value, np.ndarray):
+        _write_canonical(value.tolist(), out, arrays)
     else:
         raise TypeError(f"cannot serialize {type(value).__name__} into a bundle")
 
@@ -107,9 +123,33 @@ def _uniform_list(items: list | tuple) -> str | None:
     return None
 
 
+def _real_texts(values: np.ndarray) -> list[str]:
+    """The canonical text of each real of the 1-D float64 ``values``, each
+    distinct bit pattern formatted once: 0.0 and -0.0 apart."""
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(_reals(distinct.view(np.float64).tolist()).split(","), dtype=object)
+    return texts[inverse].tolist()
+
+
+def _nested(texts: list[str], shape: tuple[int, ...]) -> str:
+    """The JSON array of ``shape`` whose reals, in row-major order, are ``texts``."""
+    if len(shape) == 1:
+        return f"[{','.join(texts)}]"
+    step = math.prod(shape[1:])
+    return f"[{','.join(_nested(texts[i * step : (i + 1) * step], shape[1:]) for i in range(shape[0]))}]"
+
+
 def dumps_canonical(payload: dict) -> bytes:
-    out: list[str] = []
-    _write_canonical(payload, out)
+    out: list = []
+    arrays: list[int] = []
+    _write_canonical(payload, out, arrays)
+    if arrays:
+        texts = _real_texts(np.concatenate([out[at].ravel() for at in arrays]))
+        start = 0
+        for at in arrays:
+            shape, size = out[at].shape, out[at].size
+            out[at] = _nested(texts[start : start + size], shape)
+            start += size
     out.append("\n")
     return "".join(out).encode("utf-8")
 
@@ -123,7 +163,7 @@ def _block_payload(block: TfidfBlock | None, spec: BlockSpec | None) -> dict | N
         "max_features": spec.max_features,
         "weight": float(spec.weight),
         "vocabulary": block.feature_names(),
-        "idf": block.idf_.tolist(),
+        "idf": block.idf_,
     }
 
 

@@ -210,7 +210,7 @@ class LinearSvc(BaseEstimator):
     def payload(self) -> dict:
         """The model's bundle entry: its weights, one row per label."""
         check_is_fitted(self, "coef_")
-        return {"coef": self.coef_.tolist(), "intercept": self.intercept_.tolist()}
+        return {"coef": self.coef_, "intercept": self.intercept_}
 
     @classmethod
     def from_fitted(cls, params: dict, payload: dict, n_labels: int, n_features: int) -> "LinearSvc":

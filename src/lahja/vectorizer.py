@@ -102,7 +102,7 @@ class TfidfBlock(BaseEstimator):
         texts = list(texts)
         if not texts:
             raise ValueError("cannot fit a TF-IDF block on an empty corpus")
-        names, docs, grams, counts = self._count(texts)
+        symbols, names, rows, docs, grams, counts = self._count(texts)
         if not names:
             raise ValueError("no features survived fitting; corpus produced no analyzer output")
         totals = np.bincount(grams, weights=counts, minlength=len(names)).tolist()
@@ -118,7 +118,9 @@ class TfidfBlock(BaseEstimator):
             [math.log((1.0 + n_docs) / (1.0 + document_frequency[i])) + 1.0 for i in kept],
             dtype=np.float64,
         )
-        self._set_vocabulary([names[i] for i in kept])
+        rows = rows[kept]
+        symbol = rows >= 0
+        self._set_vocabulary(symbols, rows[symbol], np.count_nonzero(symbol, axis=1), [names[i] for i in kept])
         columns = np.full(len(names), -1, dtype=np.int64)
         columns[kept] = np.arange(len(kept))
         columns = columns[grams]
@@ -127,9 +129,13 @@ class TfidfBlock(BaseEstimator):
         order = np.argsort(keys)
         return self._tfidf(keys[order], counts[known][order], n_docs)
 
-    def _count(self, texts: list[str]) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-        """The distinct n-grams of ``texts``, length by length, and the
-        (text, n-gram index, count) of every distinct pair."""
+    def _count(
+        self, texts: list[str]
+    ) -> tuple[Symbols, list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The symbols the fit grew over ``texts``; the distinct n-grams of
+        ``texts``, length by length, as names and as rows of their symbols
+        padded with -1 to the longest; and the (text, n-gram index, count)
+        of every distinct pair."""
         hi = self.ngram_range[1]
         symbols = Symbols(self.analyzer)
         trie = _Trie(hi)
@@ -141,6 +147,8 @@ class TfidfBlock(BaseEstimator):
                 keys, counts = np.unique(stream.doc[positions] * size + nodes, return_counts=True)
                 found[level].append((keys // size + first, keys % size, counts))
         names: list[str] = []
+        # Symbols are token ids below MAX_IDS = 2**31 or code points.
+        rows = [np.zeros((0, hi), dtype=np.int32)]
         pairs = [(np.zeros(0, dtype=np.int64),) * 3]
         for level, codes in enumerate(trie.codes()):
             if not found[level]:
@@ -149,8 +157,11 @@ class TfidfBlock(BaseEstimator):
             emitted = np.unique(nodes)
             pairs.append((docs, len(names) + np.searchsorted(emitted, nodes), counts))
             names.extend(symbols.names(codes[emitted]))
+            padded = np.full((len(emitted), hi), -1, dtype=np.int32)
+            padded[:, : level + 1] = codes[emitted]
+            rows.append(padded)
         docs, grams, counts = map(np.concatenate, zip(*pairs))
-        return names, docs, grams, counts
+        return symbols, names, np.concatenate(rows), docs, grams, counts
 
     def _windows(self, stream: CodeStream, lookup: Callable[[int, np.ndarray], np.ndarray]):
         """(level, positions, nodes) of the n-grams of ``stream`` that are
@@ -199,13 +210,15 @@ class TfidfBlock(BaseEstimator):
         block = cls(analyzer, tuple(ngram_range), max_features)
         block._check_params()
         block.idf_ = idf
-        block._set_vocabulary(list(feature_names))
+        names = list(feature_names)
+        block._set_vocabulary(*Symbols.of(analyzer, names, block.ngram_range[1]), names)
         return block
 
-    def _set_vocabulary(self, names: list[str]) -> None:
-        """Fix the vocabulary to ``names``, in column order, with the trie of
-        their prefixes that ``transform`` walks."""
-        self._symbols, codes, lengths = Symbols.of(self.analyzer, names, self.ngram_range[1])
+    def _set_vocabulary(self, symbols: Symbols, codes: np.ndarray, lengths: np.ndarray, names: list[str]) -> None:
+        """Fix the vocabulary to ``names``, in column order, whose symbols
+        under ``symbols`` are ``codes``, ``lengths`` of them each, with the
+        trie of their prefixes that ``transform`` walks."""
+        self._symbols = symbols
         self._trie = _Trie.of(codes, lengths, self.ngram_range[1])
         self.vocabulary_ = {name: column for column, name in enumerate(names)}
         self.n_features_ = len(names)

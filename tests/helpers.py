@@ -452,7 +452,10 @@ def reference_format_float(value: float) -> str:
 
 def reference_write_canonical(value: object, out: list[str]) -> None:
     """``persistence._write_canonical`` as it was before lists of one scalar
-    type were written in one pass: one string per value."""
+    type were written in one pass: one string per value. A numpy array is
+    written as its ``tolist()``."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if value is None:
         out.append("null")
     elif value is True:

@@ -54,7 +54,7 @@ budgets = st.sampled_from([1, 7, 1 << 14])
 
 def coded_counts(kind: str, ngram_range: tuple[int, int], batch: list[str]) -> list[Counter]:
     """Each text's n-gram counts as a block fit counts them."""
-    names, docs, grams, counts = TfidfBlock(kind, ngram_range)._count(batch)
+    _, names, _, docs, grams, counts = TfidfBlock(kind, ngram_range)._count(batch)
     found = [Counter() for _ in batch]
     for doc, gram, count in zip(docs.tolist(), grams.tolist(), counts.tolist()):
         found[doc][names[gram]] += count

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lahja import (
     BlockSpec,
@@ -23,7 +24,7 @@ from lahja import (
     preset,
     save_model,
 )
-from lahja.persistence import _write_canonical, bundle_to_dict, dumps_canonical, pipeline_from_dict
+from lahja.persistence import bundle_to_dict, dumps_canonical, pipeline_from_dict
 
 from helpers import reference_write_canonical, same
 
@@ -100,19 +101,24 @@ class TestModelEntries:
         shape = (pipeline.n_labels_, pipeline.union_.n_features_)
         return model, shape, pipeline.union_.transform(random_texts(ds, 60, seed=2))
 
+    @staticmethod
+    def read(model) -> dict:
+        """The model's entry as a bundle holds it: arrays become JSON lists."""
+        return json.loads(dumps_canonical(model.payload()))
+
     @pytest.mark.parametrize("name", ["svc", "forest", "knn"])
     def test_from_fitted_predicts_bit_for_bit(self, fitted_vote_pipeline, name):
         model, shape, X = self.entry(fitted_vote_pipeline, name)
-        loaded = type(model).from_fitted(model.get_params(), model.payload(), *shape)
+        loaded = type(model).from_fitted(model.get_params(), self.read(model), *shape)
         assert loaded.predict(X).tobytes() == model.predict(X).tobytes()
-        assert loaded.payload() == model.payload()
+        assert dumps_canonical(loaded.payload()) == dumps_canonical(model.payload())
         if name == "svc":
             assert loaded.decision_function(X).tobytes() == model.decision_function(X).tobytes()
 
     @pytest.mark.parametrize("name", ["svc", "forest", "knn"])
     def test_other_label_count_or_width_rejected(self, fitted_vote_pipeline, name):
         model, (n_labels, n_features), _ = self.entry(fitted_vote_pipeline, name)
-        payload = model.payload()
+        payload = self.read(model)
         # A KNN entry records no width: a union too narrow for a column it stores.
         width = max(i for row in payload["vectors"] for i in row["i"]) if name == "knn" else n_features - 1
         for shape in [(n_labels + 1, n_features), (n_labels - 1, n_features), (n_labels, width)]:
@@ -124,6 +130,11 @@ def written(write, value) -> str:
     out: list[str] = []
     write(value, out)
     return "".join(out)
+
+
+def canonical(value, out: list[str]) -> None:
+    """Append ``dumps_canonical``'s text of ``value``, without its closing newline."""
+    out.append(dumps_canonical(value).decode("utf-8").removesuffix("\n"))
 
 
 FLOATS = st.one_of(
@@ -153,14 +164,33 @@ VALUES = st.recursive(
 )
 
 
+@st.composite
+def array_payloads(draw) -> dict:
+    """Float64 arrays of reals drawn from a small pool, so that they repeat:
+    1-D and 2-D arrays, empty ones, and slices of one array, as a bundle's
+    KNN rows are."""
+    pool = st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e17] + draw(st.lists(FLOATS, max_size=4)))
+    base = draw(hnp.arrays(np.float64, st.integers(0, 12), elements=pool))
+    bounds = [0, *sorted(draw(st.lists(st.integers(0, base.size), max_size=4))), base.size]
+    shapes = hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=4)
+    return {
+        "vector": draw(hnp.arrays(np.float64, st.integers(0, 8), elements=pool)),
+        "matrix": draw(hnp.arrays(np.float64, shapes, elements=pool)),
+        "rows": [{"i": np.arange(lo, hi), "v": base[lo:hi]} for lo, hi in zip(bounds, bounds[1:])],
+        "real": draw(pool),
+        "reals": draw(st.lists(pool, max_size=4)),
+    }
+
+
 class TestCanonicalWriter:
-    """Lists of one scalar type are written in one pass, with the bytes of
-    the per-value writer they replaced."""
+    """Lists of one scalar type are written in one pass, and float64 arrays
+    with each distinct real formatted once, with the bytes of the per-value
+    writer they replaced."""
 
     @settings(max_examples=200, deadline=None)
     @given(VALUES)
     def test_matches_per_value_writer(self, value):
-        assert written(_write_canonical, value) == written(reference_write_canonical, value)
+        assert written(canonical, value) == written(reference_write_canonical, value)
 
     @pytest.mark.parametrize(
         "value",
@@ -178,7 +208,7 @@ class TestCanonicalWriter:
         ],
     )
     def test_edge_lists(self, value):
-        assert written(_write_canonical, value) == written(reference_write_canonical, value)
+        assert written(canonical, value) == written(reference_write_canonical, value)
 
     @pytest.mark.parametrize("real", [1e16, -0.0, 5e-324])
     def test_lone_real_and_list_of_reals(self, real):
@@ -194,9 +224,45 @@ class TestCanonicalWriter:
         else:
             value[where] = bad
         with pytest.raises(ValueError) as new:
-            written(_write_canonical, value)
+            written(canonical, value)
         with pytest.raises(ValueError) as old:
             written(reference_write_canonical, value)
+        assert str(new.value) == str(old.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(array_payloads())
+    def test_arrays_match_per_value_writer(self, payload):
+        assert dumps_canonical(payload).decode("utf-8") == written(reference_write_canonical, payload) + "\n"
+
+    def test_real_shared_by_two_models(self):
+        shared = 0.1 + 0.2
+        payload = {
+            "svc": {"coef": np.array([[shared, -0.0], [0.0, 1.0]]), "intercept": np.array([shared, 1.0])},
+            "knn": {
+                "labels": np.array([1, 0]),
+                "vectors": [
+                    {"i": np.array([3]), "v": np.array([shared])},
+                    {"i": np.array([], dtype=np.int64), "v": np.array([])},
+                ],
+            },
+        }
+        text = dumps_canonical(payload).decode("utf-8")
+        assert text == written(reference_write_canonical, payload) + "\n"
+        assert text.count("0.30000000000000004") == 3
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("where", ["first", "second", "matrix"])
+    def test_non_finite_in_an_array_raises_the_same_error(self, bad, where):
+        payload = {
+            "first": np.array([0.5, 1.0]),
+            "second": np.array([2.0, -0.0, 0.5]),
+            "matrix": np.array([[0.5], [4.0]]),
+        }
+        payload[where].flat[1] = bad
+        with pytest.raises(ValueError) as new:
+            dumps_canonical(payload)
+        with pytest.raises(ValueError) as old:
+            written(reference_write_canonical, payload)
         assert str(new.value) == str(old.value)
 
     @pytest.mark.parametrize("name", PRESET_NAMES)

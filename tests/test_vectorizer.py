@@ -116,6 +116,22 @@ def test_fitted_block_pickles(kind):
     assert same(copy.transform(["a b c d", "c b"]), block.transform(["a b c d", "c b"]))
 
 
+@pytest.mark.parametrize("kind", ["word", "char", "char_wb"])
+@pytest.mark.parametrize("max_features", [None, 6])
+def test_loaded_block_matches_the_fitted_one(kind, max_features):
+    """A fitted block's vocabulary trie comes from the fit's symbols, a
+    loaded block's from its names: the same columns for every n-gram."""
+    train = ["b a c a", "c b b zz", "a c zz b a"]
+    block = TfidfBlock(kind, (1, 3), max_features).fit(train)
+    if max_features is not None:
+        assert len(TfidfBlock(kind, (1, 3)).fit(train).vocabulary_) > block.n_features_ == max_features
+    loaded = TfidfBlock.from_fitted(kind, (1, 3), max_features, block.feature_names(), block.idf_)
+    assert loaded.vocabulary_ == block.vocabulary_
+    # Unseen tokens and chars, and tokens of n-grams the cap dropped.
+    texts = train + ["a q b c", "\u0645 zz a", "zz zz c b", "é b a c a"]
+    assert same(loaded.transform(texts), block.transform(texts))
+
+
 class TestCharVocabularyOnLoad:
     def test_padded_words_shorter_than_lo_load(self):
         block = TfidfBlock("char_wb", (5, 7)).fit(["a bb", "a"])
