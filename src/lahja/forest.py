@@ -165,10 +165,11 @@ class RandomForest(BaseEstimator):
 
     def payload(self) -> dict:
         """The forest's bundle entry; ``trees`` holds, per tree, its nodes in
-        bundle form with tree-relative child ids."""
+        bundle form with tree-relative child ids. A leaf's distribution is a
+        view of its ``dist_`` row, which the bundle writer reads as it is."""
         check_is_fitted(self, "feature_")
         feature, threshold = self.feature_.tolist(), self.threshold_.tolist()
-        left, right, dist = self.left_.tolist(), self.right_.tolist(), self.dist_.tolist()
+        left, right, dist = self.left_.tolist(), self.right_.tolist(), self.dist_
         starts = self.tree_starts_.tolist()
         trees = []
         for start, end in zip(starts[:-1], starts[1:]):

@@ -6,10 +6,12 @@ entries in sorted order with implicit column indices. Saving the same
 fitted pipeline twice produces byte-identical files, and a load/save round
 trip reproduces predictions bit-for-bit.
 
-The models and blocks hand their float64 arrays (weights, idf, KNN rows)
-to the writer as they are. It formats the reals of all of a bundle's
-arrays together, each distinct bit pattern once, and writes each array by
-slicing the texts: a fitted model repeats most of its reals.
+The models and blocks hand their arrays (weights, idf, forest leaf
+distributions, KNN rows and columns) to the writer as they are; it takes
+float64 and integer arrays only. Every real of the bundle, lone or in an
+array, is formatted in one pass by :func:`_real_texts`, each distinct bit
+pattern once, and each array is written by slicing the texts: a fitted
+model repeats most of its reals.
 
 Top-level layout::
 
@@ -54,19 +56,9 @@ class BundleFormatError(ValueError):
     """Unreadable or incompatible model bundle."""
 
 
-def _reals(values: list | tuple) -> str:
-    """The canonical texts of ``values``, joined by commas: 17 significant
-    digits, and ``.0`` after a whole value to keep it a JSON real."""
-    text = ",".join([t if "." in t or "e" in t else t + ".0" for t in map("%.17g".__mod__, values)])
-    if "n" in text:  # "inf" or "nan"
-        value = next(v for v in values if not math.isfinite(v))
-        raise ValueError(f"cannot serialize non-finite real {value!r}")
-    return text
-
-
 def _write_canonical(value: object, out: list, arrays: list[int]) -> None:
-    """Append the canonical text of ``value`` to ``out``. A float64 array of
-    one or more dimensions goes into ``out`` as it is, and its place into
+    """Append the canonical text of ``value`` to ``out``. A real or a float64
+    array goes into ``out`` as a float64 array, and its place into
     ``arrays``: :func:`dumps_canonical` formats the reals of all of them at
     once."""
     if value is None:
@@ -77,14 +69,16 @@ def _write_canonical(value: object, out: list, arrays: list[int]) -> None:
         out.append("false")
     elif isinstance(value, int):
         out.append(str(value))
-    elif isinstance(value, float):
-        out.append(_reals((value,)))
     elif isinstance(value, str):
         out.append(json.dumps(value, ensure_ascii=False))
+    elif isinstance(value, float) or isinstance(value, np.ndarray) and value.dtype == np.float64:
+        arrays.append(len(out))
+        out.append(np.asarray(value))
+    elif isinstance(value, np.ndarray) and value.dtype.kind in "iu":
+        out.append(_nested(list(map(str, value.ravel().tolist())), value.shape))
     elif isinstance(value, (list, tuple)):
-        text = _uniform_list(value)
-        if text is not None:
-            out.append(text)
+        if value and set(map(type, value)) == {str}:  # a vocabulary or the label space
+            out.append(json.dumps(value, ensure_ascii=False, separators=(",", ":")))
         else:
             out.append("[")
             for i, item in enumerate(value):
@@ -101,38 +95,28 @@ def _write_canonical(value: object, out: list, arrays: list[int]) -> None:
             out.append(":")
             _write_canonical(item, out, arrays)
         out.append("}")
-    elif isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim:
-        arrays.append(len(out))
-        out.append(value)
-    elif isinstance(value, np.ndarray):
-        _write_canonical(value.tolist(), out, arrays)
     else:
         raise TypeError(f"cannot serialize {type(value).__name__} into a bundle")
 
 
-def _uniform_list(items: list | tuple) -> str | None:
-    """The text of a non-empty list whose items are all exactly float, all
-    exactly int or all exactly str, written in one pass; None otherwise."""
-    kinds = set(map(type, items))
-    if kinds == {float}:
-        return f"[{_reals(items)}]"
-    if kinds == {int}:
-        return f"[{','.join(map(str, items))}]"
-    if kinds == {str}:
-        return json.dumps(items, ensure_ascii=False, separators=(",", ":"))
-    return None
-
-
 def _real_texts(values: np.ndarray) -> list[str]:
-    """The canonical text of each real of the 1-D float64 ``values``, each
-    distinct bit pattern formatted once: 0.0 and -0.0 apart."""
+    """The canonical text of each real of the 1-D float64 ``values``: 17
+    significant digits, and ``.0`` after a whole value to keep it a JSON
+    real. Each distinct bit pattern is formatted once, 0.0 and -0.0 apart."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(f"cannot serialize non-finite real {values[~finite][0].item()!r}")
     distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = np.array(_reals(distinct.view(np.float64).tolist()).split(","), dtype=object)
+    reals = distinct.view(np.float64).tolist()
+    texts = np.array([t if "." in t or "e" in t else t + ".0" for t in map("%.17g".__mod__, reals)], dtype=object)
     return texts[inverse].tolist()
 
 
 def _nested(texts: list[str], shape: tuple[int, ...]) -> str:
-    """The JSON array of ``shape`` whose reals, in row-major order, are ``texts``."""
+    """The JSON text of the array of ``shape`` whose items, in row-major
+    order, have the texts ``texts``."""
+    if not shape:
+        return texts[0]
     if len(shape) == 1:
         return f"[{','.join(texts)}]"
     step = math.prod(shape[1:])

@@ -43,6 +43,16 @@ _BASE = 1 << 32
 _NO_KEY = np.iinfo(np.int64).max
 
 
+def _idf(n_docs: int, document_frequency: int) -> float:
+    """The smoothed idf of a feature in ``document_frequency`` of ``n_docs`` documents."""
+    return math.log((1.0 + n_docs) / (1.0 + document_frequency)) + 1.0
+
+
+# The largest idf a fit can give, at df = 1 in a corpus of 2**63 - 1
+# documents: about 43.98. A larger persisted one could overflow a row's norm.
+_MAX_IDF = _idf(np.iinfo(np.int64).max, 1)
+
+
 @dataclass(frozen=True)
 class BlockSpec(JsonObject):
     """Per-block configuration: n-gram range, vocabulary cap, transformer weight."""
@@ -114,10 +124,7 @@ class TfidfBlock(BaseEstimator):
             kept = sorted(kept, key=lambda i: (-totals[i], names[i]))[: self.max_features]
         kept = sorted(kept, key=names.__getitem__)
         n_docs = len(texts)
-        self.idf_ = np.array(
-            [math.log((1.0 + n_docs) / (1.0 + document_frequency[i])) + 1.0 for i in kept],
-            dtype=np.float64,
-        )
+        self.idf_ = np.array([_idf(n_docs, document_frequency[i]) for i in kept], dtype=np.float64)
         rows = rows[kept]
         symbol = rows >= 0
         self._set_vocabulary(symbols, rows[symbol], np.count_nonzero(symbol, axis=1), [names[i] for i in kept])
@@ -207,6 +214,8 @@ class TfidfBlock(BaseEstimator):
         idf = np.asarray(idf, dtype=np.float64)
         if not np.all(idf >= 1.0):
             raise ValueError("persisted idf values must be >= 1")
+        if not np.all(idf <= _MAX_IDF):
+            raise ValueError(f"persisted idf values must be <= {_MAX_IDF!r}, the largest a fit gives")
         block = cls(analyzer, tuple(ngram_range), max_features)
         block._check_params()
         block.idf_ = idf

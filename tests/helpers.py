@@ -451,9 +451,9 @@ def reference_format_float(value: float) -> str:
 
 
 def reference_write_canonical(value: object, out: list[str]) -> None:
-    """``persistence._write_canonical`` as it was before lists of one scalar
-    type were written in one pass: one string per value. A numpy array is
-    written as its ``tolist()``."""
+    """The canonical bundle writer as it was before its reals were formatted
+    together: one string per value. A numpy array is written as its
+    ``tolist()``."""
     if isinstance(value, np.ndarray):
         value = value.tolist()
     if value is None:

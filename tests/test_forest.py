@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from lahja import BlockSpec, CsrMatrix, RandomForest, forest as forest_module, make_synthetic
 from lahja.forest import _best_splits, _Columns
+from lahja.persistence import dumps_canonical
 from lahja.vectorizer import TfidfUnion
 
 from helpers import csr, reference_best_split, reference_build_tree, reference_draws
@@ -25,6 +26,11 @@ def random_instance(rng: np.random.RandomState, n_samples: int, n_features: int,
     y = list(rng.randint(0, n_labels, size=n_samples))
     y[: n_labels] = list(range(n_labels))  # every label present
     return csr(rows), y
+
+
+def read(forest: RandomForest) -> dict:
+    """The forest's entry as a bundle holds it: leaf distributions become JSON lists."""
+    return json.loads(dumps_canonical(forest.payload()))
 
 
 def naive_tree_walk(nodes: list[dict], dense_x) -> int:
@@ -68,14 +74,14 @@ class TestRandomForest:
         X, y = random_instance(rng, 30, 6, 3)
         a = RandomForest(n_trees=12, seed=5).fit(X, y)
         b = RandomForest(n_trees=12, seed=5).fit(X, y)
-        assert a.payload()["trees"] == b.payload()["trees"]
+        assert read(a)["trees"] == read(b)["trees"]
 
     def test_different_seed_differs(self):
         rng = np.random.RandomState(2)
         X, y = random_instance(rng, 30, 6, 3)
         a = RandomForest(n_trees=12, seed=5).fit(X, y)
         b = RandomForest(n_trees=12, seed=6).fit(X, y)
-        assert a.payload()["trees"] != b.payload()["trees"]
+        assert read(a)["trees"] != read(b)["trees"]
 
     def test_leaf_distributions_sum_to_one(self):
         rng = np.random.RandomState(3)
@@ -148,19 +154,19 @@ class TestRandomForest:
     def test_trees_do_not_depend_on_the_step_budget(self, monkeypatch):
         rng = np.random.RandomState(7)
         X, y = random_instance(rng, 60, 12, 3)
-        default = json.dumps(RandomForest(n_trees=20, seed=3).fit(X, y).payload())
+        default = json.dumps(read(RandomForest(n_trees=20, seed=3).fit(X, y)))
         # One node per chunk of a step's split search, then a few.
         for budget in (1, 400):
             monkeypatch.setattr(forest_module, "_STEP_BUDGET", budget)
-            assert json.dumps(RandomForest(n_trees=20, seed=3).fit(X, y).payload()) == default
+            assert json.dumps(read(RandomForest(n_trees=20, seed=3).fit(X, y))) == default
 
     def test_trees_do_not_depend_on_the_draw_batch(self, monkeypatch):
         rng = np.random.RandomState(8)
         X, y = random_instance(rng, 60, 12, 3)
-        default = json.dumps(RandomForest(n_trees=20, seed=5).fit(X, y).payload())
+        default = json.dumps(read(RandomForest(n_trees=20, seed=5).fit(X, y)))
         # Each tree draws its stream again at 2, 4, 8, ... blocks.
         monkeypatch.setattr(forest_module, "_FIRST_BLOCKS", 1)
-        assert json.dumps(RandomForest(n_trees=20, seed=5).fit(X, y).payload()) == default
+        assert json.dumps(read(RandomForest(n_trees=20, seed=5).fit(X, y))) == default
 
 
 # Negative values, ties, and the two doubles after 1.0, whose midpoint rounds
@@ -252,7 +258,7 @@ class TestSplitSearch:
                 reference_build_tree(X.transpose(), y, n_candidates, len(dataset.label_space), int(s))
                 for s in tree_seeds
             ]
-            assert json.dumps(forest.payload()["trees"]) == json.dumps(reference)
+            assert json.dumps(read(forest)["trees"]) == json.dumps(reference)
 
 
 @st.composite
@@ -313,14 +319,14 @@ class TestTreeGrowth:
         n_candidates = math.ceil(math.sqrt(X.n_cols))
         tree_seeds = np.random.RandomState(seed).randint(0, 2**31 - 1, size=3)
         reference = [reference_build_tree(X.transpose(), y, n_candidates, n_labels, int(s)) for s in tree_seeds]
-        assert json.dumps(forest.payload()["trees"]) == json.dumps(reference)
+        assert json.dumps(read(forest)["trees"]) == json.dumps(reference)
 
     @settings(max_examples=20, deadline=None)
     @given(forest_problems(docs=(8, 20), cols=(6, 16)), st.integers(16, 64), st.integers(0, 2**32 - 1))
     def test_trees_of_unequal_sizes_equal_reference_trees(self, problem, n_trees, seed):
         # The trees grow in lockstep, so the smaller ones finish steps before the larger.
         X, y, n_labels = problem
-        trees = RandomForest(n_trees=n_trees, seed=seed).fit(X, y, n_labels=n_labels).payload()["trees"]
+        trees = read(RandomForest(n_trees=n_trees, seed=seed).fit(X, y, n_labels=n_labels))["trees"]
         assume(len({len(nodes) for nodes in trees}) > 1)
         n_candidates = math.ceil(math.sqrt(X.n_cols))
         tree_seeds = np.random.RandomState(seed).randint(0, 2**31 - 1, size=n_trees)

@@ -24,6 +24,7 @@ from lahja import (
     preset,
     save_model,
 )
+from lahja import persistence
 from lahja.persistence import bundle_to_dict, dumps_canonical, pipeline_from_dict
 
 from helpers import reference_write_canonical, same
@@ -183,9 +184,9 @@ def array_payloads(draw) -> dict:
 
 
 class TestCanonicalWriter:
-    """Lists of one scalar type are written in one pass, and float64 arrays
-    with each distinct real formatted once, with the bytes of the per-value
-    writer they replaced."""
+    """Every real, lone or in a float64 array, is formatted in one pass over
+    the document's distinct reals, with the bytes of the per-value writer
+    it replaced."""
 
     @settings(max_examples=200, deadline=None)
     @given(VALUES)
@@ -266,10 +267,29 @@ class TestCanonicalWriter:
         assert str(new.value) == str(old.value)
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
-    def test_preset_bundles_match_per_value_writer(self, name):
+    def test_preset_bundles_match_per_value_writer(self, name, monkeypatch):
         pipeline = DialectPipeline(preset(name)).fit(make_synthetic(3, 8, 12, 0.2, seed=11))
         payload = bundle_to_dict(pipeline)
-        assert dumps_model(pipeline).decode("utf-8") == written(reference_write_canonical, payload) + "\n"
+        real_texts = persistence._real_texts
+        formatted = []  # the number of reals of each call of the one formatter of reals
+
+        def counted(values):
+            formatted.append(values.size)
+            return real_texts(values)
+
+        monkeypatch.setattr(persistence, "_real_texts", counted)
+        text = dumps_model(pipeline).decode("utf-8")
+        assert text == written(reference_write_canonical, payload) + "\n"
+        reals = []
+        json.loads(text, parse_float=reals.append)
+        assert formatted == [len(reals)]
+
+    @pytest.mark.parametrize(
+        "array", [np.array([True, False]), np.array([0.5, 1.0], dtype=np.float32)], ids=["bool", "float32"]
+    )
+    def test_array_of_other_dtype_rejected(self, array):
+        with pytest.raises(TypeError, match="cannot serialize ndarray"):
+            dumps_canonical({"a": array})
 
     def test_bundle_is_json_with_real_reals(self):
         text = dumps_canonical({"a": [1.0, 2.5e-7], "b": [3, 4], "c": ["x"]}).decode("utf-8")
@@ -465,6 +485,8 @@ CRAFTED = {
     "idf of 0": lambda p: p["union"]["blocks"][0]["idf"].__setitem__(0, 0.0),
     "idf negative": lambda p: p["union"]["blocks"][0]["idf"].__setitem__(0, -1.5),
     "idf below 1": lambda p: p["union"]["blocks"][0]["idf"].__setitem__(0, 0.999),
+    # A fit's idf is at most 1 + ln(2**62); a larger one can overflow a row's norm.
+    "idf above any fit's": lambda p: p["union"]["blocks"][0]["idf"].__setitem__(0, 1e200),
     # Lists are typed as they load: numpy would parse strings and bools as numbers.
     "label space a string": lambda p: p.__setitem__("label_space", "abc"),
     "label space of integers": lambda p: p.__setitem__("label_space", [0, 1, 2]),
@@ -614,6 +636,7 @@ class TestCraftedBundles:
         [
             ("knn k a real", "knn k must be an integer"),
             ("idf of 0", "idf values must be >= 1"),
+            ("idf above any fit's", "idf values must be <= 43.97"),
             ("top-k policy wider than the label space", "top-k policy with k=4 exceeds label count 3"),
             ("svc config whose bundle also carries a forest", "holds the models ['forest', 'svc'], not ['svc']"),
             ("forest n_features unlike the union", "does not match union dimension"),
