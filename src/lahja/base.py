@@ -154,19 +154,29 @@ def read_fields(cls: type, payload: object, what: str) -> dict[str, Any]:
     """The keyword arguments of ``cls`` held by the JSON object ``payload``,
     each read by its type hint on ``cls.__init__``; absent fields keep their
     defaults. Errors call the object ``what`` and a field ``what`` + name."""
-    if type(payload) is not dict:
-        raise ValueError(f"{what} must be an object, got {type(payload).__name__}")
     hints = _init_hints(cls)
     check_fields(what, payload, hints.keys())
     return {name: _read_value(f"{what} {name}", hints[name], value) for name, value in payload.items()}
 
 
-def check_fields(what: str, payload: dict, names: Collection[str]) -> None:
-    """Reject a field of the JSON object ``payload`` that is not in ``names``:
-    a reader would drop it, and the next save would lose it."""
+def check_fields(what: str, payload: object, names: Collection[str]) -> None:
+    """Reject a ``payload`` that is not a JSON object, or holds a field not in
+    ``names``: a reader would drop it, and the next save would lose it."""
+    if type(payload) is not dict:
+        raise ValueError(f"{what} must be an object, got {type(payload).__name__}")
     unknown = payload.keys() - names
     if unknown:
         raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+
+
+def read_object(what: str, payload: object, names: Sequence[str]) -> list:
+    """The values of the fields ``names`` of the JSON object ``payload``, in
+    order; ValueError if it is not an object, or lacks or adds a field."""
+    check_fields(what, payload, names)
+    if len(payload) < len(names):
+        missing = next(name for name in names if name not in payload)
+        raise ValueError(f"{what} is missing field {missing!r}")
+    return [payload[name] for name in names]
 
 
 def _read_value(name: str, hint: Any, value: object) -> Any:

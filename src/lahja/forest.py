@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .base import BaseEstimator, JsonObject, check_fields, check_int, check_is_fitted, check_labels, check_list, check_reals
+from .base import BaseEstimator, JsonObject, check_int, check_is_fitted, check_labels, check_list, check_reals, read_object
 from .ensemble import vote_totals
 from .sparse import CsrMatrix, spans
 
@@ -90,13 +90,13 @@ class RandomForest(BaseEstimator):
     def from_fitted(cls, params: dict, payload: dict, n_labels: int, n_features: int) -> "RandomForest":
         """The forest of a :meth:`payload` entry, which must be fitted for
         ``n_labels`` labels and ``n_features`` feature columns."""
-        check_fields("forest model", payload, ("n_labels", "n_features", "trees"))
-        if check_int("forest n_labels", payload["n_labels"]) != n_labels:
-            raise ValueError(f"forest model has n_labels {payload['n_labels']} for {n_labels} labels")
-        if check_int("forest n_features", payload["n_features"]) != n_features:
-            raise ValueError(f"forest n_features {payload['n_features']} does not match union dimension {n_features}")
+        count, width, trees = read_object("forest model", payload, ("n_labels", "n_features", "trees"))
+        if check_int("forest n_labels", count) != n_labels:
+            raise ValueError(f"forest model has n_labels {count} for {n_labels} labels")
+        if check_int("forest n_features", width) != n_features:
+            raise ValueError(f"forest n_features {width} does not match union dimension {n_features}")
         forest = cls(**params)
-        trees = check_list("forest trees", payload["trees"], list)
+        trees = check_list("forest trees", trees, list)
         if len(trees) != forest.n_trees:
             raise ValueError(f"forest holds {len(trees)} trees for n_trees {forest.n_trees}")
         forest._set_trees(trees, n_labels, n_features)
@@ -105,7 +105,8 @@ class RandomForest(BaseEstimator):
     def _set_trees(self, trees: Sequence[list], n_labels: int, n_features: int) -> None:
         """Fill the node arrays from per-tree node lists in bundle form.
 
-        Rejects what would make prediction index out of range or loop: a
+        Rejects a node that is not an object of exactly a leaf's or a split's
+        fields, and what would make prediction index out of range or loop: a
         split feature or child id that is not an int, a split feature outside
         [0, n_features), a child not after its parent or past the tree's end,
         a leaf distribution not of length n_labels; and a threshold or leaf
@@ -121,22 +122,23 @@ class RandomForest(BaseEstimator):
             if not nodes:
                 raise ValueError(f"tree {t} has no nodes")
             for i, node in enumerate(nodes):
-                where = f"tree {t} node {i}"
-                if len(node) != (1 if "d" in node else 4):
-                    raise ValueError(f"{where}: a leaf holds only d, a split only f, t, l and r; got {sorted(node)}")
-                if "d" in node:
-                    if len(node["d"]) != n_labels:
-                        raise ValueError(f"{where}: leaf distribution is not of length {n_labels}")
+                fields = node.keys() if type(node) is dict else None
+                if fields == {"d"}:  # a leaf's class distribution
+                    if type(node["d"]) is not list or len(node["d"]) != n_labels:
+                        raise ValueError(f"tree {t} node {i}: leaf distribution is not a list of length {n_labels}")
                     rows.append((_LEAF, 0.0, _LEAF, _LEAF))
                     dist.extend(node["d"])
                     continue
+                if fields != {"f", "t", "l", "r"}:  # a split's feature, threshold and children
+                    got = type(node).__name__ if fields is None else sorted(fields)
+                    raise ValueError(f"tree {t} node {i}: a leaf holds only 'd', a split 'f', 't', 'l', 'r'; got {got}")
                 f, lo, hi = node["f"], node["l"], node["r"]
                 if type(f) is not int or type(lo) is not int or type(hi) is not int:
-                    raise ValueError(f"{where}: split feature and child ids must be integers")
+                    raise ValueError(f"tree {t} node {i}: split feature and child ids must be integers")
                 if not 0 <= f < n_features:
-                    raise ValueError(f"{where}: split feature {f} outside [0, {n_features})")
+                    raise ValueError(f"tree {t} node {i}: split feature {f} outside [0, {n_features})")
                 if not (i < lo < len(nodes) and i < hi < len(nodes)):
-                    raise ValueError(f"{where}: children must lie after it within the tree")
+                    raise ValueError(f"tree {t} node {i}: children must lie after it within the tree")
                 rows.append((f, node["t"], starts[-1] + lo, starts[-1] + hi))
                 dist.extend(no_dist)
             starts.append(starts[-1] + len(nodes))

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import BaseEstimator, check_fields, check_int, check_is_fitted, check_labels, check_list
+from .base import BaseEstimator, check_int, check_is_fitted, check_labels, check_list, read_object
 from .ensemble import weighted_votes
 from .sparse import CsrMatrix, spans
 
@@ -34,9 +34,6 @@ _U = 2.0**-53  # unit roundoff of float64
 # [2**-480, 2**480] and rows of fewer than 2**40 values; outside that range
 # every training row is scored exactly.
 _RANGE = (2.0**-480, 2.0**480)
-
-# The fields of one training row in the bundle entry: its indices and values.
-_ROW_FIELDS = {"i", "v"}
 
 
 class KnnClassifier(BaseEstimator):
@@ -75,23 +72,20 @@ class KnnClassifier(BaseEstimator):
     def from_fitted(cls, params: dict, payload: dict, n_labels: int, n_features: int) -> "KnnClassifier":
         """The model of a :meth:`payload` entry, fitted on its rows as
         ``n_features``-wide feature rows labelled in [0, ``n_labels``)."""
-        check_fields("knn model", payload, ("n_labels", "labels", "vectors"))
-        if check_int("knn n_labels", payload["n_labels"]) != n_labels:
-            raise ValueError(f"knn model has n_labels {payload['n_labels']} for {n_labels} labels")
-        rows = check_list("knn vectors", payload["vectors"], dict)
-        if any(row.keys() - _ROW_FIELDS for row in rows):
-            unknown = set().union(*(row.keys() for row in rows)) - _ROW_FIELDS
-            raise ValueError(f"unknown knn vector fields: {sorted(unknown)}")
-        if any(len(row["i"]) != len(row["v"]) for row in rows):
-            raise ValueError("a knn vector has different numbers of indices and values")
+        count, labels, vectors = read_object("knn model", payload, ("n_labels", "labels", "vectors"))
+        if check_int("knn n_labels", count) != n_labels:
+            raise ValueError(f"knn model has n_labels {count} for {n_labels} labels")
+        rows = [read_object("knn vector", row, ("i", "v")) for row in check_list("knn vectors", vectors, dict)]
+        if any(type(i) is not list or type(v) is not list or len(i) != len(v) for i, v in rows):
+            raise ValueError("a knn vector's indices and values must be lists of equal length")
         # The values are checked finite once, by the CsrMatrix.
         vectors = CsrMatrix(
-            np.concatenate(([0], np.cumsum([len(row["i"]) for row in rows], dtype=np.int64))),
-            check_list("knn vector indices", [i for row in rows for i in row["i"]], int),
-            check_list("knn vector values", [v for row in rows for v in row["v"]], float),
+            np.concatenate(([0], np.cumsum([len(i) for i, _ in rows], dtype=np.int64))),
+            check_list("knn vector indices", [x for i, _ in rows for x in i], int),
+            check_list("knn vector values", [x for _, v in rows for x in v], float),
             n_features,
         )
-        return cls(**params).fit(vectors, check_list("knn labels", payload["labels"], int), n_labels)
+        return cls(**params).fit(vectors, check_list("knn labels", labels, int), n_labels)
 
     def neighbors(self, X: CsrMatrix) -> np.ndarray:
         """(queries x k) training ids of the most similar rows, best first.

@@ -31,9 +31,14 @@ the vote.
 Each model writes and reads its own entry: ``payload()`` gives everything
 but ``params``, and ``from_fitted(params, entry, n_labels, n_features)``
 reads it back, checked once against the label space and the union width.
-Every reader rejects a field it does not read, which a save would drop.
 This module keeps the union's block slots, which pair the config's block
 spec with the fitted block.
+
+Every object of a bundle holds exactly the fields a save writes: an unread
+field would vanish on the next save, and a missing one load as a default.
+:func:`lahja.base.read_object` reads the root, the union, the blocks, the
+model entries and the KNN rows; the forest checks its nodes inline, and the
+config and model ``params`` are compared with what they write.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .base import check_fields, check_list, check_reals, read_fields
+from .base import check_list, check_reals, read_fields, read_object
 from .corpus import LabelSpace
 from .pipeline import MODEL_TYPES, DialectPipeline, PipelineConfig
 from .vectorizer import BLOCK_ORDER, BlockSpec, TfidfBlock, TfidfUnion
@@ -56,11 +61,12 @@ class BundleFormatError(ValueError):
     """Unreadable or incompatible model bundle."""
 
 
-def _write_canonical(value: object, out: list, arrays: list[int]) -> None:
+def _write_canonical(value: object, out: list, arrays: list[int], keys: dict[str, str]) -> None:
     """Append the canonical text of ``value`` to ``out``. A real or a float64
     array goes into ``out`` as a float64 array, and its place into
     ``arrays``: :func:`dumps_canonical` formats the reals of all of them at
-    once."""
+    once. ``keys`` holds the text of each dict key written so far, which a
+    forest repeats at every node."""
     if value is None:
         out.append("null")
     elif value is True:
@@ -84,16 +90,19 @@ def _write_canonical(value: object, out: list, arrays: list[int]) -> None:
             for i, item in enumerate(value):
                 if i:
                     out.append(",")
-                _write_canonical(item, out, arrays)
+                _write_canonical(item, out, arrays, keys)
             out.append("]")
     elif isinstance(value, dict):
         out.append("{")
         for i, (key, item) in enumerate(value.items()):
             if i:
                 out.append(",")
-            out.append(json.dumps(str(key), ensure_ascii=False))
-            out.append(":")
-            _write_canonical(item, out, arrays)
+            key = str(key)
+            text = keys.get(key)
+            if text is None:
+                text = keys[key] = json.dumps(key, ensure_ascii=False) + ":"
+            out.append(text)
+            _write_canonical(item, out, arrays, keys)
         out.append("}")
     else:
         raise TypeError(f"cannot serialize {type(value).__name__} into a bundle")
@@ -126,7 +135,7 @@ def _nested(texts: list[str], shape: tuple[int, ...]) -> str:
 def dumps_canonical(payload: dict) -> bytes:
     out: list = []
     arrays: list[int] = []
-    _write_canonical(payload, out, arrays)
+    _write_canonical(payload, out, arrays, {})
     if arrays:
         texts = _real_texts(np.concatenate([out[at].ravel() for at in arrays]))
         start = 0
@@ -138,17 +147,16 @@ def dumps_canonical(payload: dict) -> bytes:
     return "".join(out).encode("utf-8")
 
 
+# The fields of the bundle root and of an enabled block, in written order.
+_ROOT_FIELDS = ("format_version", "config", "label_space", "union", "models")
+_BLOCK_FIELDS = ("analyzer", "ngram_range", "max_features", "weight", "vocabulary", "idf")
+
+
 def _block_payload(block: TfidfBlock | None, spec: BlockSpec | None) -> dict | None:
     if block is None:
         return None
-    return {
-        "analyzer": block.analyzer,
-        "ngram_range": [int(spec.ngram_range[0]), int(spec.ngram_range[1])],
-        "max_features": spec.max_features,
-        "weight": float(spec.weight),
-        "vocabulary": block.feature_names(),
-        "idf": block.idf_,
-    }
+    spec_fields = (list(spec.ngram_range), spec.max_features, float(spec.weight))
+    return dict(zip(_BLOCK_FIELDS, (block.analyzer, *spec_fields, block.feature_names(), block.idf_)))
 
 
 def bundle_to_dict(pipeline: DialectPipeline) -> dict:
@@ -161,13 +169,9 @@ def bundle_to_dict(pipeline: DialectPipeline) -> dict:
         name: {"params": params, **pipeline.models_[name].payload()}
         for name, params in pipeline.config.model_params().items()
     }
-    return {
-        "format_version": FORMAT_VERSION,
-        "config": pipeline.config.to_dict(),
-        "label_space": list(pipeline.label_space_.names),
-        "union": {"blocks": list(map(_block_payload, union.blocks_, specs))},
-        "models": models,
-    }
+    union_payload = {"blocks": list(map(_block_payload, union.blocks_, specs))}
+    values = (FORMAT_VERSION, pipeline.config.to_dict(), list(pipeline.label_space_.names), union_payload, models)
+    return dict(zip(_ROOT_FIELDS, values))
 
 
 def dumps_model(pipeline: DialectPipeline) -> bytes:
@@ -178,110 +182,75 @@ def save_model(pipeline: DialectPipeline, path: str | Path) -> None:
     Path(path).write_bytes(dumps_model(pipeline))
 
 
-# The fields of the bundle root, of the union and of an enabled block.
-_ROOT_FIELDS = ("format_version", "config", "label_space", "union", "models")
-_UNION_FIELDS = ("blocks",)
-_BLOCK_FIELDS = ("analyzer", "ngram_range", "max_features", "weight", "vocabulary", "idf")
+def _same_fields(what: str, payload: object, written: object) -> None:
+    """Raise ValueError unless the JSON ``payload`` holds, at every depth,
+    exactly the fields of ``written``: the ``to_dict()`` of what was read
+    from it, which a save writes."""
+    if isinstance(written, dict):
+        for name, value in zip(written, read_object(what, payload, tuple(written))):
+            _same_fields(f"{what} {name}", value, written[name])
 
 
-def _only(payload: dict, names: tuple[str, ...], context: str) -> None:
-    try:
-        check_fields(f"bundle {context}", payload, names)
-    except ValueError as exc:
-        raise BundleFormatError(str(exc)) from exc
-
-
-def _require(payload: dict, key: str, context: str) -> object:
-    if not isinstance(payload, dict) or key not in payload:
-        raise BundleFormatError(f"bundle {context} is missing field {key!r}")
-    return payload[key]
-
-
-def _load_block(payload: dict | None, kind: str, spec: BlockSpec | None) -> TfidfBlock | None:
+def _load_block(payload: object, kind: str, spec: BlockSpec | None) -> TfidfBlock | None:
     """The fitted block of one union slot, whose payload must repeat the
     config's ``spec`` of that slot; None for a disabled slot."""
     if (payload is None) != (spec is None):
         side = "the config" if payload is None else "the union"
-        raise BundleFormatError(f"{kind} block is enabled in {side} only")
+        raise ValueError(f"{kind} block is enabled in {side} only")
     if payload is None:
         return None
-    where = f"{kind} block"
-    analyzer = _require(payload, "analyzer", where)
-    _only(payload, _BLOCK_FIELDS, where)
+    analyzer, ngram_range, max_features, weight, vocabulary, idf = read_object(
+        f"bundle {kind} block", payload, _BLOCK_FIELDS
+    )
     if analyzer != kind:
-        raise BundleFormatError(f"block analyzer {analyzer!r} does not match slot {kind!r}")
-    for name in ("ngram_range", "weight", "vocabulary", "idf"):
-        _require(payload, name, where)
-    try:
-        found = BlockSpec.from_dict(
-            {name: payload[name] for name in ("ngram_range", "max_features", "weight") if name in payload},
-            "block",
-        )
-        if found != spec:
-            raise ValueError(f"{found} differs from the config's {spec}")
-        return TfidfBlock.from_fitted(
-            analyzer=kind,
-            ngram_range=spec.ngram_range,
-            max_features=spec.max_features,
-            feature_names=check_list("vocabulary", payload["vocabulary"], str),
-            idf=check_reals("idf", payload["idf"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise BundleFormatError(f"invalid {kind} block: {exc}") from exc
+        raise ValueError(f"block analyzer {analyzer!r} does not match slot {kind!r}")
+    found = BlockSpec.from_dict({"ngram_range": ngram_range, "max_features": max_features, "weight": weight}, "block")
+    if found != spec:
+        raise ValueError(f"{kind} block {found} differs from the config's {spec}")
+    vocabulary, idf = check_list(f"{kind} vocabulary", vocabulary, str), check_reals(f"{kind} idf", idf)
+    return TfidfBlock.from_fitted(kind, spec.ngram_range, spec.max_features, vocabulary, idf)
 
 
-def pipeline_from_dict(payload: dict) -> DialectPipeline:
-    if not isinstance(payload, dict):
-        raise BundleFormatError("bundle root must be a JSON object")
-    _only(payload, _ROOT_FIELDS, "root")
-    version = _require(payload, "format_version", "root")
-    if type(version) is not int or version != FORMAT_VERSION:
-        raise BundleFormatError(
-            f"unsupported bundle format version {version}; this build reads version {FORMAT_VERSION}"
-        )
+def pipeline_from_dict(payload: object) -> DialectPipeline:
+    """The fitted pipeline of a bundle's JSON document. Whatever the loader
+    rejects in it raises :class:`BundleFormatError`."""
     try:
-        config = PipelineConfig.from_dict(_require(payload, "config", "root"))
-    except ValueError as exc:
-        raise BundleFormatError(f"invalid config: {exc}") from exc
-    try:
-        names = check_list("label space", _require(payload, "label_space", "root"), str)
-        label_space = LabelSpace(tuple(names))
-        config.policy.check_label_count(len(label_space))
-    except ValueError as exc:
-        raise BundleFormatError(f"invalid label space: {exc}") from exc
-
-    union_payload = _require(payload, "union", "root")
-    blocks_payload = _require(union_payload, "blocks", "union")
-    _only(union_payload, _UNION_FIELDS, "union")
-    if not isinstance(blocks_payload, list) or len(blocks_payload) != 3:
-        raise BundleFormatError("union must hold exactly 3 block slots")
-    specs = (config.word, config.char, config.char_wb)
-    union = TfidfUnion.from_fitted(specs, list(map(_load_block, blocks_payload, BLOCK_ORDER, specs)))
-
-    models = _require(payload, "models", "root")
-    if not isinstance(models, dict):
-        raise BundleFormatError("models must be an object")
-    expected = config.model_params()
-    if models.keys() != expected.keys():  # a missing model could not vote, an extra one would
-        raise BundleFormatError(
-            f"bundle configured for classifier {config.classifier!r} holds the models {sorted(models)}, "
-            f"not {list(expected)}"
-        )
-    fitted = {}
-    n_labels = len(label_space)
-    try:
+        version, config_payload, names, union_payload, models = read_object("bundle root", payload, _ROOT_FIELDS)
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise ValueError(f"unsupported bundle format version {version}; this build reads version {FORMAT_VERSION}")
+        config = PipelineConfig.from_dict(config_payload)
+        _same_fields("config", config_payload, config.to_dict())
+        label_space = LabelSpace(tuple(check_list("label space", names, str)))
+        n_labels = len(label_space)
+        config.policy.check_label_count(n_labels)
+        (blocks,) = read_object("bundle union", union_payload, ("blocks",))
+        if type(blocks) is not list or len(blocks) != 3:
+            raise ValueError("union must hold exactly 3 block slots")
+        specs = (config.word, config.char, config.char_wb)
+        union = TfidfUnion.from_fitted(specs, list(map(_load_block, blocks, BLOCK_ORDER, specs)))
+        if type(models) is not dict:
+            raise ValueError("models must be an object")
+        expected = config.model_params()
+        if models.keys() != expected.keys():  # a missing model could not vote, an extra one would
+            raise ValueError(
+                f"bundle configured for classifier {config.classifier!r} holds the models {sorted(models)}, "
+                f"not {list(expected)}"
+            )
+        fitted = {}
         for name, params in expected.items():
+            # An entry is the model's params and its payload(), which its from_fitted reads.
+            entry = models[name]
+            rest = [key for key in entry if key != "params"] if type(entry) is dict else []
+            given, *values = read_object(f"{name} model", entry, ("params", *rest))
+            _same_fields(f"{name} params", given, params)
             # Both sides are read by the same type hints, so equal values have
             # equal types: a k of 3.0 fails as a real before it could match 3.
-            found = read_fields(MODEL_TYPES[name], _require(models[name], "params", f"{name} model"), name)
+            found = read_fields(MODEL_TYPES[name], given, name)
             if found != params:
                 raise ValueError(f"{name} params {found} differ from {params}, set by the config")
-            entry = {key: value for key, value in models[name].items() if key != "params"}
-            fitted[name] = MODEL_TYPES[name].from_fitted(found, entry, n_labels, union.n_features_)
-    except KeyError as exc:
-        raise BundleFormatError(f"bundle {name} model is missing field {exc}") from exc
+            fitted[name] = MODEL_TYPES[name].from_fitted(found, dict(zip(rest, values)), n_labels, union.n_features_)
     except (TypeError, ValueError, OverflowError) as exc:  # overflow: an int64 index beyond range
-        raise BundleFormatError(f"invalid classifier payload: {exc}") from exc
+        raise BundleFormatError(str(exc)) from exc
 
     pipeline = DialectPipeline(config)
     pipeline.union_ = union

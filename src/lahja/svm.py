@@ -54,7 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import BaseEstimator, JsonObject, check_fields, check_is_fitted, check_labels, check_list, check_reals
+from .base import BaseEstimator, JsonObject, check_is_fitted, check_labels, check_list, check_reals, read_object
 from .sparse import CsrMatrix
 
 # Spreads per-label RNG streams apart so one-vs-rest problems stay
@@ -216,9 +216,9 @@ class LinearSvc(BaseEstimator):
     def from_fitted(cls, params: dict, payload: dict, n_labels: int, n_features: int) -> "LinearSvc":
         """The model of a :meth:`payload` entry, which must hold ``n_labels``
         weight rows of ``n_features`` reals and ``n_labels`` intercepts."""
-        check_fields("svc model", payload, ("coef", "intercept"))
-        coef = np.array([check_reals("svc coef row", row) for row in check_list("svc coef", payload["coef"], list)])
-        intercept = check_reals("svc intercept", payload["intercept"])
+        coef, intercept = read_object("svc model", payload, ("coef", "intercept"))
+        coef = np.array([check_reals("svc coef row", row) for row in check_list("svc coef", coef, list)])
+        intercept = check_reals("svc intercept", intercept)
         if len(coef) != n_labels:
             raise ValueError(f"svc coef has {len(coef)} rows for {n_labels} labels")
         if coef.shape != (n_labels, n_features):

@@ -5,6 +5,7 @@ import inspect
 import pytest
 
 from lahja import DialectPipeline, KnnClassifier, LinearSvc, NotFittedError, RandomForest, TfidfBlock, TfidfUnion
+from lahja.base import read_object
 from lahja.cli import _worker_count
 
 from helpers import csr
@@ -86,3 +87,23 @@ class TestWorkerCount:
         monkeypatch.setenv("LAHJA_THREADS", "many")
         with pytest.raises(ValueError, match="LAHJA_THREADS"):
             _worker_count()
+
+
+class TestReadObject:
+    def test_values_in_the_order_asked(self):
+        assert read_object("entry", {"b": 2, "a": 1}, ("a", "b")) == [1, 2]
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([1, 2], "entry must be an object, got list"),
+            (None, "entry must be an object, got NoneType"),
+            ({"a": 1, "b": 2, "zz": 0}, r"unknown entry fields: \['zz'\]"),
+            ({"b": 2}, "entry is missing field 'a'"),
+            # An unknown field is reported before a missing one.
+            ({"a": 1, "zz": 0}, r"unknown entry fields: \['zz'\]"),
+        ],
+    )
+    def test_rejects_what_the_reader_would_not_read_back(self, payload, message):
+        with pytest.raises(ValueError, match=message):
+            read_object("entry", payload, ("a", "b"))

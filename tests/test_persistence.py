@@ -510,6 +510,8 @@ CRAFTED = {
     "knn value a string": lambda p: _set_knn_vector(p, "v", lambda v, p: ["0.5", *v[1:]]),
     "knn value a bool": lambda p: _set_knn_vector(p, "v", lambda v, p: [True, *v[1:]]),
     "knn value an integer beyond the float range": lambda p: _set_knn_vector(p, "v", lambda v, p: [10**400, *v[1:]]),
+    "knn vector indices a number": lambda p: _set_knn_vector(p, "i", lambda i, p: 5),
+    "forest leaf distribution a number": lambda p: _set_first_leaf(p, lambda d: 0.5),
     # Model params must be the ones the config implies.
     "knn params k unlike the config": lambda p: p["models"]["knn"]["params"].__setitem__("k", 1),
     "svc params C unlike the config": lambda p: p["models"]["svc"]["params"].__setitem__("C", 2.0),
@@ -536,6 +538,16 @@ CRAFTED = {
         section.__setitem__("seed", -1)
         for section in (p["config"], p["models"]["svc"]["params"], p["models"]["forest"]["params"])
     ],
+    # A config field read as its default could change the predictions: each of these loaded once.
+    "config without policy": lambda p: p["config"].pop("policy"),
+    "config without vote_weights": lambda p: p["config"].pop("vote_weights"),
+    "threshold policy without tau": lambda p: [
+        p["config"].update(classifier="svc", policy={"kind": "threshold"}),
+        p["models"].pop("forest"),
+        p["models"].pop("knn"),
+    ],
+    # No save writes an argmax policy's k, so a bundle that holds one was not written as it reads.
+    "argmax policy carrying k": lambda p: p["config"]["policy"].__setitem__("k", 2),
 }
 
 
@@ -554,6 +566,25 @@ UNKNOWN_FIELDS = {
     "forest split": lambda p: next(n for n in p["models"]["forest"]["trees"][0] if "d" not in n),
     "knn model": lambda p: p["models"]["knn"],
     "knn vector row": lambda p: p["models"]["knn"]["vectors"][0],
+}
+
+
+# The fields each object of ``UNKNOWN_FIELDS`` holds, every one of which the loader requires.
+MISSING_FIELDS = {
+    "root": ("format_version", "config", "label_space", "union", "models"),
+    "config": ("word", "char", "char_wb", "classifier", "svc", "forest", "k", "vote_weights", "policy", "seed"),
+    "union": ("blocks",),
+    **dict.fromkeys(
+        ("word block", "char block", "char_wb block"),
+        ("analyzer", "ngram_range", "max_features", "weight", "vocabulary", "idf"),
+    ),
+    "svc model": ("params", "coef", "intercept"),
+    "svc params": ("C", "balanced", "tol", "max_epochs", "seed"),
+    "forest model": ("params", "n_labels", "n_features", "trees"),
+    "forest leaf": ("d",),
+    "forest split": ("f", "t", "l", "r"),
+    "knn model": ("params", "n_labels", "labels", "vectors"),
+    "knn vector row": ("i", "v"),
 }
 
 
@@ -640,6 +671,8 @@ class TestCraftedBundles:
             ("top-k policy wider than the label space", "top-k policy with k=4 exceeds label count 3"),
             ("svc config whose bundle also carries a forest", "holds the models ['forest', 'svc'], not ['svc']"),
             ("forest n_features unlike the union", "does not match union dimension"),
+            ("knn vector indices a number", "indices and values must be lists of equal length"),
+            ("forest leaf distribution a number", "leaf distribution is not a list of length 3"),
         ],
     )
     def test_crafted_bundle_is_data_error_on_the_command_line(
@@ -654,6 +687,22 @@ class TestCraftedBundles:
         payload = json.loads(dumps_model(pipeline))
         where(payload)["zz"] = 0
         with pytest.raises(BundleFormatError, match="zz"):
+            pipeline_from_dict(payload)
+
+    def test_missing_fields_table_covers_every_object(self, fitted_vote_pipeline):
+        payload = json.loads(dumps_model(fitted_vote_pipeline[0]))
+        assert {name: tuple(UNKNOWN_FIELDS[name](payload)) for name in UNKNOWN_FIELDS} == MISSING_FIELDS
+
+    @pytest.mark.parametrize(
+        "where, field",
+        [(where, field) for where, fields in MISSING_FIELDS.items() for field in fields],
+        ids=[f"{where} without {field}" for where, fields in MISSING_FIELDS.items() for field in fields],
+    )
+    def test_missing_field_rejected(self, fitted_vote_pipeline, where, field):
+        pipeline, _ = fitted_vote_pipeline
+        payload = json.loads(dumps_model(pipeline))
+        del UNKNOWN_FIELDS[where](payload)[field]
+        with pytest.raises(BundleFormatError, match=f"'{field}'"):
             pipeline_from_dict(payload)
 
     def test_unknown_root_field_is_data_error_on_the_command_line(self, fitted_vote_pipeline, tmp_path, capsys):
