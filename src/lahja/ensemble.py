@@ -76,9 +76,16 @@ class DecisionPolicy(JsonObject):
 
     @classmethod
     def from_dict(cls, payload: dict, what: str = "policy") -> "DecisionPolicy":
+        """The policy ``payload`` holds; ValueError for a ``tau`` outside a
+        threshold policy or a ``k`` outside a top-k one, which ``to_dict``
+        would drop."""
         if not isinstance(payload, dict) or "kind" not in payload:
             raise ValueError(f"{what} must be an object with a 'kind' field")
-        return super().from_dict(payload, what)
+        policy = super().from_dict(payload, what)
+        ignored = sorted(payload.keys() - policy.to_dict().keys())
+        if ignored:
+            raise ValueError(f"{what} of kind {policy.kind!r} takes no field {ignored[0]!r}")
+        return policy
 
 
 def vote_totals(votes: np.ndarray, weights: Sequence[float], n_labels: int) -> np.ndarray:

@@ -116,7 +116,7 @@ class TfidfBlock(BaseEstimator):
         if not names:
             raise ValueError("no features survived fitting; corpus produced no analyzer output")
         totals = np.bincount(grams, weights=counts, minlength=len(names)).tolist()
-        document_frequency = np.bincount(grams, minlength=len(names)).tolist()
+        document_frequency = np.bincount(grams, minlength=len(names))
         kept = range(len(names))
         if self.max_features is not None and len(names) > self.max_features:
             # Keep the features with the highest total corpus count; ties go
@@ -124,7 +124,9 @@ class TfidfBlock(BaseEstimator):
             kept = sorted(kept, key=lambda i: (-totals[i], names[i]))[: self.max_features]
         kept = sorted(kept, key=names.__getitem__)
         n_docs = len(texts)
-        self.idf_ = np.array([_idf(n_docs, document_frequency[i]) for i in kept], dtype=np.float64)
+        # Many features share a document frequency: one idf per distinct one.
+        frequencies, inverse = np.unique(document_frequency[kept], return_inverse=True)
+        self.idf_ = np.array([_idf(n_docs, df) for df in frequencies.tolist()], dtype=np.float64)[inverse]
         rows = rows[kept]
         symbol = rows >= 0
         self._set_vocabulary(symbols, rows[symbol], np.count_nonzero(symbol, axis=1), [names[i] for i in kept])

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lahja
 from lahja import make_synthetic, persistence, save_tsv, split_dataset
-from lahja.cli import main
+from lahja.cli import main, run
 
 
 @pytest.fixture(scope="module")
@@ -406,3 +412,67 @@ class TestPredictionsFile:
         assert capsys.readouterr().err.strip() == (
             f"lahja: data error: {bad}: line 1: expected 2 tab-separated fields (id, labels), found 3"
         )
+
+
+class TestProgramEntry:
+    """``python -m lahja.cli`` and the ``lahja`` script go through ``run``,
+    which freezes the garbage collector before it exits; ``main`` does not."""
+
+    @staticmethod
+    def child(argv: list[str]) -> subprocess.CompletedProcess:
+        src = str(Path(lahja.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-m", "lahja.cli", *argv], env=env, capture_output=True, text=True)
+
+    def test_child_writes_and_prints_what_main_does(self, data_files, tmp_path, capsys):
+        _, train_path, dev_path = data_files
+        model, preds = tmp_path / "model.json", tmp_path / "preds.tsv"
+        steps = [
+            ["train", "--train-file", str(train_path), "--preset", "exp3-hard", "--out", str(model)],
+            ["predict", "--model", str(model), "--in", str(dev_path), "--out", str(preds)],
+            ["eval", "--pred", str(preds), "--gold", str(dev_path)],
+        ]
+        printed = []
+        for argv in steps:
+            assert main(argv) == 0
+            printed.append(capsys.readouterr().out)
+            written = {path: path.read_bytes() for path in (model, preds) if path.exists()}
+            done = self.child(argv)
+            assert (done.returncode, done.stdout, done.stderr) == (0, printed[-1], "")
+            assert {path: path.read_bytes() for path in written} == written
+        assert printed[0].startswith("trained vote pipeline on 48 documents, 3 labels, ")
+        assert printed[0].endswith(f" features -> {model}\n")
+        assert printed[1] == f"predicted 12 documents -> {preds}\n"
+        assert printed[2].startswith("precision\t") and printed[2].endswith("\n")
+
+    def test_child_data_error_exits_two(self, data_files, tmp_path):
+        _, _, dev_path = data_files
+        absent = tmp_path / "absent.json"
+        done = self.child(["predict", "--model", str(absent), "--in", str(dev_path),
+                           "--out", str(tmp_path / "preds.tsv")])
+        assert done.returncode == 2
+        assert done.stderr.startswith(f"lahja: data error: cannot read model {str(absent)!r}")
+        assert done.stdout == ""
+
+    def test_main_leaves_the_collector_unfrozen(self, data_files, tmp_path):
+        _, train_path, _ = data_files
+        before = gc.get_freeze_count()
+        assert main(["train", "--train-file", str(train_path), "--preset", "baseline",
+                     "--out", str(tmp_path / "model.json")]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_run_exits_with_the_code_of_main_after_freezing(self, data_files, tmp_path, monkeypatch):
+        _, train_path, _ = data_files
+        monkeypatch.setattr(sys, "argv", ["lahja", "train", "--train-file", str(train_path),
+                                          "--preset", "baseline", "--out", str(tmp_path / "missing" / "m.json")])
+        try:
+            with pytest.raises(SystemExit) as exited:
+                run()
+            assert exited.value.code == 1
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+
+    def test_script_entry_is_run(self):
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        assert '[project.scripts]\nlahja = "lahja.cli:run"\n' in pyproject

@@ -471,6 +471,9 @@ CRAFTED = {
     "knn n_labels a real": lambda p: p["models"]["knn"].__setitem__("n_labels", 3.7),
     "knn label a real": lambda p: p["models"]["knn"]["labels"].__setitem__(0, 1.7),
     "knn vector index a real": lambda p: _set_knn_vector(p, "i", lambda i, p: [i[0] + 0.5, *i[1:]]),
+    "knn vector index a bool": lambda p: _set_knn_vector(p, "i", lambda i, p: [False, *i[1:]]),
+    "knn vector index a string": lambda p: _set_knn_vector(p, "i", lambda i, p: [str(i[0]), *i[1:]]),
+    "knn label a bool": lambda p: p["models"]["knn"]["labels"].__setitem__(0, True),
     "forest split feature a real": lambda p: _set_first_split(p, "f", lambda n, i: n[i]["f"] + 0.9),
     "forest child a real": lambda p: _set_first_split(p, "l", lambda n, i: n[i]["l"] + 0.5),
     "forest n_trees a real": lambda p: p["models"]["forest"]["params"].__setitem__("n_trees", 2.5),
@@ -673,6 +676,9 @@ class TestCraftedBundles:
             ("forest n_features unlike the union", "does not match union dimension"),
             ("knn vector indices a number", "indices and values must be lists of equal length"),
             ("forest leaf distribution a number", "leaf distribution is not a list of length 3"),
+            ("knn vector index a bool", "knn vector indices must be a list of integers"),
+            ("knn vector index a string", "knn vector indices must be a list of integers"),
+            ("knn label a bool", "knn labels must be a list of integers"),
         ],
     )
     def test_crafted_bundle_is_data_error_on_the_command_line(

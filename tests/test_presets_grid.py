@@ -81,6 +81,21 @@ MISTYPED = [
     ("config", {"seed": 2**32}),
 ]
 
+# Policy fields that the kind never reads and that ``to_dict`` would drop, one
+# (reader, policy, first such field) row each; every one of them loaded once.
+# A "config" row is read as a config file, a "grid" row as a grid file; both
+# must exit 1.
+IGNORED_POLICY_FIELDS = [
+    ("config", {"kind": "argmax", "k": 2}, "k"),
+    ("config", {"kind": "argmax", "tau": 0.5}, "tau"),
+    ("config", {"kind": "argmax", "k": 2, "tau": 0.5}, "k"),
+    ("config", {"kind": "threshold", "tau": 0.5, "k": 2}, "k"),
+    ("config", {"kind": "topk", "k": 2, "tau": 0.5}, "tau"),
+    ("grid", {"kind": "argmax", "k": 2}, "k"),
+    ("grid", {"kind": "threshold", "tau": -0.3, "k": 1}, "k"),
+    ("grid", {"kind": "topk", "k": 2, "tau": 0.5}, "tau"),
+]
+
 
 def merged(base: dict, edit: dict) -> dict:
     """``base`` with ``edit`` written into it, object fields merged recursively."""
@@ -268,3 +283,22 @@ class TestEnumerateGrid:
         assert spec.C == (1.0, 2.5) and all(type(c) is float for c in spec.C)
         assert spec.w1 == (1.0,) and spec.v3 == (0.5,)
         assert spec.balanced is False and (spec.k, spec.n_trees, spec.seed) == (5, 7, 3)
+
+    @pytest.mark.parametrize("reader, policy, field", IGNORED_POLICY_FIELDS)
+    def test_policy_field_its_kind_ignores_rejected(self, reader, policy, field, vote_files, capsys):
+        message = f"policy of kind {policy['kind']!r} takes no field {field!r}"
+        root, _ = vote_files
+        train, path, out = str(root / "train.tsv"), root / f"{reader}.json", root / "never.out"
+        if reader == "grid":
+            cls, payload = GridSpec, {"n": [1], "policy": policy}
+            argv = ["sweep", "--train-file", train, "--dev-file", train, "--grid", str(path)]
+        else:
+            cls, payload = PipelineConfig, {"classifier": "svc", "policy": policy}
+            argv = ["train", "--train-file", train, "--config", str(path)]
+        with pytest.raises(ValueError, match=message):
+            cls.from_dict(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"lahja: error: {reader} file") and message in err
+        assert not out.exists()

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import lahja.vectorizer
-from lahja import BlockSpec, NotFittedError, TfidfBlock, TfidfUnion
+from lahja import BlockSpec, NotFittedError, TfidfBlock, TfidfUnion, make_synthetic
 
 from helpers import count_featurized, pairs, same
 
@@ -32,6 +32,16 @@ class TestFitBlock:
         block = TfidfBlock("word", (1, 1), max_features=2).fit(["z z z y", "y x"])
         assert set(block.vocabulary_) == {"y", "z"}
         assert block.vocabulary_ == {"y": 0, "z": 1}
+
+    @pytest.mark.parametrize("max_features", [None, 40])
+    def test_idf_bits_equal_the_per_feature_formula(self, max_features):
+        texts = make_synthetic(3, 20, 8, 0.15, seed=5).texts()
+        block = TfidfBlock("char", (1, 3), max_features)
+        matrix = block.fit_transform(texts)
+        assert max_features is None or len(block.vocabulary_) == max_features
+        document_frequency = np.bincount(matrix.indices, minlength=block.n_features_).tolist()
+        expected = [math.log((1.0 + len(texts)) / (1.0 + df)) + 1.0 for df in document_frequency]
+        assert block.idf_.tobytes() == np.array(expected, dtype=np.float64).tobytes()
 
     def test_single_doc_idf_is_one(self):
         block = TfidfBlock("word", (1, 1)).fit(["t t"])
